@@ -483,11 +483,13 @@ func BenchmarkAccessHotPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sys := smp.New(cfg)
 			sys.StepBatch(recs)
+			sys.Close()
 		}
 		perAccess(b)
 	})
 	b.Run("steady", func(b *testing.B) {
 		sys := smp.New(cfg)
+		defer sys.Close()
 		sys.StepBatch(recs) // cold pass: reach steady state before timing
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -499,6 +501,7 @@ func BenchmarkAccessHotPath(b *testing.B) {
 	b.Run("sampled", func(b *testing.B) {
 		const interval = 8192
 		sys := smp.New(cfg)
+		defer sys.Close()
 		sm := metrics.NewSampler(metrics.Config{
 			Interval: interval,
 			Filters:  len(cfg.Filters),

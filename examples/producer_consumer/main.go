@@ -20,6 +20,7 @@ func main() {
 	cfg := smp.PaperConfig(4).WithFilters(ej)
 	cfg.WBEntries = 0 // act on every store immediately: clearer narration
 	sys := smp.New(cfg)
+	defer sys.Close()
 
 	const bufBase = 0x10_0000
 	const blocks = 16

@@ -156,6 +156,7 @@ func runApp(ctx context.Context, sp workload.Spec, cfg smp.Config, tw *trace.Wri
 		return AppResult{}, err
 	}
 	sys := smp.New(cfg)
+	defer sys.Close()
 	if opt.enabled() {
 		sm, err := opt.newSampler(cfg, sp.Accesses)
 		if err != nil {

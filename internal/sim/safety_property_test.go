@@ -96,6 +96,7 @@ func TestFilterSafetyUnderRandomWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			sys := smp.New(cfg)
+			defer sys.Close()
 			auditChunks(t, sys, sp.Source(cfg.CPUs), 60_000, 6_000)
 		})
 	}
@@ -175,6 +176,7 @@ func TestFilterSafetyUnderAdversarialStreams(t *testing.T) {
 				},
 			}
 			sys := smp.New(cfg)
+			defer sys.Close()
 			auditChunks(t, sys, src, 50_000, 5_000)
 		})
 	}

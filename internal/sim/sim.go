@@ -94,6 +94,7 @@ func RunApp(sp workload.Spec, cfg smp.Config) (AppResult, error) {
 		return AppResult{}, err
 	}
 	sys := smp.New(cfg)
+	defer sys.Close()
 	src := sp.Source(cfg.CPUs)
 	sys.Run(src, sp.Accesses)
 	return finishRun(sys, sp, cfg)
@@ -104,17 +105,22 @@ func RunApp(sp workload.Spec, cfg smp.Config) (AppResult, error) {
 // sampler attached to the machine is flushed after the drain — the tail
 // window must include the drained stores or the timeline would not
 // conserve the end-of-run totals — and its timeline rides on the result.
+// The machine is read-only from the drain on, so the two audits run
+// concurrently; a safety violation is reported ahead of an incoherence.
 func finishRun(sys *smp.System, sp workload.Spec, cfg smp.Config) (AppResult, error) {
 	sys.DrainWriteBuffers()
 	if sm := sys.Sampler(); sm != nil {
 		sm.Flush(sys)
 	}
 
-	if err := sys.CheckFilterSafety(); err != nil {
+	safety := make(chan error, 1)
+	go func() { safety <- sys.CheckFilterSafety() }()
+	coherence := sys.CheckCoherence()
+	if err := <-safety; err != nil {
 		return AppResult{}, err
 	}
-	if err := sys.CheckCoherence(); err != nil {
-		return AppResult{}, err
+	if coherence != nil {
+		return AppResult{}, coherence
 	}
 
 	res := AppResult{

@@ -153,6 +153,7 @@ func runTrace(ctx context.Context, in TraceInput, cfg smp.Config, opt SampleOpti
 		return AppResult{}, fmt.Errorf("sim: trace has %d cpus but the machine only %d", rd.CPUs(), cfg.CPUs)
 	}
 	sys := smp.New(cfg)
+	defer sys.Close()
 	if opt.enabled() {
 		sm, err := opt.newSampler(cfg, in.Records)
 		if err != nil {

@@ -164,29 +164,76 @@ func machineSnapshot(t *testing.T, s *System) map[string]any {
 	return snap
 }
 
-// TestStepBatchMatchesStep pins the manual inline in StepBatch to Step:
-// the same stream through both drivers must leave two machines in
-// identical observable states. The replay and golden suites depend on
-// this equivalence.
+// drivers are the three ways to feed a machine a record stream: Step
+// applies each reference's filter events inline, StepBatch and Run hand
+// them to the companion goroutine. hotPathRecs rotates CPUs 0..3, the
+// order Run's round-robin interleave reproduces from per-CPU streams.
+var drivers = []struct {
+	name  string
+	drive func(s *System, recs []trace.Rec)
+}{
+	{"Step", func(s *System, recs []trace.Rec) {
+		for _, r := range recs {
+			s.Step(int(r.CPU), trace.Ref{Op: r.Op, Addr: r.Addr})
+		}
+	}},
+	{"StepBatch", func(s *System, recs []trace.Rec) { s.StepBatch(recs) }},
+	{"Run", func(s *System, recs []trace.Rec) {
+		perCPU := make([][]trace.Ref, s.Config().CPUs)
+		for _, r := range recs {
+			perCPU[r.CPU] = append(perCPU[r.CPU], trace.Ref{Op: r.Op, Addr: r.Addr})
+		}
+		s.Run(trace.NewSliceSource(perCPU...), 0)
+	}},
+}
+
+// TestStepBatchMatchesStep pins the pipelined drivers to inline Step:
+// the same stream through StepBatch (a manual inline of Step) and Run
+// must leave every machine in an identical observable state and, with a
+// sampler attached, emit identical windows, per-filter columns
+// included. The replay and golden suites depend on this equivalence.
 func TestStepBatchMatchesStep(t *testing.T) {
 	cfg := hotPathConfig()
 	recs := hotPathRecs(1 << 15)
-
-	a := New(cfg)
-	for _, r := range recs {
-		a.Step(int(r.CPU), trace.Ref{Op: r.Op, Addr: r.Addr})
-	}
-	b := New(cfg)
-	b.StepBatch(recs)
-
-	sa, sb := machineSnapshot(t, a), machineSnapshot(t, b)
-	if !reflect.DeepEqual(sa, sb) {
-		t.Fatalf("StepBatch diverged from Step:\n step: %+v\nbatch: %+v", sa, sb)
-	}
-	if err := a.CheckFilterSafety(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.CheckCoherence(); err != nil {
-		t.Fatal(err)
+	for _, sampled := range []bool{false, true} {
+		var ref map[string]any
+		var refWins []metrics.Window
+		for _, d := range drivers {
+			s := New(cfg)
+			var sm *metrics.Sampler
+			if sampled {
+				sm = metrics.NewSampler(metrics.Config{Interval: 1000, Filters: len(cfg.Filters)})
+				s.SetSampler(sm)
+			}
+			d.drive(s, recs)
+			s.DrainWriteBuffers()
+			if sm != nil {
+				sm.Flush(s)
+			}
+			if err := s.CheckFilterSafety(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckCoherence(); err != nil {
+				t.Fatal(err)
+			}
+			snap := machineSnapshot(t, s)
+			s.Close()
+			if ref == nil {
+				ref = snap
+				if sm != nil {
+					refWins = sm.Windows()
+				}
+				continue
+			}
+			if !reflect.DeepEqual(ref, snap) {
+				t.Fatalf("sampled=%v: %s diverged from Step:\n step: %+v\n %s: %+v", sampled, d.name, ref, d.name, snap)
+			}
+			if sm != nil && !reflect.DeepEqual(refWins, sm.Windows()) {
+				t.Fatalf("%s windows diverged from Step's", d.name)
+			}
+		}
+		if sampled && len(refWins) < len(recs)/1000 {
+			t.Fatalf("sampler emitted only %d windows", len(refWins))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package smp
 
 import (
 	"fmt"
+	"slices"
 
 	"jetty/internal/cache"
 )
@@ -21,37 +22,48 @@ import (
 //  4. the L2's inL1 hint covers every present L1 line (it may
 //     over-approximate, never under-approximate).
 func (s *System) CheckCoherence() error {
-	type holders struct {
-		me, o, sh int // modified/exclusive, owned, shared counts
-	}
-	units := map[uint64]*holders{}
+	// One word per valid (cache, unit) pair — the unit above a 2-bit
+	// holder class — sorted so each unit's holders form one run.
+	const (
+		holdME = iota // Modified or Exclusive
+		holdO         // Owned
+		holdS         // Shared
+	)
+	n := 0
 	for i := range s.nodes {
-		n := &s.nodes[i]
-		n.l2.ForEachValidUnit(func(unit uint64, st cache.State) {
-			h := units[unit]
-			if h == nil {
-				h = &holders{}
-				units[unit] = h
-			}
+		n += s.nodes[i].l2.LiveBlocks() << s.upbShift
+	}
+	held := make([]uint64, 0, n)
+	for i := range s.nodes {
+		s.nodes[i].l2.ForEachValidUnit(func(unit uint64, st cache.State) {
+			class := uint64(holdS)
 			switch st {
 			case cache.Modified, cache.Exclusive:
-				h.me++
+				class = holdME
 			case cache.Owned:
-				h.o++
-			case cache.Shared:
-				h.sh++
+				class = holdO
 			}
+			held = append(held, unit<<2|class)
 		})
 	}
-	for unit, h := range units {
-		if h.me > 1 {
-			return fmt.Errorf("smp: unit %#x has %d M/E holders", unit, h.me)
+	slices.Sort(held)
+	for lo := 0; lo < len(held); {
+		unit := held[lo] >> 2
+		var cnt [3]int
+		hi := lo
+		for ; hi < len(held) && held[hi]>>2 == unit; hi++ {
+			cnt[held[hi]&3]++
 		}
-		if h.me == 1 && (h.o > 0 || h.sh > 0) {
-			return fmt.Errorf("smp: unit %#x held M/E alongside %d O + %d S copies", unit, h.o, h.sh)
+		lo = hi
+		me, o, sh := cnt[holdME], cnt[holdO], cnt[holdS]
+		if me > 1 {
+			return fmt.Errorf("smp: unit %#x has %d M/E holders", unit, me)
 		}
-		if h.o > 1 {
-			return fmt.Errorf("smp: unit %#x has %d owners", unit, h.o)
+		if me == 1 && (o > 0 || sh > 0) {
+			return fmt.Errorf("smp: unit %#x held M/E alongside %d O + %d S copies", unit, o, sh)
+		}
+		if o > 1 {
+			return fmt.Errorf("smp: unit %#x has %d owners", unit, o)
 		}
 	}
 

@@ -1,0 +1,174 @@
+package smp
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"jetty/internal/energy"
+	"jetty/internal/trace"
+)
+
+// absentFilter claims every unit absent: the unsafe filter the
+// per-snoop audit exists to catch.
+type absentFilter struct{ probes uint64 }
+
+func (f *absentFilter) Name() string                  { return "ABSENT" }
+func (f *absentFilter) Probe(_, _ uint64) bool        { f.probes++; return true }
+func (f *absentFilter) Peek(_, _ uint64) bool         { return true }
+func (f *absentFilter) SnoopMiss(_, _ uint64, _ bool) {}
+func (f *absentFilter) Fill(_, _ uint64)              {}
+func (f *absentFilter) BlockAllocated(_ uint64)       {}
+func (f *absentFilter) BlockEvicted(_ uint64)         {}
+func (f *absentFilter) Reset()                        { f.probes = 0 }
+func (f *absentFilter) Counts() energy.FilterCounts {
+	return energy.FilterCounts{Probes: f.probes, Filtered: f.probes}
+}
+
+// plantAbsentFilter replaces bank position 0 of node cpu with an
+// absentFilter.
+func plantAbsentFilter(s *System, cpu int) {
+	b := &s.pipe.banks[cpu]
+	var nb nodeBank
+	for i, f := range b.filters {
+		if i == 0 {
+			f = &absentFilter{}
+		}
+		nb.add(f)
+	}
+	*b = nb
+}
+
+// TestFilterSafetyAuditThroughPipeline drives a machine with one lying
+// filter through every driver: the per-snoop audit must count the same
+// FilteredHits whether the banks run inline (Step) or on the companion
+// (StepBatch, Run), and CheckFilterSafety must fail on all of them.
+func TestFilterSafetyAuditThroughPipeline(t *testing.T) {
+	recs := hotPathRecs(1 << 14)
+	var want uint64
+	for i, d := range drivers {
+		s := New(hotPathConfig())
+		plantAbsentFilter(s, 1)
+		d.drive(s, recs)
+		s.DrainWriteBuffers()
+		if pipelined := s.pipe.full != nil; pipelined != (d.name != "Step") {
+			t.Errorf("%s: companion started = %v", d.name, pipelined)
+		}
+		got := s.FilterCounts(0).FilteredHits
+		if i == 0 {
+			want = got
+			if want == 0 {
+				t.Fatal("the lying filter never filtered a present unit; the audit test is vacuous")
+			}
+		} else if got != want {
+			t.Errorf("%s: FilteredHits = %d, inline Step counted %d", d.name, got, want)
+		}
+		err := s.CheckFilterSafety()
+		if err == nil || !strings.Contains(err.Error(), "filtered") {
+			t.Errorf("%s: CheckFilterSafety = %v, want the per-snoop audit's error", d.name, err)
+		}
+		s.Close()
+	}
+}
+
+// waitGoroutines polls until at most n goroutines are left, collecting
+// garbage in between so pending cleanups run.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, want at most %d", runtime.NumGoroutine(), n)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCloseStopsCompanion pins the lifecycle: the companion starts with
+// the first pipelined batch, Close stops it before returning, a second
+// Close is a no-op, and a closed machine keeps stepping with its events
+// applied inline and identical results.
+func TestCloseStopsCompanion(t *testing.T) {
+	cfg := hotPathConfig()
+	recs := hotPathRecs(1 << 13)
+	base := runtime.NumGoroutine()
+
+	s := New(cfg)
+	s.StepBatch(recs)
+	if s.pipe.full == nil {
+		t.Fatal("StepBatch handed no chunk to the companion")
+	}
+	during := runtime.NumGoroutine()
+	s.Close()
+	// Goroutines left over from earlier tests may exit at any time, so
+	// counts are compared with upper bounds only.
+	waitGoroutines(t, base)
+	if after := runtime.NumGoroutine(); during <= after {
+		t.Fatalf("%d goroutines with the companion running, %d after Close", during, after)
+	}
+	s.Close()
+	s.StepBatch(recs)
+	s.DrainWriteBuffers()
+
+	inline := New(cfg)
+	for i := 0; i < 2; i++ {
+		drivers[0].drive(inline, recs)
+	}
+	inline.DrainWriteBuffers()
+	if a, b := machineSnapshot(t, s), machineSnapshot(t, inline); !reflect.DeepEqual(a, b) {
+		t.Fatalf("closed machine diverged from inline Step:\nclosed: %+v\ninline: %+v", a, b)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestDroppedSystemReleasesCompanion covers the backstop: a machine
+// dropped without Close must not leak its companion goroutine.
+func TestDroppedSystemReleasesCompanion(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		s := New(hotPathConfig())
+		s.StepBatch(hotPathRecs(1 << 13))
+		if s.pipe.full == nil {
+			t.Fatal("StepBatch handed no chunk to the companion")
+		}
+	}()
+	waitGoroutines(t, base)
+}
+
+// TestEventLogSpillsInline fills the log past a chunk outside Run and
+// StepBatch: a 64-CPU machine drains full write buffers of shared lines,
+// every drain snooping 63 nodes. The full chunks must be applied inline,
+// with no companion, and every snoop must still reach every filter.
+func TestEventLogSpillsInline(t *testing.T) {
+	cfg := hotPathConfig()
+	cfg.CPUs = 64
+	cfg.WBEntries = 32
+	s := New(cfg)
+	for cpu := 0; cpu < cfg.CPUs; cpu++ {
+		for i := 0; i < cfg.WBEntries; i++ {
+			s.Step(cpu, trace.Ref{Op: trace.Write, Addr: uint64(i) << 6})
+		}
+	}
+	s.DrainWriteBuffers()
+	snoops := s.EnergyCounts().Snoops
+	if snoops < 4*chunkEvents {
+		t.Fatalf("only %d snoops; the drain did not overflow a chunk", snoops)
+	}
+	if s.logN != 0 || s.pipe.full != nil {
+		t.Fatalf("drain left %d events logged (companion started: %v)", s.logN, s.pipe.full != nil)
+	}
+	for i := range cfg.Filters {
+		if p := s.FilterCounts(i).Probes; p != snoops {
+			t.Errorf("%s: %d probes, %d snoops", s.FilterNames()[i], p, snoops)
+		}
+	}
+	if err := s.CheckFilterSafety(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -32,6 +32,7 @@ func (s *System) SetSampler(sm *metrics.Sampler) {
 		panic(fmt.Sprintf("smp: sampler sized for %d filters, machine has %d",
 			sm.FilterWidth(), len(s.cfg.Filters)))
 	}
+	s.join()
 	sm.Prime(s)
 	s.sampler = sm
 	iv := sm.Interval()
@@ -42,9 +43,11 @@ func (s *System) SetSampler(sm *metrics.Sampler) {
 func (s *System) Sampler() *metrics.Sampler { return s.sampler }
 
 // sampleWindow emits one window at an interval boundary. It is the cold
-// side of the hot-path check in Step/StepBatch: one O(cpus × filters)
-// counter sweep per interval, no allocation in steady state.
+// side of the hot-path check in Step/StepBatch: a join with the filter
+// banks, then one O(cpus × filters) counter sweep per interval, no
+// allocation in steady state.
 func (s *System) sampleWindow() {
+	s.join()
 	s.nextSample += s.sampler.Interval()
 	s.sampler.Observe(s)
 }

@@ -82,44 +82,16 @@ func (s *System) snoop(o *node, unit, block uint64, kind bus.Kind) bool {
 	present := st.Valid()
 	blockAbsent := !f.Ok()
 
-	// Filter bank observes (and is checked for safety violations). The
-	// loops run per concrete type — direct calls, no interface dispatch.
-	for k, fl := range o.bank.ejs {
-		if fl.Probe(unit, block) {
-			if present {
-				o.unsafeFl[o.bank.ejIdx[k]]++
-			}
-		} else if !present {
-			fl.SnoopMiss(unit, block, blockAbsent)
-		}
+	// The filter bank observes every snoop (and is audited for safety
+	// violations) through the event log.
+	ev := evSnoop | uint64(o.id)<<evNodeShift | unit<<evArgShift
+	if present {
+		ev |= evPresent
 	}
-	for k, fl := range o.bank.ijs {
-		if fl.Probe(unit, block) {
-			if present {
-				o.unsafeFl[o.bank.ijIdx[k]]++
-			}
-		} else if !present {
-			fl.SnoopMiss(unit, block, blockAbsent)
-		}
+	if blockAbsent {
+		ev |= evBlockAbsent
 	}
-	for k, fl := range o.bank.hjs {
-		if fl.Probe(unit, block) {
-			if present {
-				o.unsafeFl[o.bank.hjIdx[k]]++
-			}
-		} else if !present {
-			fl.SnoopMiss(unit, block, blockAbsent)
-		}
-	}
-	for k, fl := range o.bank.gen {
-		if fl.Probe(unit, block) {
-			if present {
-				o.unsafeFl[o.bank.genIdx[k]]++
-			}
-		} else if !present {
-			fl.SnoopMiss(unit, block, blockAbsent)
-		}
-	}
+	s.emit(ev)
 
 	if !present {
 		o.l2c.SnoopMisses++
@@ -166,24 +138,10 @@ func (s *System) snoop(o *node, unit, block uint64, kind bus.Kind) bool {
 		o.l2c.SnoopStateWrites++
 		if freed {
 			o.l2c.TagEvictions++
-			o.blockEvictedFilters(block)
+			s.emit(evEvict | uint64(o.id)<<evNodeShift | block<<evArgShift)
 		}
 	}
 	return true
-}
-
-// blockEvictedFilters delivers a BlockEvicted event to every filter
-// (exclude structures ignore it; the typed loops keep the calls direct).
-func (o *node) blockEvictedFilters(block uint64) {
-	for _, fl := range o.bank.ijs {
-		fl.BlockEvicted(block)
-	}
-	for _, fl := range o.bank.hjs {
-		fl.BlockEvicted(block)
-	}
-	for _, fl := range o.bank.gen {
-		fl.BlockEvicted(block)
-	}
 }
 
 // l1SnoopClean probes the L1 lines covering a unit, cleans any dirty one
@@ -219,30 +177,12 @@ func (s *System) fillL2Unit(n *node, unit, block uint64, st cache.State) cache.F
 	}
 	if allocated {
 		n.l2c.TagAllocs++
-		for _, fl := range n.bank.ijs {
-			fl.BlockAllocated(block)
-		}
-		for _, fl := range n.bank.hjs {
-			fl.BlockAllocated(block)
-		}
-		for _, fl := range n.bank.gen {
-			fl.BlockAllocated(block)
-		}
+		s.emit(evAlloc | uint64(n.id)<<evNodeShift | block<<evArgShift)
 	}
 	n.l2.SetStateAt(f, unit, st)
 	n.l2.TouchAt(f)
 	n.l2c.LocalFills++
-	// Only exclude structures react to unit fills (Include.Fill is a
-	// no-op), but every filter is offered the event.
-	for _, fl := range n.bank.ejs {
-		fl.Fill(unit, block)
-	}
-	for _, fl := range n.bank.hjs {
-		fl.Fill(unit, block)
-	}
-	for _, fl := range n.bank.gen {
-		fl.Fill(unit, block)
-	}
+	s.emit(evFill | uint64(n.id)<<evNodeShift | unit<<evArgShift)
 	return f
 }
 
@@ -254,7 +194,7 @@ func (s *System) fillL2Unit(n *node, unit, block uint64, st cache.State) cache.F
 // other nodes).
 func (s *System) handleEviction(n *node, ev *cache.Eviction) {
 	n.l2c.TagEvictions++
-	n.blockEvictedFilters(ev.Block)
+	s.emit(evEvict | uint64(n.id)<<evNodeShift | ev.Block<<evArgShift)
 	for _, u := range ev.Units {
 		if u.InL1 {
 			s.l1SnoopInvalidate(n, u.Unit)

@@ -1,11 +1,12 @@
 package smp
 
 import (
+	"runtime"
+
 	"jetty/internal/addr"
 	"jetty/internal/bus"
 	"jetty/internal/cache"
 	"jetty/internal/energy"
-	"jetty/internal/jetty"
 	"jetty/internal/metrics"
 	"jetty/internal/trace"
 )
@@ -41,9 +42,9 @@ func (s *CPUStats) Add(o CPUStats) {
 	s.L1SnoopProbes += o.L1SnoopProbes
 }
 
-// node is one processor: core-side buffers, caches and filter bank.
-// Caches and write buffer are embedded by value so one node is one
-// contiguous region.
+// node is one processor: core-side buffers, caches and counters. Caches
+// and write buffer are embedded by value so one node is one contiguous
+// region. Its filter bank lives in the filter pipe (pipeline.go).
 type node struct {
 	id  int
 	l1  cache.L1
@@ -51,47 +52,6 @@ type node struct {
 	wb  writeBuffer
 	cpu CPUStats
 	l2c energy.Counts
-
-	filters  []jetty.Filter
-	bank     filterBank
-	unsafeFl []uint64 // per-filter count of filtered-but-present snoops (must stay 0)
-}
-
-// filterBank groups the node's filters by concrete type so the per-snoop
-// event loops make direct (inlinable) calls instead of interface
-// dispatch — with ~20 filter configurations observing every snoop, the
-// itab indirection was a measurable share of the snoop path. Filters are
-// independent observers, so driving the groups in type order instead of
-// bank order delivers the identical event sequence to each filter. The
-// idx slices map each group member back to its bank position (for the
-// per-filter safety counters).
-type filterBank struct {
-	ejs    []*jetty.Exclude
-	ejIdx  []int
-	ijs    []*jetty.Include
-	ijIdx  []int
-	hjs    []*jetty.Hybrid
-	hjIdx  []int
-	gen    []jetty.Filter // any other Filter implementation
-	genIdx []int
-}
-
-// add slots a filter into its concrete-type group.
-func (b *filterBank) add(idx int, f jetty.Filter) {
-	switch t := f.(type) {
-	case *jetty.Exclude:
-		b.ejs = append(b.ejs, t)
-		b.ejIdx = append(b.ejIdx, idx)
-	case *jetty.Include:
-		b.ijs = append(b.ijs, t)
-		b.ijIdx = append(b.ijIdx, idx)
-	case *jetty.Hybrid:
-		b.hjs = append(b.hjs, t)
-		b.hjIdx = append(b.hjIdx, idx)
-	default:
-		b.gen = append(b.gen, f)
-		b.genIdx = append(b.genIdx, idx)
-	}
 }
 
 // System is the simulated SMP machine.
@@ -121,6 +81,17 @@ type System struct {
 	// counters: results are bit-identical with and without it.
 	sampler    *metrics.Sampler
 	nextSample uint64
+
+	// Filter event log (pipeline.go). The machine appends to log; pipe
+	// holds the banks the events drive.
+	log       *chunk
+	logN      int
+	spare     []*chunk // empty chunks the machine holds besides log
+	inFlight  int      // chunks the companion has not returned yet
+	pipe      *filterPipe
+	pipelined bool // full chunks go to the companion (inside Run/StepBatch)
+	closed    bool
+	cleanup   runtime.Cleanup
 }
 
 // New builds a system. It panics on an invalid configuration (machine
@@ -132,16 +103,22 @@ func New(cfg Config) *System {
 	}
 	geom := cfg.L2.Geom
 	unitShift := uint(addr.Log2(uint64(geom.UnitBytes() / cfg.L1.LineBytes)))
+	upbShift := uint(addr.Log2(uint64(geom.UnitsPerBlock)))
 	s := &System{
 		cfg:          cfg,
 		geom:         geom,
 		lineShift:    uint(addr.Log2(uint64(cfg.L1.LineBytes))),
 		unitShift:    unitShift,
-		upbShift:     uint(addr.Log2(uint64(geom.UnitsPerBlock))),
+		upbShift:     upbShift,
 		linesPerUnit: 1 << unitShift,
 		bus:          bus.NewStats(cfg.CPUs),
 		nodes:        make([]node, cfg.CPUs),
 		nextSample:   noSample,
+		log:          new(chunk),
+		pipe: &filterPipe{
+			banks:    make([]nodeBank, cfg.CPUs),
+			upbShift: upbShift,
+		},
 	}
 	for i := range s.nodes {
 		n := &s.nodes[i]
@@ -149,12 +126,9 @@ func New(cfg Config) *System {
 		n.l1 = *cache.NewL1(cfg.L1)
 		n.l2 = *cache.NewL2(cfg.L2)
 		n.wb = *newWriteBuffer(cfg.WBEntries)
-		for fi, fc := range cfg.Filters {
-			f := fc.New(cfg.L2.Geom.UnitsPerBlock)
-			n.filters = append(n.filters, f)
-			n.bank.add(fi, f)
+		for _, fc := range cfg.Filters {
+			s.pipe.banks[i].add(fc.New(cfg.L2.Geom.UnitsPerBlock))
 		}
-		n.unsafeFl = make([]uint64, len(cfg.Filters))
 	}
 	return s
 }
@@ -168,13 +142,21 @@ func (s *System) Geometry() addr.Geometry { return s.geom }
 // Refs returns the number of references processed so far.
 func (s *System) Refs() uint64 { return s.refs }
 
-// Step processes one memory reference from the given CPU.
+// Step processes one memory reference from the given CPU, applying its
+// filter events before it returns.
+func (s *System) Step(cpu int, ref trace.Ref) {
+	s.step(cpu, ref)
+	s.join()
+}
+
+// step processes one memory reference, leaving its filter events in the
+// log.
 //
 // The dispatch is a single-exit if/else chain (no early returns): the
 // interval-sampling boundary check at the bottom must see every
 // reference, whichever path resolved it. With no sampler attached the
 // check is one always-false uint64 comparison.
-func (s *System) Step(cpu int, ref trace.Ref) {
+func (s *System) step(cpu int, ref trace.Ref) {
 	n := &s.nodes[cpu]
 	s.refs++
 	line := (ref.Addr & addr.PhysMask) >> s.lineShift
@@ -242,7 +224,11 @@ func (s *System) store(n *node, line uint64) {
 // Run interleaves the per-CPU streams of src round-robin, one reference
 // per CPU per turn, until every stream is exhausted or maxRefs references
 // have been processed (0 = unlimited). It returns the number processed.
+// The filter banks run alongside on the companion goroutine; Run joins
+// them before it returns.
 func (s *System) Run(src trace.Source, maxRefs uint64) uint64 {
+	s.beginPipeline()
+	defer s.endPipeline()
 	start := s.refs
 	ncpu := src.CPUs()
 	if ncpu > s.cfg.CPUs {
@@ -267,7 +253,7 @@ func (s *System) Run(src trace.Source, maxRefs uint64) uint64 {
 				remaining--
 				continue
 			}
-			s.Step(cpuID, ref)
+			s.step(cpuID, ref)
 		}
 	}
 	return s.refs - start
@@ -280,11 +266,13 @@ func (s *System) Run(src trace.Source, maxRefs uint64) uint64 {
 // exactly the decomposition Run's round-robin performs when replaying a
 // round-robin recording, so results are bit-identical.
 //
-// The dispatch is a manual inline of Step: the per-record call was the
+// The dispatch is a manual inline of step: the per-record call was the
 // single largest fixed cost of the replay loop. Any change here must
-// mirror Step exactly — TestStepBatchMatchesStep and the replay/golden
-// suites enforce the equivalence.
+// mirror step exactly — TestStepBatchMatchesStep and the replay/golden
+// suites enforce the equivalence. Like Run, StepBatch drives the filter
+// banks on the companion goroutine and joins them before it returns.
 func (s *System) StepBatch(recs []trace.Rec) {
+	s.beginPipeline()
 	for i := range recs {
 		cpu, op, a := recs[i].CPU, recs[i].Op, recs[i].Addr
 		n := &s.nodes[cpu]
@@ -316,10 +304,11 @@ func (s *System) StepBatch(recs []trace.Rec) {
 			s.sampleWindow()
 		}
 	}
+	s.endPipeline()
 }
 
 // DrainWriteBuffers performs all pending stores (end-of-run cleanup so
-// that store counts reconcile).
+// that store counts reconcile), applying their filter events inline.
 func (s *System) DrainWriteBuffers() {
 	for i := range s.nodes {
 		n := &s.nodes[i]
@@ -327,6 +316,7 @@ func (s *System) DrainWriteBuffers() {
 			s.drainStore(n, line)
 		}
 	}
+	s.join()
 }
 
 // loadMiss performs a processor load that missed in the L1 (Step already
