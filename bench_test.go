@@ -537,7 +537,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sim.RunAppCapturedCtx(context.Background(), sp, cfg, tw, nil); err != nil {
+	if _, err := sim.Run(context.Background(), sim.Input{Spec: sp}, cfg, sim.Plan{Capture: tw}, nil); err != nil {
 		b.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -550,7 +550,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunTraceCtx(context.Background(), in, cfg, nil); err != nil {
+		if _, err := sim.Run(context.Background(), sim.Input{Trace: &in}, cfg, sim.Plan{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -108,7 +108,7 @@ func run(o runOpts) error {
 	}
 
 	// Replay path: the trace fixes the workload and the machine width.
-	var in sim.TraceInput
+	var in sim.Input
 	cpus := o.cpus
 	if o.traceFile != "" {
 		data, err := os.ReadFile(o.traceFile)
@@ -116,15 +116,26 @@ func run(o runOpts) error {
 			return err
 		}
 		// Empty name: the label prefers the trace's recorded app name.
-		if in, err = sim.LoadTrace("", data); err != nil {
+		tin, err := sim.LoadTrace("", data)
+		if err != nil {
 			return err
 		}
+		in.Trace = &tin
 		if !o.cpusSet {
-			cpus = in.CPUs
+			cpus = tin.CPUs
 		}
-		if cpus < in.CPUs {
-			return fmt.Errorf("%s needs %d cpus, -cpus says %d", o.traceFile, in.CPUs, cpus)
+		if cpus < tin.CPUs {
+			return fmt.Errorf("%s needs %d cpus, -cpus says %d", o.traceFile, tin.CPUs, cpus)
 		}
+	} else {
+		sp, err := workload.Lookup(o.app)
+		if err != nil {
+			return err
+		}
+		if o.accesses > 0 {
+			sp.Accesses = o.accesses
+		}
+		in.Spec = sp
 	}
 
 	fcs, err := jetty.ParseAll(splitConfigs(o.filters))
@@ -141,71 +152,49 @@ func run(o runOpts) error {
 		return err
 	}
 
+	var plan sim.Plan
+	if o.sampled() {
+		plan.Sample = o.sampleOpt()
+	}
+	var f *os.File
+	if o.capture != "" {
+		if f, err = os.Create(o.capture); err != nil {
+			return err
+		}
+		defer f.Close()
+		plan.Capture, err = trace.NewWriter(f, cfg.CPUs, trace.WriterOptions{
+			Compress: o.gzip,
+			Meta:     trace.Meta{App: in.Spec.Name, Note: "captured by jettysim"},
+		})
+		if err != nil {
+			return err
+		}
+	}
+
 	// One chunked, cancelable pass: Ctrl-C stops the simulation at the
 	// next chunk boundary. A single run needs no worker pool or cache,
 	// so this skips the engine that the suite commands use.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if o.traceFile != "" {
-		var res sim.AppResult
-		if o.sampled() {
-			res, err = sim.RunTraceSampledCtx(ctx, in, cfg, o.sampleOpt(), nil)
-		} else {
-			res, err = sim.RunTraceCtx(ctx, in, cfg, nil)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("replaying %s (%d records, digest %.12s…)\n", o.traceFile, in.Records, in.Digest)
-		printResult(res, cfg, o.serial)
-		return writeTimeline(o.timeline, res)
-	}
-
-	sp, err := workload.Lookup(o.app)
+	results, err := sim.Run(ctx, in, cfg, plan, nil)
 	if err != nil {
 		return err
 	}
-	if o.accesses > 0 {
-		sp.Accesses = o.accesses
-	}
+	res := results[0]
 
-	if o.capture != "" {
-		f, err := os.Create(o.capture)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tw, err := trace.NewWriter(f, cfg.CPUs, trace.WriterOptions{
-			Compress: o.gzip,
-			Meta:     trace.Meta{App: sp.Name, Note: "captured by jettysim"},
-		})
-		if err != nil {
-			return err
-		}
-		res, err := sim.RunAppCapturedCtx(ctx, sp, cfg, tw, nil)
-		if err != nil {
-			return err
-		}
-		if err := tw.Close(); err != nil {
+	switch {
+	case plan.Capture != nil:
+		if err := plan.Capture.Close(); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("captured %d references to %s\n", tw.Records(), o.capture)
+		fmt.Printf("captured %d references to %s\n", plan.Capture.Records(), o.capture)
 		printResult(res, cfg, o.serial)
 		return nil
-	}
-
-	var res sim.AppResult
-	if o.sampled() {
-		res, err = sim.RunAppSampledCtx(ctx, sp, cfg, o.sampleOpt(), nil)
-	} else {
-		res, err = sim.RunAppCtx(ctx, sp, cfg, nil)
-	}
-	if err != nil {
-		return err
+	case in.Trace != nil:
+		fmt.Printf("replaying %s (%d records, digest %.12s…)\n", o.traceFile, in.Trace.Records, in.Trace.Digest)
 	}
 	printResult(res, cfg, o.serial)
 	return writeTimeline(o.timeline, res)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jetty/internal/engine"
+	"jetty/internal/lru"
 	"jetty/internal/sim"
 )
 
@@ -139,9 +140,13 @@ type Coordinator struct {
 	cancel    context.CancelFunc
 	probeDone chan struct{}
 
-	mu       sync.Mutex
-	workers  []*worker
-	memo     *memo
+	mu      sync.Mutex
+	workers []*worker
+	// memo is the digest→result L2 of the cluster's two-tier result
+	// cache (each worker's engine cache is an L1): a rerun of an
+	// identical spec resolves every cell here without a dispatch.
+	// Values are cloned on both sides; MemoEntries < 0 stores nothing.
+	memo     *lru.LRU[sim.AppResult]
 	sweeps   map[*Sweep]struct{}
 	counters counters
 	closed   bool
@@ -166,7 +171,7 @@ func New(opts Options) (*Coordinator, error) {
 		ctx:       ctx,
 		cancel:    cancel,
 		probeDone: make(chan struct{}),
-		memo:      newMemo(opts.MemoEntries),
+		memo:      lru.New(opts.MemoEntries, sim.AppResult.Clone),
 		sweeps:    make(map[*Sweep]struct{}),
 	}
 	for _, c := range opts.Workers {
@@ -404,7 +409,7 @@ func (co *Coordinator) Stats() Stats {
 	st := Stats{
 		WorkersConfigured: len(co.workers),
 		ActiveSweeps:      len(co.sweeps),
-		MemoEntries:       co.memo.len(),
+		MemoEntries:       co.memo.Len(),
 		counters:          co.counters,
 	}
 	for _, w := range co.workers {

@@ -138,7 +138,7 @@ func (co *Coordinator) Submit(spec sweep.Spec, traces sweep.TraceResolver, origi
 		if s.have[i] {
 			continue
 		}
-		if res, ok := co.memo.get(c.Key); ok {
+		if res, ok := co.memo.Get(c.Key); ok {
 			for _, p := range s.keyPos[c.Key] {
 				if !s.have[p] {
 					s.results[p] = res.Clone()
@@ -184,7 +184,7 @@ func (co *Coordinator) Submit(spec sweep.Spec, traces sweep.TraceResolver, origi
 				}
 			}
 			co.mu.Lock()
-			co.memo.put(c.Key, res)
+			co.memo.Put(c.Key, res)
 			co.mu.Unlock()
 		}
 		if storeHits > 0 {
@@ -476,7 +476,7 @@ func (s *Sweep) deliver(a *attempt, resp CellsResponse) {
 	s.co.counters.CellsComputed += computed
 	s.co.counters.WorkerCacheHits += l1hits
 	for _, f := range fills {
-		s.co.memo.put(f.key, f.res)
+		s.co.memo.Put(f.key, f.res)
 	}
 	s.co.mu.Unlock()
 

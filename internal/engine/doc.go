@@ -2,20 +2,25 @@
 // worker pool sharded across GOMAXPROCS, context cancellation, per-job
 // progress reporting, and a content-addressed in-memory result cache.
 //
-// # Tasks and content addressing
+// # Group tasks and content addressing
 //
-// Tasks are pure computations identified by a content address (the
-// Key): two tasks with the same key MUST compute the same result. The
-// engine exploits that in two ways. Identical in-flight submissions are
-// deduplicated onto one execution (every submitter gets its own Job
-// handle observing the shared run), and finished results are kept in an
-// LRU cache so repeated submissions are served without re-running.
+// The unit of work is a GroupTask: one computation producing one or
+// more member results, each identified by a content address (the Key):
+// two members with the same key MUST compute the same result. A plain
+// Task is a group of one (Submit wraps it), so admission (SubmitGroup)
+// and execution (runGroup) exist exactly once. The engine exploits the
+// key contract per member in three ways. Finished results are kept in
+// an LRU cache so repeated submissions are served without re-running;
+// identical in-flight submissions are deduplicated onto one execution
+// (every submitter gets its own Job handle observing the shared run);
+// and an optional persistent ResultStore serves results that survived
+// a restart and receives every fresh one before its job reports done.
 //
-// The simulator layers two key families on top (internal/sim):
-// generator runs are addressed by Fingerprint(spec, config), and trace
-// replays by TraceFingerprint(trace digest, config) — so two clients
-// uploading byte-identical trace files to jettyd share one execution
-// and one cached result.
+// The simulator supplies the keys (internal/sim Key): a SHA-256 over
+// the reference stream's identity — generator spec or trace digest —
+// and the machine configuration, so two clients uploading
+// byte-identical trace files to jettyd share one execution and one
+// cached result.
 //
 // # Concurrency
 //

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"jetty/internal/lru"
 )
 
 // TaskTrace is one submission's telemetry record, delivered to
@@ -60,7 +62,7 @@ const DefaultCacheEntries = 256
 // Stats is a snapshot of the engine's lifetime counters plus the
 // instantaneous saturation gauges a scheduler or scrape wants.
 type Stats struct {
-	Submitted uint64 // Submit calls
+	Submitted uint64 // member submissions (one per Submit, one per GroupTask member)
 	Executed  uint64 // tasks actually run by a worker
 	CacheHits uint64 // submissions served from the finished-result cache
 	Coalesced uint64 // submissions attached to an identical in-flight run
@@ -68,7 +70,7 @@ type Stats struct {
 	Canceled  uint64 // executions that ended canceled
 	Failed    uint64 // executions that ended in error
 
-	FusedGroups uint64 // group tasks queued as a single fused run (SubmitGroup)
+	FusedGroups uint64 // multi-member group tasks queued as a single fused run
 
 	QueueDepth int // executions queued, not yet picked up by a worker
 	Inflight   int // executions currently running on a worker
@@ -93,9 +95,12 @@ type Engine struct {
 
 	mu       sync.Mutex
 	inflight map[string]*execution // queued or running, by key
-	cache    *resultCache          // nil when caching is disabled
-	stats    Stats
-	closed   bool
+	// cache is the L1 of finished results, stored as-is: consumers treat
+	// them as immutable (the sim layer clones before handing one out).
+	// Its capacity is ≤ 0, so it stores nothing, when caching is disabled.
+	cache  *lru.LRU[any]
+	stats  Stats
+	closed bool
 
 	queue   *queue
 	running atomic.Int64 // executions currently inside a worker's Run
@@ -111,13 +116,9 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	var cache *resultCache
-	if opts.CacheEntries >= 0 {
-		n := opts.CacheEntries
-		if n == 0 {
-			n = DefaultCacheEntries
-		}
-		cache = newResultCache(n)
+	cacheEntries := opts.CacheEntries
+	if cacheEntries == 0 {
+		cacheEntries = DefaultCacheEntries
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
@@ -125,7 +126,7 @@ func New(opts Options) *Engine {
 		onRetire:   opts.OnRetire,
 		store:      opts.Store,
 		inflight:   make(map[string]*execution),
-		cache:      cache,
+		cache:      lru.New[any](cacheEntries, nil),
 		queue:      newQueue(opts.TenantWeights),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -140,115 +141,19 @@ func New(opts Options) *Engine {
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Submit schedules a task and returns a handle observing it. Submissions
-// whose key matches a cached result complete immediately; submissions
-// whose key matches an in-flight execution share that execution. Submit
-// never blocks on the work itself.
-//
-// The returned handle must eventually be either Waited on or Canceled if
-// the caller loses interest; an execution is canceled once every handle
-// to it has been canceled.
+// Submit schedules a task and returns a handle observing it: the task
+// is admitted and run as a group of one (see SubmitGroup), so it is
+// served from the cache, coalesced onto an identical in-flight
+// execution, or queued, exactly like a group member.
 func (e *Engine) Submit(t Task) *Job {
-	e.mu.Lock()
-	e.stats.Submitted++
-
-	if e.closed {
-		e.mu.Unlock()
-		return closedJob(t)
-	}
-	if j := e.trySatisfyLocked(t); j != nil {
-		return j
-	}
-	if e.store != nil {
-		// L3: probe the persistent store with e.mu released (disk I/O
-		// must not stall other submitters), then re-run the in-memory
-		// fast paths — a racing submission may have filled the cache or
-		// started the work while we were reading.
-		e.mu.Unlock()
-		res, ok := e.store.Load(t.Key)
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return closedJob(t)
-		}
-		if j := e.trySatisfyLocked(t); j != nil {
-			return j
-		}
-		if ok {
-			e.stats.StoreHits++
-			if e.cache != nil {
-				e.cache.add(t.Key, res)
-			}
-			e.mu.Unlock()
-			ex := newExecution(t, context.Background(), func() {})
-			ex.cacheHit = true
-			ex.storeHit = true
-			ex.done.Store(ex.total.Load())
-			ex.finish(res, nil)
-			e.retire(TaskTrace{
-				Kind: t.Kind, Key: t.Key, Origin: t.Origin, Tenant: t.Tenant,
-				Disposition: DispositionStoreHit, State: Done,
-			})
-			return ex.attach()
-		}
-	}
-
-	ctx, cancel := context.WithCancel(e.baseCtx)
-	ex := newExecution(t, ctx, cancel)
-	e.inflight[t.Key] = ex
-	e.queue.push(ex)
-	j := ex.attach()
-	e.mu.Unlock()
-	return j
-}
-
-// closedJob is the synthetic already-failed handle Submit returns after
-// Close.
-func closedJob(t Task) *Job {
-	ex := newExecution(t, context.Background(), func() {})
-	ex.finish(nil, ErrClosed)
-	return ex.attach()
-}
-
-// trySatisfyLocked attempts the in-memory fast paths under e.mu: the
-// finished-result cache, then coalescing onto an identical in-flight
-// execution. On success it releases e.mu, delivers the retire trace and
-// returns the handle; on miss it returns nil with e.mu still held.
-func (e *Engine) trySatisfyLocked(t Task) *Job {
-	if e.cache != nil {
-		if res, ok := e.cache.get(t.Key); ok {
-			e.stats.CacheHits++
-			e.mu.Unlock()
-			ex := newExecution(t, context.Background(), func() {})
-			ex.cacheHit = true
-			ex.done.Store(ex.total.Load())
-			ex.finish(res, nil)
-			e.retire(TaskTrace{
-				Kind: t.Kind, Key: t.Key, Origin: t.Origin, Tenant: t.Tenant,
-				Disposition: DispositionCacheHit, State: Done,
-			})
-			return ex.attach()
-		}
-	}
-	// Coalesce onto an identical in-flight run — unless that run is
-	// doomed (its last handle canceled it, even if the worker has not
-	// retired it yet): an innocent new submitter must not inherit the
-	// cancellation, so it gets a fresh execution that replaces the map
-	// entry (runOne retires by identity, not by key). attach makes the
-	// doomed-vs-attach decision atomically under the execution's lock.
-	if ex, ok := e.inflight[t.Key]; ok {
-		if j := ex.attach(); j != nil {
-			e.stats.Coalesced++
-			e.mu.Unlock()
-			j.coalesced = true
-			e.retire(TaskTrace{
-				Kind: t.Kind, Key: t.Key, Origin: ex.task.Origin, Tenant: ex.task.Tenant,
-				Disposition: DispositionCoalesced, State: State(ex.state.Load()),
-			})
-			return j
-		}
-	}
-	return nil
+	return e.SubmitGroup(GroupTask{
+		Kind: t.Kind, Origin: t.Origin, Tenant: t.Tenant,
+		Members: []GroupMember{{Key: t.Key, Total: t.Total}},
+		Run: func(ctx context.Context, _ []int, report func(uint64)) ([]any, error) {
+			res, err := t.Run(ctx, report)
+			return []any{res}, err
+		},
+	})[0]
 }
 
 // retire delivers one telemetry record to the OnRetire hook, if any.
@@ -264,9 +169,7 @@ func (e *Engine) retire(t TaskTrace) {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	st := e.stats
-	if e.cache != nil {
-		st.CacheEntries = e.cache.len()
-	}
+	st.CacheEntries = e.cache.Len()
 	e.mu.Unlock()
 	st.QueueDepth = e.queue.len()
 	st.Inflight = int(e.running.Load())
@@ -311,78 +214,6 @@ func (e *Engine) worker() {
 		if !ok {
 			return
 		}
-		if ex.group != nil {
-			e.runGroup(ex.group, scratch)
-			continue
-		}
-		e.runOne(ex, scratch)
+		e.runGroup(ex.run, scratch)
 	}
-}
-
-// runOne executes (or cancels) one queued execution and retires it.
-func (e *Engine) runOne(ex *execution, scratch *Scratch) {
-	var (
-		res any
-		err error
-	)
-	if err = ex.ctx.Err(); err == nil {
-		ex.markStart()
-		ex.state.Store(int32(Running))
-		e.running.Add(1)
-		ctx := withScratch(ex.ctx, scratch)
-		if ex.task.Origin != "" {
-			ctx = context.WithValue(ctx, originKey{}, ex.task.Origin)
-		}
-		if ex.task.Tenant != "" {
-			ctx = context.WithValue(ctx, tenantKey{}, ex.task.Tenant)
-		}
-		res, err = ex.task.Run(ctx, ex.report)
-		e.running.Add(-1)
-	}
-
-	e.mu.Lock()
-	// Delete by identity: a canceled execution's key may have been taken
-	// over by a fresh replacement submission.
-	if e.inflight[ex.task.Key] == ex {
-		delete(e.inflight, ex.task.Key)
-	}
-	switch {
-	case err == nil:
-		e.stats.Executed++
-		if e.cache != nil {
-			e.cache.add(ex.task.Key, res)
-		}
-	case ex.ctx.Err() != nil:
-		e.stats.Canceled++
-	default:
-		e.stats.Executed++
-		e.stats.Failed++
-	}
-	e.mu.Unlock()
-
-	// Write through to the persistent tier before any waiter can observe
-	// completion: a job reported finished is durably on disk, which is
-	// the invariant the kill-and-restart recovery path leans on.
-	if err == nil && e.store != nil {
-		e.store.Store(ex.task.Key, res)
-	}
-
-	ex.finish(res, err)
-	// Release the execution's context now that it is resolved: without
-	// this, every executed task would leave its cancelCtx registered in
-	// baseCtx's children for the engine's lifetime. Must come after
-	// finish so a plain failure is not misclassified as canceled.
-	ex.cancel()
-
-	e.retire(TaskTrace{
-		Kind:        ex.task.Kind,
-		Key:         ex.task.Key,
-		Origin:      ex.task.Origin,
-		Tenant:      ex.task.Tenant,
-		Disposition: DispositionExecuted,
-		State:       State(ex.state.Load()),
-		QueueWait:   ex.queueWait(),
-		Run:         ex.runTime(),
-		Err:         err,
-	})
 }

@@ -6,11 +6,13 @@ import (
 	"sync"
 )
 
-// Group tasks: one fused execution covering several content-addressed
-// member results at once. The sweep layer uses them to evaluate an
-// entire filter axis on a single simulation pass — the filters are
-// independent observers of the coherence stream, so one run can produce
-// every member cell's result bit-identically (internal/sim owns that
+// Group tasks: one execution covering one or more content-addressed
+// member results at once. Every submission is a group — Submit wraps a
+// task as a group of one — so admission and execution exist once. The
+// sweep layer uses multi-member groups to evaluate an entire filter
+// axis on a single simulation pass — the filters are independent
+// observers of the coherence stream, so one run can produce every
+// member cell's result bit-identically (internal/sim owns that
 // argument; the engine only provides the scheduling shape).
 //
 // A group run is one queue slot and one worker occupation, but N
@@ -86,12 +88,35 @@ func (g *groupRun) noteGone() {
 	}
 }
 
+// member returns the engine task describing member i: its content
+// address and progress denominator, labeled with the group's kind,
+// origin and tenant. Its Run is nil — the group runs it.
+func (g *GroupTask) member(i int) Task {
+	m := g.Members[i]
+	return Task{Key: m.Key, Kind: g.Kind, Origin: g.Origin, Tenant: g.Tenant, Total: m.Total}
+}
+
+// finished returns a handle on an already-finished execution of t: a
+// result served without running (cache or store hit), or a rejection.
+func finished(t Task, res any, err error, storeHit bool) *Job {
+	ex := newExecution(t, context.Background(), func() {})
+	if err == nil {
+		ex.cacheHit = true
+		ex.storeHit = storeHit
+		ex.done.Store(ex.total.Load())
+	}
+	ex.finish(res, err)
+	return ex.attach()
+}
+
 // SubmitGroup schedules a group task and returns one job handle per
-// member, in Members order. Each member is admitted exactly like an
-// individual Submit — served from the result cache, coalesced onto an
-// identical in-flight execution (including an earlier member of this
-// same group), or owned by the group's single fused run. SubmitGroup
-// never blocks on the work itself.
+// member, in Members order. It is the engine's only admission path
+// (Submit is a group of one). Each member is served from the result
+// cache (L1), coalesced onto an identical in-flight execution
+// (including an earlier member of this same group), served from the
+// persistent store (L3), or owned by the group's single fused run.
+// Every member counts as one submission, also on a closed engine.
+// SubmitGroup never blocks on the work itself.
 //
 // Cancellation is per member: a member whose handles are all canceled
 // is marked canceled when the run retires (the fused pass cannot drop
@@ -118,10 +143,8 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 					continue
 				}
 				seen[m.Key] = struct{}{}
-				if e.cache != nil {
-					if _, ok := e.cache.get(m.Key); ok {
-						continue
-					}
+				if _, ok := e.cache.Get(m.Key); ok {
+					continue
 				}
 				if _, ok := e.inflight[m.Key]; ok {
 					continue
@@ -141,43 +164,41 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 	}
 
 	e.mu.Lock()
+	e.stats.Submitted += uint64(len(g.Members))
 	if e.closed {
 		e.mu.Unlock()
-		for i, m := range g.Members {
-			ex := newExecution(Task{Key: m.Key, Kind: g.Kind, Origin: g.Origin, Tenant: g.Tenant, Total: m.Total}, context.Background(), func() {})
-			ex.finish(nil, ErrClosed)
-			jobs[i] = ex.attach()
+		for i := range g.Members {
+			jobs[i] = finished(g.member(i), nil, ErrClosed, false)
 		}
 		return jobs
 	}
 
 	groupCtx, groupCancel := context.WithCancel(e.baseCtx)
 	gr := &groupRun{task: g, ctx: groupCtx, cancel: groupCancel, members: make(map[int]*execution)}
+	var lead *execution // first owned member: carries the run through the queue
 
-	for i, m := range g.Members {
-		e.stats.Submitted++
-		t := Task{Key: m.Key, Kind: g.Kind, Origin: g.Origin, Tenant: g.Tenant, Total: m.Total}
-
-		if e.cache != nil {
-			if res, ok := e.cache.get(m.Key); ok {
-				e.stats.CacheHits++
-				ex := newExecution(t, context.Background(), func() {})
-				ex.cacheHit = true
-				ex.done.Store(ex.total.Load())
-				ex.finish(res, nil)
-				jobs[i] = ex.attach()
-				retires = append(retires, TaskTrace{
-					Kind: t.Kind, Key: t.Key, Origin: t.Origin, Tenant: t.Tenant,
-					Disposition: DispositionCacheHit, State: Done,
-				})
-				continue
-			}
+	for i := range g.Members {
+		t := g.member(i)
+		if res, ok := e.cache.Get(t.Key); ok {
+			e.stats.CacheHits++
+			jobs[i] = finished(t, res, nil, false)
+			retires = append(retires, TaskTrace{
+				Kind: t.Kind, Key: t.Key, Origin: t.Origin, Tenant: t.Tenant,
+				Disposition: DispositionCacheHit, State: Done,
+			})
+			continue
 		}
 		// Coalesce onto an identical in-flight execution — a foreign run,
 		// or an earlier member of this very group with the same key (each
 		// owned member registers in the in-flight map as it is created,
-		// so duplicates fold onto their sibling instead of colliding).
-		if ex, ok := e.inflight[m.Key]; ok {
+		// so duplicates fold onto their sibling instead of colliding) —
+		// unless that execution is doomed (its last handle canceled it,
+		// even if the worker has not retired it yet): an innocent new
+		// submitter must not inherit the cancellation, so it gets a fresh
+		// execution that replaces the map entry (runGroup retires by
+		// identity, not by key). attach makes the doomed-vs-attach
+		// decision atomically under the execution's lock.
+		if ex, ok := e.inflight[t.Key]; ok {
 			if j := ex.attach(); j != nil {
 				e.stats.Coalesced++
 				j.coalesced = true
@@ -192,17 +213,10 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 		// Serve members the L3 probe found on disk: fill the cache so
 		// later submissions hit L1, and finish the member without ever
 		// joining the fused run.
-		if res, ok := fromStore[m.Key]; ok {
+		if res, ok := fromStore[t.Key]; ok {
 			e.stats.StoreHits++
-			if e.cache != nil {
-				e.cache.add(m.Key, res)
-			}
-			ex := newExecution(t, context.Background(), func() {})
-			ex.cacheHit = true
-			ex.storeHit = true
-			ex.done.Store(ex.total.Load())
-			ex.finish(res, nil)
-			jobs[i] = ex.attach()
+			e.cache.Put(t.Key, res)
+			jobs[i] = finished(t, res, nil, true)
 			retires = append(retires, TaskTrace{
 				Kind: t.Kind, Key: t.Key, Origin: t.Origin, Tenant: t.Tenant,
 				Disposition: DispositionStoreHit, State: Done,
@@ -212,32 +226,32 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 
 		memberCtx, memberCancel := context.WithCancel(groupCtx)
 		ex := newExecution(t, memberCtx, nil)
+		ex.run = gr
 		var gone sync.Once
 		ex.cancel = func() {
 			memberCancel()
 			gone.Do(gr.noteGone)
 		}
 		gr.members[i] = ex
-		e.inflight[m.Key] = ex
+		e.inflight[t.Key] = ex
 		jobs[i] = ex.attach()
+		if lead == nil {
+			lead = ex
+		}
 	}
 
-	if len(gr.members) == 0 {
+	if lead == nil {
 		// Every member was satisfied without running: nothing to queue.
 		e.mu.Unlock()
 		groupCancel()
-		for _, tr := range retires {
-			e.retire(tr)
+	} else {
+		if len(g.Members) > 1 {
+			e.stats.FusedGroups++
 		}
-		return jobs
+		// One queue slot for the whole group, under its tenant.
+		e.queue.push(lead)
+		e.mu.Unlock()
 	}
-	e.stats.FusedGroups++
-	// One queue slot for the whole group: a placeholder execution whose
-	// only job is to carry the groupRun to a worker.
-	leader := &execution{group: gr}
-	e.queue.push(leader)
-	e.mu.Unlock()
-
 	for _, tr := range retires {
 		e.retire(tr)
 	}
@@ -259,9 +273,8 @@ func (g *groupRun) memberOrder() []int {
 }
 
 // runGroup executes (or cancels) one fused group run and retires every
-// owned member. It is the group counterpart of runOne: one worker, one
-// Task-style Run call, but per-member finish, cache fill, stats and
-// retire traces.
+// owned member: one worker, one Run call, but per-member finish, cache
+// fill, store write-through, stats and retire traces.
 func (e *Engine) runGroup(gr *groupRun, scratch *Scratch) {
 	idxs := gr.memberOrder()
 
@@ -352,9 +365,7 @@ func (e *Engine) runGroup(gr *groupRun, scratch *Scratch) {
 		default:
 			o.res = memberRes
 			e.stats.Executed++
-			if e.cache != nil {
-				e.cache.add(ex.task.Key, memberRes)
-			}
+			e.cache.Put(ex.task.Key, memberRes)
 		}
 		if e.inflight[ex.task.Key] == ex {
 			delete(e.inflight, ex.task.Key)
@@ -364,7 +375,9 @@ func (e *Engine) runGroup(gr *groupRun, scratch *Scratch) {
 	e.mu.Unlock()
 
 	// Write the computed members through to the persistent tier before
-	// any waiter observes completion (same invariant as runOne).
+	// any waiter can observe completion: a job reported finished is
+	// durably on disk, which is the invariant the kill-and-restart
+	// recovery path leans on.
 	if e.store != nil {
 		for _, o := range outs {
 			if o.err == nil {
@@ -376,8 +389,10 @@ func (e *Engine) runGroup(gr *groupRun, scratch *Scratch) {
 	for _, o := range outs {
 		o.ex.finish(o.res, o.err)
 		// Release the member context (and, via noteGone, eventually the
-		// group context). Must come after finish so a plain failure is
-		// not misclassified as canceled.
+		// group context): without this, every executed member would leave
+		// its cancelCtx registered in baseCtx's children for the engine's
+		// lifetime. Must come after finish so a plain failure is not
+		// misclassified as canceled.
 		o.ex.cancel()
 		e.retire(TaskTrace{
 			Kind:        o.ex.task.Kind,

@@ -154,18 +154,17 @@ func (s Status) Fraction() float64 {
 	return f
 }
 
-// execution is one underlying run, shared by every handle whose Submit
-// coalesced onto it.
+// execution is one member's underlying run, shared by every handle
+// whose submission coalesced onto it.
 type execution struct {
 	task   Task
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// group, when non-nil, marks this execution as a queued group-run
-	// leader: a placeholder that carries a fused multi-member run to a
-	// worker (see SubmitGroup). Leaders have no handles, task or context
-	// of their own — the worker dispatches them to runGroup.
-	group *groupRun
+	// run is the group run that owns this execution, nil for results
+	// served without running. The run's first owned member is its queue
+	// entry: the worker that pops it executes the whole run.
+	run *groupRun
 
 	state atomic.Int32
 	done  atomic.Uint64
@@ -199,15 +198,6 @@ func newExecution(t Task, ctx context.Context, cancel context.CancelFunc) *execu
 	ex := &execution{task: t, ctx: ctx, cancel: cancel, finished: make(chan struct{}), submitted: time.Now()}
 	ex.total.Store(t.Total)
 	return ex
-}
-
-// tenantName returns the execution's fair-share queue key: the task's
-// tenant, or the group task's for a queued group-run leader.
-func (ex *execution) tenantName() string {
-	if ex.group != nil {
-		return ex.group.task.Tenant
-	}
-	return ex.task.Tenant
 }
 
 // markStart records the queued→running transition (worker pickup).

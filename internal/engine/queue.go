@@ -50,9 +50,9 @@ func (q *queue) weightOf(tenant string) int {
 
 // push appends one execution to its tenant's FIFO, entering the tenant
 // into the ring if it was idle. Pushing after close is a programming
-// error; the engine never does it (Submit checks closed first).
+// error; the engine never does it (SubmitGroup checks closed first).
 func (q *queue) push(ex *execution) {
-	tenant := ex.tenantName()
+	tenant := ex.task.Tenant
 	q.mu.Lock()
 	tq := q.tenants[tenant]
 	if tq == nil {

@@ -1,0 +1,101 @@
+package lru
+
+import (
+	"fmt"
+	"testing"
+)
+
+func TestBasics(t *testing.T) {
+	c := New[int](2, nil)
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("empty cache reported a hit")
+	}
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Fatalf("Get(a) = %v, %v", v, ok)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d", c.Len())
+	}
+}
+
+func TestEviction(t *testing.T) {
+	c := New[int](2, nil)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Get("a")    // refresh a: b is now the LRU entry
+	c.Put("c", 3) // evicts b
+	if _, ok := c.Get("b"); ok {
+		t.Error("b should have been evicted")
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("%s should have survived", k)
+		}
+	}
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2", c.Len())
+	}
+}
+
+func TestRefreshExisting(t *testing.T) {
+	c := New[int](2, nil)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Put("a", 10) // refresh in place, no growth, no eviction
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+	if v, _ := c.Get("a"); v != 10 {
+		t.Errorf("Get(a) = %v, want 10", v)
+	}
+	c.Put("c", 3) // b is least recently used now
+	if _, ok := c.Get("b"); ok {
+		t.Error("b should have been evicted after a's refresh")
+	}
+}
+
+// TestNonpositiveCapacityStoresNothing pins the "negative disables"
+// contract of the -cache and memo capacities: an LRU with capacity ≤ 0
+// stores nothing, and must not even clone a value only to evict it
+// again within the same Put.
+func TestNonpositiveCapacityStoresNothing(t *testing.T) {
+	for _, capacity := range []int{0, -1, -4096} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			clones := 0
+			c := New(capacity, func(v int) int { clones++; return v })
+			for i := 0; i < 4; i++ {
+				c.Put(fmt.Sprintf("k%d", i), i)
+			}
+			if c.Len() != 0 {
+				t.Fatalf("Len = %d; want 0 (a disabled LRU must hold nothing)", c.Len())
+			}
+			if _, ok := c.Get("k0"); ok {
+				t.Fatal("Get hit on a disabled LRU")
+			}
+			if clones != 0 {
+				t.Fatalf("disabled LRU cloned %d values", clones)
+			}
+		})
+	}
+}
+
+// TestClonesOnBothSides: with a clone function, mutating a caller's
+// value after Put, or a value returned by Get, must not leak into the
+// stored entry.
+func TestClonesOnBothSides(t *testing.T) {
+	c := New(4, func(s []float64) []float64 { return append([]float64(nil), s...) })
+	in := []float64{0.5}
+	c.Put("k", in)
+	in[0] = 99
+
+	out, ok := c.Get("k")
+	if !ok || out[0] != 0.5 {
+		t.Fatalf("Put did not clone: %v", out)
+	}
+	out[0] = 42
+	if again, _ := c.Get("k"); again[0] != 0.5 {
+		t.Fatalf("Get did not clone: %v", again)
+	}
+}

@@ -503,24 +503,19 @@ func (s *Server) registerExperimentLocked(id, tenant, origin string, req SubmitR
 	// request's tenant, so the engine's fair-share queue schedules it
 	// under that identity.
 	eng := s.runner.Engine()
-	submit := func(t engine.Task) {
-		t.Origin = origin
-		t.Tenant = tenant
-		exp.jobs = append(exp.jobs, eng.Submit(t))
-	}
-	switch {
-	case traceIn != nil && exp.interval > 0:
-		submit(sim.SampledTraceTask(*traceIn, cfg, sampleOpt(0)))
-	case traceIn != nil:
-		submit(sim.TraceTask(*traceIn, cfg))
-	case exp.interval > 0:
-		for i, sp := range specs {
-			submit(sim.SampledTask(sp, cfg, sampleOpt(i)))
+	for i, sp := range specs {
+		in := sim.Input{Spec: sp}
+		if traceIn != nil {
+			in = sim.Input{Trace: traceIn} // specs holds the replay's one label
 		}
-	default:
-		for _, sp := range specs {
-			submit(sim.Task(sp, cfg))
+		var opt sim.SampleOptions
+		if exp.interval > 0 {
+			opt = sampleOpt(i)
 		}
+		g := sim.GroupTask(in, []sim.Member{{Key: sim.Key(in, cfg, exp.interval), Config: cfg}}, opt)
+		g.Origin = origin
+		g.Tenant = tenant
+		exp.jobs = append(exp.jobs, eng.SubmitGroup(g)...)
 	}
 	s.exps[exp.id] = exp
 	s.order = append(s.order, exp.id)

@@ -281,7 +281,9 @@ func (t *telemetry) onRetire(tr engine.TaskTrace) {
 	t.queueWait.With(kind, tenant).Observe(tr.QueueWait.Seconds())
 	t.runDuration.With(kind, tenant).Observe(tr.Run.Seconds())
 	t.observeRunEWMA(tr.Run.Seconds())
-	if kind == sim.KindSweep {
+	if kind == sim.KindSweep || kind == sim.KindFused {
+		// Only sweeps submit fused groups; their member cells are sweep
+		// cells too.
 		t.sweepCell.Observe(tr.Run.Seconds())
 	}
 	if tr.Run >= t.slowJob {

@@ -376,6 +376,35 @@ func TestSweepCellTracing(t *testing.T) {
 	}
 }
 
+// TestFusedSweepCellsObserved: every cell of an "each"-mode sweep
+// retires as a member of one fused group, and each one is an executed
+// sweep cell the cell-duration histogram must count.
+func TestFusedSweepCellsObserved(t *testing.T) {
+	srv, base := newTestServer(t, Options{Workers: 2})
+	before := srv.tel.sweepCell.Count()
+
+	var st SweepStatus
+	if code := doJSON(t, "POST", base+"/v1/sweeps", map[string]any{
+		"workloads":   []string{"Lu"},
+		"filters":     []string{"EJ-16x2", "EJ-32x4"},
+		"filter_mode": "each",
+		"scale":       0.02,
+	}, &st); code != http.StatusAccepted {
+		t.Fatalf("sweep submit code %d", code)
+	}
+	if done := waitSweepDone(t, base, st.ID); done.State != "done" {
+		t.Fatalf("sweep state %s", done.State)
+	}
+	// The retire hook fires just after the cells' jobs turn terminal.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.tel.sweepCell.Count() != before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep cell count %d, want %d", srv.tel.sweepCell.Count(), before+2)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestHealthzDraining checks the readiness flip: draining answers 503
 // so load balancers stop routing, and the state is visible in the body
 // and the jettyd_draining gauge.

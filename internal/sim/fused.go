@@ -1,14 +1,10 @@
 package sim
 
 import (
-	"context"
-
 	"jetty/internal/energy"
-	"jetty/internal/engine"
 	"jetty/internal/jetty"
 	"jetty/internal/metrics"
 	"jetty/internal/smp"
-	"jetty/internal/workload"
 )
 
 // Fused evaluation: JETTY filters are passive observers of the
@@ -33,17 +29,8 @@ import (
 //     Window.Energy derives from Counts alone) plus per-filter columns
 //     sliced the same way.
 
-// FusedMember is one member of a fused run: the content address its
-// result is cached under (the member cell's existing per-cell key, so
-// fused and per-cell runs share cache entries) and its filter bank.
-type FusedMember struct {
-	Key  string
-	Bank []jetty.Config
-}
-
-// fusedConfig widens base with every bank concatenated in order. base
-// must carry no filters of its own (the planner groups by the
-// filterless config).
+// fusedConfig widens base with every bank concatenated in order, in
+// place of base's own filters.
 func fusedConfig(base smp.Config, banks [][]jetty.Config) smp.Config {
 	total := 0
 	for _, b := range banks {
@@ -93,73 +80,4 @@ func projectAll(full AppResult, banks [][]jetty.Config) []AppResult {
 		off += len(b)
 	}
 	return out
-}
-
-// RunAppFusedCtx runs ONE simulation of sp on base with every bank
-// attached as concatenated observers and returns one AppResult per
-// bank, each bit-identical to a separate run of sp on
-// base.WithFilters(bank...). opt attaches interval sampling (each
-// member's result then carries its sliced Timeline).
-func RunAppFusedCtx(ctx context.Context, sp workload.Spec, base smp.Config, banks [][]jetty.Config, opt SampleOptions, report func(done uint64)) ([]AppResult, error) {
-	full, err := runApp(ctx, sp, fusedConfig(base, banks), nil, opt, report)
-	if err != nil {
-		return nil, err
-	}
-	return projectAll(full, banks), nil
-}
-
-// RunTraceFusedCtx is RunAppFusedCtx for a stored-trace replay.
-func RunTraceFusedCtx(ctx context.Context, in TraceInput, base smp.Config, banks [][]jetty.Config, opt SampleOptions, report func(done uint64)) ([]AppResult, error) {
-	full, err := runTrace(ctx, in, fusedConfig(base, banks), opt, report)
-	if err != nil {
-		return nil, err
-	}
-	return projectAll(full, banks), nil
-}
-
-// fusedGroup assembles the engine.GroupTask shared by the app and
-// trace constructors: per-member keys/totals, and a Run that attaches
-// only the live members' banks (canceled and cache-satisfied members
-// cost nothing) before demuxing.
-func fusedGroup(members []FusedMember, total uint64, run func(ctx context.Context, banks [][]jetty.Config, report func(uint64)) ([]AppResult, error)) engine.GroupTask {
-	ms := make([]engine.GroupMember, len(members))
-	for i, m := range members {
-		ms[i] = engine.GroupMember{Key: m.Key, Total: total}
-	}
-	return engine.GroupTask{
-		Kind:    KindFused,
-		Members: ms,
-		Run: func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
-			banks := make([][]jetty.Config, len(live))
-			for k, i := range live {
-				banks[k] = members[i].Bank
-			}
-			results, err := run(ctx, banks, report)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]any, len(results))
-			for k, r := range results {
-				out[k] = r
-			}
-			return out, nil
-		},
-	}
-}
-
-// FusedAppGroup wraps one fused generator run as an engine group task:
-// one queued simulation, one engine-cache fill per member under that
-// member's own key. The caller sets Origin on the returned task if it
-// has one (the sweep scheduler stamps the submitting request's ID).
-func FusedAppGroup(sp workload.Spec, base smp.Config, members []FusedMember, opt SampleOptions) engine.GroupTask {
-	return fusedGroup(members, sp.Accesses, func(ctx context.Context, banks [][]jetty.Config, report func(uint64)) ([]AppResult, error) {
-		return RunAppFusedCtx(ctx, sp, base, banks, opt, report)
-	})
-}
-
-// FusedTraceGroup is FusedAppGroup for a stored-trace replay.
-func FusedTraceGroup(in TraceInput, base smp.Config, members []FusedMember, opt SampleOptions) engine.GroupTask {
-	return fusedGroup(members, in.Records, func(ctx context.Context, banks [][]jetty.Config, report func(uint64)) ([]AppResult, error) {
-		return RunTraceFusedCtx(ctx, in, base, banks, opt, report)
-	})
 }

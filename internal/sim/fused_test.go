@@ -33,7 +33,7 @@ func TestFusedMatchesSeparateRuns(t *testing.T) {
 
 	for _, interval := range []uint64{0, 4096} {
 		opt := SampleOptions{Interval: interval}
-		fused, err := RunAppFusedCtx(context.Background(), sp, base, banks, opt, nil)
+		fused, err := Run(context.Background(), Input{Spec: sp}, base, Plan{Banks: banks, Sample: opt}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,9 +43,9 @@ func TestFusedMatchesSeparateRuns(t *testing.T) {
 		for i, bank := range banks {
 			var sep AppResult
 			if interval > 0 {
-				sep, err = RunAppSampledCtx(context.Background(), sp, base.WithFilters(bank...), opt, nil)
+				sep, err = runSingle(context.Background(), Input{Spec: sp}, base.WithFilters(bank...), Plan{Sample: opt}, nil)
 			} else {
-				sep, err = RunAppCtx(context.Background(), sp, base.WithFilters(bank...), nil)
+				sep, err = runSingle(context.Background(), Input{Spec: sp}, base.WithFilters(bank...), Plan{}, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +69,7 @@ func TestFusedTraceMatchesSeparateReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAppCapturedCtx(context.Background(), sp, base, tw, nil); err != nil {
+	if _, err := runSingle(context.Background(), Input{Spec: sp}, base, Plan{Capture: tw}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -82,12 +82,12 @@ func TestFusedTraceMatchesSeparateReplays(t *testing.T) {
 
 	banks := fusedTestBanks()
 	opt := SampleOptions{Interval: 4096}
-	fused, err := RunTraceFusedCtx(context.Background(), in, base, banks, opt, nil)
+	fused, err := Run(context.Background(), Input{Trace: &in}, base, Plan{Banks: banks, Sample: opt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, bank := range banks {
-		sep, err := RunTraceSampledCtx(context.Background(), in, base.WithFilters(bank...), opt, nil)
+		sep, err := runSingle(context.Background(), Input{Trace: &in}, base.WithFilters(bank...), Plan{Sample: opt}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestFusedResultsAreIsolated(t *testing.T) {
 		{jetty.MustParse("EJ-32x4")},
 	}
 	opt := SampleOptions{Interval: 4096}
-	fused, err := RunAppFusedCtx(context.Background(), sp, base, banks, opt, nil)
+	fused, err := Run(context.Background(), Input{Spec: sp}, base, Plan{Banks: banks, Sample: opt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,16 +24,18 @@ func TestKeyGolden(t *testing.T) {
 	const digest = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
 	const interval = 4096
 
+	gen := Input{Spec: sp}
+	tr := Input{Trace: &TraceInput{Digest: digest}}
 	for _, c := range []struct {
 		name, got, want string
 	}{
-		{"generator", Fingerprint(sp, cfg),
+		{"generator", Key(gen, cfg, 0),
 			"140ff54ea795d54204769ea638d69f6d118c379e2be73f3054e286d1baf34bf3"},
-		{"generator sampled", SampledKey(Fingerprint(sp, cfg), interval),
+		{"generator sampled", Key(gen, cfg, interval),
 			"140ff54ea795d54204769ea638d69f6d118c379e2be73f3054e286d1baf34bf3#tl4096"},
-		{"trace", TraceFingerprint(digest, cfg),
+		{"trace", Key(tr, cfg, 0),
 			"4b962452f22ca7d103c6a47d925074b69121df204d419b8a3606e64ed91f67aa"},
-		{"trace sampled", SampledKey(TraceFingerprint(digest, cfg), interval),
+		{"trace sampled", Key(tr, cfg, interval),
 			"4b962452f22ca7d103c6a47d925074b69121df204d419b8a3606e64ed91f67aa#tl4096"},
 	} {
 		if c.got != c.want {

@@ -20,11 +20,11 @@ func TestCanceledRunReleasesCompanion(t *testing.T) {
 	base := smp.PaperConfig(4)
 	runs := map[string]func(ctx context.Context, report func(uint64)) error{
 		"plain": func(ctx context.Context, report func(uint64)) error {
-			_, err := RunAppCtx(ctx, sp, base.WithFilters(fusedTestBanks()[1]...), report)
+			_, err := runSingle(ctx, Input{Spec: sp}, base.WithFilters(fusedTestBanks()[1]...), Plan{}, report)
 			return err
 		},
 		"fused": func(ctx context.Context, report func(uint64)) error {
-			_, err := RunAppFusedCtx(ctx, sp, base, fusedTestBanks(), SampleOptions{Interval: 4096}, report)
+			_, err := Run(ctx, Input{Spec: sp}, base, Plan{Banks: fusedTestBanks(), Sample: SampleOptions{Interval: 4096}}, report)
 			return err
 		},
 	}

@@ -2,9 +2,6 @@ package sim
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -24,24 +21,6 @@ import (
 // simulation of RunApp — only scheduling changes — so results are
 // bit-identical to the serial path (TestParallelSuiteMatchesSerial
 // asserts it under the race detector).
-
-// Fingerprint returns the content address of one app run: a SHA-256 over
-// the canonical encoding of the workload spec and machine configuration.
-// Everything a run's result depends on is in those two values (every
-// generator is seeded, the interleaving is fixed), so the fingerprint is
-// a sound cache and deduplication key.
-func Fingerprint(sp workload.Spec, cfg smp.Config) string {
-	b, err := json.Marshal(struct {
-		Spec   workload.Spec
-		Config smp.Config
-	}{sp, cfg})
-	if err != nil {
-		// Spec and Config are plain data; encoding cannot fail.
-		panic(fmt.Sprintf("sim: fingerprint encoding: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
 
 // progressChunk is roughly how many references run between progress
 // reports and cancellation checks. The actual chunk is rounded down to a
@@ -88,24 +67,6 @@ func runChunked(ctx context.Context, sys *smp.System, src trace.Source, accesses
 	return nil
 }
 
-// RunAppCtx is RunApp with cooperative cancellation and progress
-// reporting: the simulation runs in interleaving-preserving chunks,
-// calling report (if non-nil) with the references completed so far and
-// returning ctx.Err() promptly after cancellation. Results are
-// bit-identical to RunApp.
-func RunAppCtx(ctx context.Context, sp workload.Spec, cfg smp.Config, report func(done uint64)) (AppResult, error) {
-	return runApp(ctx, sp, cfg, nil, SampleOptions{}, report)
-}
-
-// RunAppCapturedCtx is RunAppCtx with the capture hook attached: every
-// reference the simulation consumes is also recorded into tw, in
-// exactly the consumed order, so replaying the resulting trace
-// (RunTraceCtx) reproduces this run's statistics identically. The
-// caller owns tw and must Close it after the run to finish the file.
-func RunAppCapturedCtx(ctx context.Context, sp workload.Spec, cfg smp.Config, tw *trace.Writer, report func(done uint64)) (AppResult, error) {
-	return runApp(ctx, sp, cfg, tw, SampleOptions{}, report)
-}
-
 // SampleOptions attaches interval sampling to a run.
 type SampleOptions struct {
 	// Interval is the timeline window width in accesses (0 disables
@@ -138,91 +99,24 @@ func (o SampleOptions) newSampler(cfg smp.Config, total uint64) (*metrics.Sample
 	}), nil
 }
 
-// RunAppSampledCtx is RunAppCtx with an interval sampler attached: the
-// result carries a Timeline whose windows sum exactly to the aggregate
-// metrics. Sampling is observation only — every aggregate is
-// bit-identical to the unsampled run (TestSampledRunMatchesUnsampled).
-func RunAppSampledCtx(ctx context.Context, sp workload.Spec, cfg smp.Config, opt SampleOptions, report func(done uint64)) (AppResult, error) {
-	return runApp(ctx, sp, cfg, nil, opt, report)
-}
-
-// runApp is the shared generator-driven path, optionally teeing the
-// reference stream into a trace writer and/or sampling a timeline.
-func runApp(ctx context.Context, sp workload.Spec, cfg smp.Config, tw *trace.Writer, opt SampleOptions, report func(done uint64)) (AppResult, error) {
-	if err := sp.Validate(); err != nil {
-		return AppResult{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return AppResult{}, err
-	}
-	sys := smp.New(cfg)
-	defer sys.Close()
-	if opt.enabled() {
-		sm, err := opt.newSampler(cfg, sp.Accesses)
-		if err != nil {
-			return AppResult{}, err
-		}
-		sys.SetSampler(sm)
-	}
-	var src trace.Source = sp.Source(cfg.CPUs)
+// generate drives sys over sp's generated stream, optionally teeing
+// every consumed reference into tw.
+func generate(ctx context.Context, sys *smp.System, sp workload.Spec, tw *trace.Writer, report func(done uint64)) error {
+	var src trace.Source = sp.Source(sys.Config().CPUs)
 	var cp *trace.Capture
 	if tw != nil {
 		cp = trace.NewCapture(src, tw)
 		src = cp
 	}
 	if err := runChunked(ctx, sys, src, sp.Accesses, report); err != nil {
-		return AppResult{}, err
+		return err
 	}
 	if cp != nil {
 		if err := cp.Err(); err != nil {
-			return AppResult{}, fmt.Errorf("sim: recording trace: %w", err)
+			return fmt.Errorf("sim: recording trace: %w", err)
 		}
 	}
-	return finishRun(sys, sp, cfg)
-}
-
-// Task wraps one app run as an engine task, content-addressed by
-// Fingerprint and reporting progress in references.
-func Task(sp workload.Spec, cfg smp.Config) engine.Task {
-	return engine.Task{
-		Key:   Fingerprint(sp, cfg),
-		Kind:  KindWorkload,
-		Total: sp.Accesses,
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			res, err := RunAppCtx(ctx, sp, cfg, report)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		},
-	}
-}
-
-// SampledKey extends a run's content address with the sampling interval:
-// a sampled result carries a payload (the timeline) an unsampled run of
-// the same (spec, config) does not, so they must not share a cache slot.
-// The streaming hook is deliberately NOT part of the key — coalesced
-// submitters share one execution, and only the first submitter's
-// OnWindow observes it live (late subscribers replay from the retained
-// timeline; the jettyd live stream does exactly that).
-func SampledKey(base string, interval uint64) string {
-	return fmt.Sprintf("%s#tl%d", base, interval)
-}
-
-// SampledTask wraps one sampled app run as an engine task.
-func SampledTask(sp workload.Spec, cfg smp.Config, opt SampleOptions) engine.Task {
-	return engine.Task{
-		Key:   SampledKey(Fingerprint(sp, cfg), opt.Interval),
-		Kind:  KindWorkload,
-		Total: sp.Accesses,
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			res, err := RunAppSampledCtx(ctx, sp, cfg, opt, report)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		},
-	}
+	return nil
 }
 
 // Runner executes app runs on an engine worker pool.
@@ -239,15 +133,10 @@ func (r *Runner) Engine() *engine.Engine { return r.eng }
 
 // Submit schedules one app run and returns its job handle. The job's
 // result is an AppResult; prefer RunApp/RunApps unless the caller needs
-// asynchronous status (the jettyd service does).
+// asynchronous status.
 func (r *Runner) Submit(sp workload.Spec, cfg smp.Config) *engine.Job {
-	return r.eng.Submit(Task(sp, cfg))
-}
-
-// SubmitSampled schedules one sampled app run (timeline attached to the
-// result). opt.Interval must be valid — the task fails otherwise.
-func (r *Runner) SubmitSampled(sp workload.Spec, cfg smp.Config, opt SampleOptions) *engine.Job {
-	return r.eng.Submit(SampledTask(sp, cfg, opt))
+	in := Input{Spec: sp}
+	return r.eng.SubmitGroup(GroupTask(in, []Member{{Key: Key(in, cfg, 0), Config: cfg}}, SampleOptions{}))[0]
 }
 
 // RunApp runs one application through the engine and waits for it.
@@ -402,9 +291,10 @@ func DefaultRunner() *Runner {
 	return defaultRunner
 }
 
-// Task kinds: the telemetry label (engine.Task.Kind) each submission
-// path carries, so jettyd's per-kind latency histograms and slow-job
-// logs distinguish generated runs from trace replays and sweep cells.
+// Task kinds: the telemetry label (engine.GroupTask.Kind) each
+// submission carries, so jettyd's per-kind latency histograms and
+// slow-job logs distinguish generated runs from trace replays and sweep
+// cells.
 const (
 	KindWorkload = "workload" // generator-driven app run
 	KindTrace    = "trace"    // stored-trace replay

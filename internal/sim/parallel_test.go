@@ -33,7 +33,7 @@ func TestFingerprintStability(t *testing.T) {
 		jetty.MustParse("HJ(IJ-9x4x7,EJ-32x4)"),
 		jetty.MustParse("EJ-16x2"),
 	)
-	if Fingerprint(sp, cfg) != Fingerprint(sp, again) {
+	if Key(Input{Spec: sp}, cfg, 0) != Key(Input{Spec: sp}, again, 0) {
 		t.Error("equal configurations must have equal fingerprints")
 	}
 
@@ -49,9 +49,9 @@ func TestFingerprintStability(t *testing.T) {
 		{"l2", sp, func() smp.Config { c := testConfig(4); c.L2.SizeBytes = 2 << 20; return c }()},
 		{"app", func() workload.Spec { s, _ := workload.ByName("Ocean"); return s }(), cfg},
 	}
-	base := Fingerprint(sp, cfg)
+	base := Key(Input{Spec: sp}, cfg, 0)
 	for _, v := range variants {
-		if Fingerprint(v.sp, v.cfg) == base {
+		if Key(Input{Spec: v.sp}, v.cfg, 0) == base {
 			t.Errorf("%s change did not change the fingerprint", v.name)
 		}
 	}
@@ -66,7 +66,7 @@ func TestRunAppCtxMatchesRunApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reports []uint64
-	chunked, err := RunAppCtx(context.Background(), sp, cfg, func(done uint64) {
+	chunked, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{}, func(done uint64) {
 		reports = append(reports, done)
 	})
 	if err != nil {

@@ -20,8 +20,7 @@ func persistTestResult(t *testing.T) AppResult {
 		t.Fatal(err)
 	}
 	sp.Accesses = 120_000
-	res, err := RunAppSampledCtx(context.Background(), sp, testConfig(4),
-		SampleOptions{Interval: 1024}, nil)
+	res, err := runSingle(context.Background(), Input{Spec: sp}, testConfig(4), Plan{Sample: SampleOptions{Interval: 1024}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,215 @@
+package sim
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+
+	"jetty/internal/engine"
+	"jetty/internal/jetty"
+	"jetty/internal/smp"
+	"jetty/internal/trace"
+	"jetty/internal/workload"
+)
+
+// The engine-backed execution path. Every simulation — a one-off
+// experiment, a sweep cell, a fused sweep group — is one Run of an
+// Input under a Plan, scheduled as one engine group task (GroupTask)
+// whose members are content-addressed by Key. A single-configuration
+// run is simply a plan carrying one bank. RunApp stays the engine-free
+// reference the engine-backed path must reproduce bit for bit.
+
+// Input is the reference stream of one simulation: a generator spec,
+// or a stored trace to replay when Trace is non-nil.
+type Input struct {
+	Spec  workload.Spec
+	Trace *TraceInput
+}
+
+// Total returns the stream length in references: the run's progress
+// denominator.
+func (in Input) Total() uint64 {
+	if in.Trace != nil {
+		return in.Trace.Records
+	}
+	return in.Spec.Accesses
+}
+
+// kind is the input's telemetry label for a single-member task.
+func (in Input) kind() string {
+	if in.Trace != nil {
+		return KindTrace
+	}
+	return KindWorkload
+}
+
+// Key returns the content address of running in on cfg, sampled at
+// interval (0 = unsampled): a SHA-256 over the canonical encoding of
+// the stream's identity (the generator spec, or the trace digest) and
+// the machine configuration. Everything a run's result depends on is in
+// those values (every generator is seeded, the interleaving is fixed,
+// a trace fixes its stream), so the key is a sound cache and
+// deduplication key — two clients uploading byte-identical traces share
+// one execution. A sampled result carries a payload (the timeline) an
+// unsampled run does not, so the interval extends the key; the
+// streaming hook deliberately does not (coalesced submitters share one
+// execution, and late subscribers replay from the retained timeline).
+//
+// The strings name every persisted result and cluster memo entry, so
+// they must never change by accident (TestKeyGolden pins them).
+func Key(in Input, cfg smp.Config, interval uint64) string {
+	var id any = struct {
+		Spec   workload.Spec
+		Config smp.Config
+	}{in.Spec, cfg}
+	if in.Trace != nil {
+		id = struct {
+			Trace  string
+			Config smp.Config
+		}{in.Trace.Digest, cfg}
+	}
+	b, err := json.Marshal(id)
+	if err != nil {
+		// Spec and Config are plain data; encoding cannot fail.
+		panic(fmt.Sprintf("sim: key encoding: %v", err))
+	}
+	sum := sha256.Sum256(b)
+	key := hex.EncodeToString(sum[:])
+	if interval > 0 {
+		key = fmt.Sprintf("%s#tl%d", key, interval)
+	}
+	return key
+}
+
+// Plan is what rides on one simulation pass besides the machine.
+type Plan struct {
+	// Banks are the member filter banks. Run attaches all of them,
+	// concatenated, in place of base's own filters and returns one
+	// result per bank, each bit-identical to a separate run on
+	// base.WithFilters(bank...) (see fused.go). Nil runs base as given,
+	// as the only member.
+	Banks [][]jetty.Config
+	// Sample attaches interval sampling: every result carries its
+	// Timeline.
+	Sample SampleOptions
+	// Capture, when non-nil, records every reference a generator input
+	// feeds the machine, in consumed order, so replaying the trace
+	// reproduces the run's statistics identically. The caller owns the
+	// writer and must Close it after the run to finish the file.
+	Capture *trace.Writer
+}
+
+// Run simulates in on base under plan, with cooperative cancellation
+// (it returns ctx.Err() promptly once canceled) and progress reporting
+// (report, if non-nil, receives the references completed so far). It
+// returns one result per plan bank, or one for base when the plan has
+// none. Results are bit-identical to RunApp on the same machine. It
+// returns an error if any filter violated the safety requirement or the
+// machine ended incoherent.
+func Run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(done uint64)) ([]AppResult, error) {
+	cfg := base
+	if plan.Banks != nil {
+		cfg = fusedConfig(base, plan.Banks)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var rd *trace.Reader
+	if in.Trace != nil {
+		if plan.Capture != nil {
+			return nil, errors.New("sim: only generator inputs can be captured")
+		}
+		var err error
+		if rd, err = trace.NewReader(bytes.NewReader(in.Trace.Data)); err != nil {
+			return nil, err
+		}
+		if rd.CPUs() > cfg.CPUs {
+			return nil, fmt.Errorf("sim: trace has %d cpus but the machine only %d", rd.CPUs(), cfg.CPUs)
+		}
+	} else if err := in.Spec.Validate(); err != nil {
+		return nil, err
+	}
+
+	sys := smp.New(cfg)
+	defer sys.Close()
+	if plan.Sample.enabled() {
+		sm, err := plan.Sample.newSampler(cfg, in.Total())
+		if err != nil {
+			return nil, err
+		}
+		sys.SetSampler(sm)
+	}
+	label := in.Spec
+	var err error
+	if rd != nil {
+		label = in.Trace.pseudoSpec()
+		err = replay(ctx, sys, rd, in.Trace.Records, report)
+	} else {
+		err = generate(ctx, sys, in.Spec, plan.Capture, report)
+	}
+	if err != nil {
+		return nil, err
+	}
+	full, err := finishRun(sys, label, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(plan.Banks) <= 1 {
+		return []AppResult{full}, nil
+	}
+	return projectAll(full, plan.Banks), nil
+}
+
+// Member is one result of a group task: its content address (Key over
+// the member's own machine) and that machine, filters attached.
+type Member struct {
+	Key    string
+	Config smp.Config
+}
+
+// GroupTask wraps one simulation pass of in as an engine group task
+// with one member per result: one queued run, one engine-cache fill per
+// member under that member's own key, so later submissions of any
+// member's key — alone or in another group — are served from the cache.
+// Members must share one machine apart from their filter banks (the
+// sweep planner groups cells by Key over the filterless config); the
+// run attaches only the live members' banks, so canceled and
+// cache-satisfied members cost nothing.
+//
+// The task's Kind is KindFused for several members and the input's
+// kind (KindWorkload or KindTrace) for one; callers may relabel it
+// (sweep cells do) and set Origin and Tenant.
+func GroupTask(in Input, members []Member, opt SampleOptions) engine.GroupTask {
+	ms := make([]engine.GroupMember, len(members))
+	for i, m := range members {
+		ms[i] = engine.GroupMember{Key: m.Key, Total: in.Total()}
+	}
+	kind := in.kind()
+	if len(members) > 1 {
+		kind = KindFused
+	}
+	return engine.GroupTask{
+		Kind:    kind,
+		Members: ms,
+		Run: func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
+			banks := make([][]jetty.Config, len(live))
+			for k, i := range live {
+				banks[k] = members[i].Config.Filters
+			}
+			base := members[live[0]].Config.WithoutFilters()
+			results, err := Run(ctx, in, base, Plan{Banks: banks, Sample: opt}, report)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]any, len(results))
+			for k, r := range results {
+				out[k] = r
+			}
+			return out, nil
+		},
+	}
+}

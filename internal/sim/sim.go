@@ -40,7 +40,7 @@ type AppResult struct {
 	Coverage     []float64
 
 	// Timeline is the time-resolved record of the run: present only when
-	// the run was sampled (RunAppSampledCtx / RunTraceSampledCtx). Its
+	// the run was sampled (Plan.Sample). Its
 	// windows sum exactly to the aggregates above, and sampling never
 	// changes them (both pinned by tests).
 	Timeline *metrics.Timeline `json:"Timeline,omitempty"`
@@ -101,7 +101,7 @@ func RunApp(sp workload.Spec, cfg smp.Config) (AppResult, error) {
 }
 
 // finishRun drains, checks and measures a completed simulation pass. It
-// is shared by the serial (RunApp) and chunked (RunAppCtx) paths. A
+// is shared by the serial (RunApp) and chunked (Run) paths. A
 // sampler attached to the machine is flushed after the drain — the tail
 // window must include the drained stores or the timeline would not
 // conserve the end-of-run totals — and its timeline rides on the result.

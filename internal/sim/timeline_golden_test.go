@@ -64,8 +64,7 @@ func computeGoldenTimelines(t *testing.T) []goldenTimeline {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunAppSampledCtx(context.Background(), sp.Scale(goldenScale), cfg,
-			SampleOptions{Interval: goldenTimelineInterval}, nil)
+		res, err := runSingle(context.Background(), Input{Spec: sp.Scale(goldenScale)}, cfg, Plan{Sample: SampleOptions{Interval: goldenTimelineInterval}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -80,15 +80,14 @@ func TestTimelineConservesUnderRandomRuns(t *testing.T) {
 			}
 			interval := intervals[r.Intn(len(intervals))]
 
-			sampled, err := RunAppSampledCtx(context.Background(), sp, cfg,
-				SampleOptions{Interval: interval}, nil)
+			sampled, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Sample: SampleOptions{Interval: interval}}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertConserves(t, fmt.Sprintf("iv=%d", interval), sampled)
 
 			// Sampling enabled vs disabled: bit-identical final results.
-			plain, err := RunAppCtx(context.Background(), sp, cfg, nil)
+			plain, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,8 +108,7 @@ func TestTimelineConservesOnLibrary(t *testing.T) {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunAppSampledCtx(context.Background(), sp.Scale(0.02), cfg,
-				SampleOptions{Interval: 1024}, nil)
+			res, err := runSingle(context.Background(), Input{Spec: sp.Scale(0.02)}, cfg, Plan{Sample: SampleOptions{Interval: 1024}}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +138,7 @@ func TestSampledReplayMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAppCapturedCtx(context.Background(), sp, cfg, tw, nil); err != nil {
+	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -151,13 +149,13 @@ func TestSampledReplayMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sampled, err := RunTraceSampledCtx(context.Background(), in, cfg, opt, nil)
+	sampled, err := runSingle(context.Background(), Input{Trace: &in}, cfg, Plan{Sample: opt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertConserves(t, "replay", sampled)
 
-	plain, err := RunTraceCtx(context.Background(), in, cfg, nil)
+	plain, err := runSingle(context.Background(), Input{Trace: &in}, cfg, Plan{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +165,7 @@ func TestSampledReplayMatchesDirect(t *testing.T) {
 
 	// And the replayed timeline equals the one the generator-driven run
 	// would have produced.
-	genSampled, err := RunAppSampledCtx(context.Background(), sp, cfg, opt, nil)
+	genSampled, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Sample: opt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +193,8 @@ func TestSampledEngineRunsShareAndCloneTimelines(t *testing.T) {
 	r := DefaultRunner()
 	ctx := context.Background()
 
-	j1 := r.SubmitSampled(sp, cfg, opt)
-	j2 := r.SubmitSampled(sp, cfg, opt)
+	j1 := submitOne(r, Input{Spec: sp}, cfg, opt)
+	j2 := submitOne(r, Input{Spec: sp}, cfg, opt)
 	if j1.Status().Key != j2.Status().Key {
 		t.Fatal("identical sampled runs have different keys")
 	}
@@ -226,7 +224,7 @@ func TestSampledEngineRunsShareAndCloneTimelines(t *testing.T) {
 	assertConserves(t, "engine", a)
 
 	// An invalid interval fails cleanly through the engine.
-	bad := r.SubmitSampled(sp, cfg, SampleOptions{Interval: metrics.MinInterval - 1})
+	bad := submitOne(r, Input{Spec: sp}, cfg, SampleOptions{Interval: metrics.MinInterval - 1})
 	if _, err := bad.Wait(ctx); err == nil {
 		t.Error("sub-minimum interval accepted")
 	}

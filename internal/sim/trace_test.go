@@ -52,7 +52,7 @@ func TestTraceReplayMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		captured, err := RunAppCapturedCtx(context.Background(), sp, cfg, tw, nil)
+		captured, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestTraceReplayMatchesDirect(t *testing.T) {
 		if in.Name != sp.Name || in.CPUs != cfg.CPUs || in.Records != direct.Refs {
 			t.Fatalf("LoadTrace = %s/%d cpus/%d records", in.Name, in.CPUs, in.Records)
 		}
-		replayed, err := RunTraceCtx(context.Background(), in, cfg, nil)
+		replayed, err := runSingle(context.Background(), Input{Trace: &in}, cfg, Plan{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestTraceReplayThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAppCapturedCtx(context.Background(), sp, cfg, tw, nil); err != nil {
+	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -114,11 +114,11 @@ func TestTraceReplayThroughEngine(t *testing.T) {
 	}
 
 	r := DefaultRunner()
-	first, err := r.RunTrace(context.Background(), in, cfg)
+	first, err := waitResult(context.Background(), submitOne(r, Input{Trace: &in}, cfg, SampleOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := r.RunTrace(context.Background(), in, cfg)
+	again, err := waitResult(context.Background(), submitOne(r, Input{Trace: &in}, cfg, SampleOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +134,17 @@ func TestTraceFingerprint(t *testing.T) {
 	}
 	cfgB := cfgA
 	cfgB.L2.SizeBytes *= 2
-	fpA := TraceFingerprint("d1", cfgA)
-	if fpA != TraceFingerprint("d1", cfgA) {
+	fpA := Key(Input{Trace: &TraceInput{Digest: "d1"}}, cfgA, 0)
+	if fpA != Key(Input{Trace: &TraceInput{Digest: "d1"}}, cfgA, 0) {
 		t.Error("fingerprint not deterministic")
 	}
-	if fpA == TraceFingerprint("d2", cfgA) {
+	if fpA == Key(Input{Trace: &TraceInput{Digest: "d2"}}, cfgA, 0) {
 		t.Error("digest not covered by fingerprint")
 	}
-	if fpA == TraceFingerprint("d1", cfgB) {
+	if fpA == Key(Input{Trace: &TraceInput{Digest: "d1"}}, cfgB, 0) {
 		t.Error("config not covered by fingerprint")
 	}
-	if fpA == Fingerprint(workload.Throughput(), cfgA) {
+	if fpA == Key(Input{Spec: workload.Throughput()}, cfgA, 0) {
 		t.Error("trace and spec fingerprints collide")
 	}
 }
@@ -162,7 +162,7 @@ func TestRunTraceRejectsNarrowMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTraceCtx(context.Background(), in, cfg, nil); err == nil {
+	if _, err := runSingle(context.Background(), Input{Trace: &in}, cfg, Plan{}, nil); err == nil {
 		t.Error("4-cpu trace accepted on a 2-cpu machine")
 	}
 }

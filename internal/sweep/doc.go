@@ -9,8 +9,8 @@
 // stored JTRC stream), machine shorthands (CPUs, L2 geometry,
 // subblocking), and jetty.Parse configuration names. Expansion produces
 // one Cell per point of the cross-product; every cell is
-// content-addressed exactly like a single experiment (sim.Fingerprint /
-// sim.TraceFingerprint), so the engine's cache and in-flight coalescing
+// content-addressed exactly like a single experiment (sim.Key), so the
+// engine's cache and in-flight coalescing
 // deduplicate overlapping cells within a sweep, across sweeps, and
 // against every other experiment the process has run — re-running an
 // identical sweep recomputes nothing.
@@ -23,17 +23,17 @@
 // produce identical per-filter numbers (TestBankMatchesEach asserts it);
 // bank mode costs |filters|× less simulation.
 //
-// Scheduling fuses "each"-mode cells back onto shared passes: cells
+// Every cell runs as a member of one engine group task (sim.GroupTask),
+// and scheduling fuses "each"-mode cells back onto shared passes: cells
 // that agree on everything but their filter group (same workload,
-// scale, seed, machine geometry) are planned into one group
-// (plan.go) and submitted as a single engine group task that replays
-// the reference stream once with every member's bank attached as
-// concatenated observers (sim.FusedAppGroup / sim.FusedTraceGroup).
-// Each member's result is demuxed out of the wide pass and cached
-// under the member cell's own content address, so fused results are
-// bit-identical to per-cell runs (TestSweepFusedMatchesPerCell) and
-// fused and per-cell sweeps interoperate through the engine cache.
-// Spec.NoFuse forces the legacy per-cell scheduling.
+// scale, seed, machine geometry) are planned into one group (plan.go)
+// whose single sim.Run replays the reference stream once with every
+// member's bank attached as concatenated observers. Each member's
+// result is demuxed out of the wide pass and cached under the member
+// cell's own content address, so fused results are bit-identical to
+// per-cell runs (TestSweepFusedMatchesPerCell) and fused and per-cell
+// sweeps interoperate through the engine cache. Spec.NoFuse makes every
+// cell a group of one: the per-cell reference side of that harness.
 //
 // Results fold into per-cell Metrics (coverage, the four Figure 6
 // energy-reduction numbers, snoop-miss fractions), grouped along any

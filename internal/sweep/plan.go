@@ -8,7 +8,7 @@ import (
 // same reference stream (workload + scale + seed, or trace), same
 // machine geometry — measure the exact same simulation with different
 // observer banks attached, so the planner fuses them onto ONE pass
-// with every bank riding along (sim.RunAppFusedCtx). A 16-variant
+// with every bank riding along (sim.Run with one Plan bank per cell). A 16-variant
 // "each"-mode filter axis then costs one simulation plus 16 cheap
 // filter passes instead of 16 full runs.
 //
@@ -28,8 +28,7 @@ func PlanUnits(spec Spec, cells []Cell) [][]int {
 
 // planGroups partitions cells into fusable groups: each group is a
 // list of ascending cell indices sharing one reference stream, in
-// first-appearance order. Singleton groups (and every group, when the
-// spec sets NoFuse) schedule per cell.
+// first-appearance order. NoFuse makes every cell a group of its own.
 func planGroups(spec Spec, cells []Cell) [][]int {
 	if spec.NoFuse {
 		out := make([][]int, len(cells))
@@ -41,12 +40,7 @@ func planGroups(spec Spec, cells []Cell) [][]int {
 	byBase := make(map[string]int)
 	var out [][]int
 	for i, c := range cells {
-		var base string
-		if c.trace != nil {
-			base = sim.TraceFingerprint(c.trace.Digest, c.cfg.WithoutFilters())
-		} else {
-			base = sim.Fingerprint(c.spec, c.cfg.WithoutFilters())
-		}
+		base := sim.Key(c.in, c.cfg.WithoutFilters(), 0)
 		g, ok := byBase[base]
 		if !ok {
 			g = len(out)

@@ -279,9 +279,8 @@ type Cell struct {
 	// Key is the cell's content address: the engine cache/dedup key.
 	Key string `json:"key"`
 
-	spec  workload.Spec   // generator cells
-	trace *sim.TraceInput // replay cells
-	cfg   smp.Config
+	in  sim.Input // the reference stream: generator spec or trace
+	cfg smp.Config
 }
 
 // Config returns the cell's machine configuration (filters attached).
@@ -290,12 +289,7 @@ func (c Cell) Config() smp.Config { return c.cfg }
 // Total is the cell's access budget: how many references the cell
 // simulates (a progress denominator for schedulers that track cells
 // without holding engine jobs).
-func (c Cell) Total() uint64 {
-	if c.trace != nil {
-		return c.trace.Records
-	}
-	return c.spec.Accesses
-}
+func (c Cell) Total() uint64 { return c.in.Total() }
 
 // Expand resolves and expands the spec into its cells, in deterministic
 // workload-major order. traces may be nil when the spec has no trace
@@ -383,18 +377,14 @@ func (s Spec) Expand(traces TraceResolver) ([]Cell, error) {
 				}
 				if isTrace {
 					tin := in
-					c.trace = &tin
-					c.Key = sim.TraceFingerprint(in.Digest, pt.cfg)
+					c.in.Trace = &tin
 				} else {
-					c.spec = sp
-					c.spec.Seed = sp.Seed + n.SeedStride*int64(r)
-					c.Key = sim.Fingerprint(c.spec, pt.cfg)
+					c.in.Spec = sp
+					c.in.Spec.Seed = sp.Seed + n.SeedStride*int64(r)
 				}
 				// Sampled cells cache under their own key (the result
 				// payload carries a timeline).
-				if n.Interval > 0 {
-					c.Key = sim.SampledKey(c.Key, n.Interval)
-				}
+				c.Key = sim.Key(c.in, pt.cfg, n.Interval)
 				cells = append(cells, c)
 			}
 		}

@@ -54,62 +54,39 @@ func SubmitAs(r *sim.Runner, spec Spec, traces TraceResolver, origin, tenant str
 	return s, nil
 }
 
-// scheduleCells submits the given groups of cells on the engine,
-// returning the jobs keyed by cell index and the count of multi-cell
-// fused groups. Each group must share one reference stream (the
-// planGroups contract); singleton groups schedule per cell.
+// scheduleCells submits the given groups of cells on the engine, one
+// group task each, returning the jobs keyed by cell index and the count
+// of multi-cell fused groups. Each group must share one reference
+// stream (the planGroups contract).
 func scheduleCells(r *sim.Runner, spec Spec, cells []Cell, groups [][]int, origin, tenant string) (map[int]*engine.Job, int) {
 	jobs := make(map[int]*engine.Job, len(cells))
 	fused := 0
 	opt := sim.SampleOptions{Interval: spec.Interval}
 	for _, group := range groups {
-		if len(group) == 1 {
-			// Cells carry the "sweep" task kind so jettyd's per-kind latency
-			// histograms separate cell durations from one-off experiment runs.
-			i := group[0]
-			c := cells[i]
-			var t engine.Task
-			switch {
-			case c.trace != nil && opt.Interval > 0:
-				t = sim.SampledTraceTask(*c.trace, c.cfg, opt)
-			case c.trace != nil:
-				t = sim.TraceTask(*c.trace, c.cfg)
-			case opt.Interval > 0:
-				t = sim.SampledTask(c.spec, c.cfg, opt)
-			default:
-				t = sim.Task(c.spec, c.cfg)
-			}
-			t.Kind = sim.KindSweep
-			t.Origin = origin
-			t.Tenant = tenant
-			jobs[i] = r.Engine().Submit(t)
-			continue
-		}
-		// Every cell in this group measures the same reference stream on
-		// the same machine — only the observer bank differs — so the whole
-		// group fuses onto one simulation pass (see plan.go). Member keys
-		// are the cells' own per-cell content addresses: the engine caches
-		// each member under the key a per-cell run would use, so fused and
-		// per-cell sweeps interoperate through the cache transparently.
-		members := make([]sim.FusedMember, len(group))
+		// Every cell in a group measures the same reference stream on the
+		// same machine — only the observer bank differs — so the whole
+		// group runs as one simulation pass (see plan.go). Member keys are
+		// the cells' own content addresses: the engine caches each member
+		// under the key a per-cell run would use, so fused and per-cell
+		// sweeps interoperate through the cache transparently.
+		members := make([]sim.Member, len(group))
 		for k, i := range group {
-			members[k] = sim.FusedMember{Key: cells[i].Key, Bank: cells[i].cfg.Filters}
+			members[k] = sim.Member{Key: cells[i].Key, Config: cells[i].cfg}
 		}
-		lead := cells[group[0]]
-		base := lead.cfg.WithoutFilters()
-		var g engine.GroupTask
-		if lead.trace != nil {
-			g = sim.FusedTraceGroup(*lead.trace, base, members, opt)
+		g := sim.GroupTask(cells[group[0]].in, members, opt)
+		if len(group) == 1 {
+			// Unfused cells carry the "sweep" task kind so jettyd's per-kind
+			// latency histograms separate cell durations from one-off
+			// experiment runs.
+			g.Kind = sim.KindSweep
 		} else {
-			g = sim.FusedAppGroup(lead.spec, base, members, opt)
+			fused++
 		}
 		g.Origin = origin
 		g.Tenant = tenant
-		groupJobs := r.Engine().SubmitGroup(g)
-		for k, i := range group {
-			jobs[i] = groupJobs[k]
+		for k, j := range r.Engine().SubmitGroup(g) {
+			jobs[group[k]] = j
 		}
-		fused++
 	}
 	return jobs, fused
 }

@@ -232,10 +232,11 @@ func TestTraceCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sim.RunTraceCtx(context.Background(), in, cfg, nil)
+	replayed, err := sim.Run(context.Background(), sim.Input{Trace: &in}, cfg, sim.Plan{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := replayed[0]
 	for _, m := range res.Metrics {
 		if m.Workload != "trace:web" {
 			continue
