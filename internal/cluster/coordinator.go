@@ -171,7 +171,7 @@ func New(opts Options) (*Coordinator, error) {
 		ctx:       ctx,
 		cancel:    cancel,
 		probeDone: make(chan struct{}),
-		memo:      lru.New(opts.MemoEntries, sim.AppResult.Clone),
+		memo:      newMemo(opts.MemoEntries),
 		sweeps:    make(map[*Sweep]struct{}),
 	}
 	for _, c := range opts.Workers {
@@ -179,6 +179,12 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	go co.probeLoop()
 	return co, nil
+}
+
+// newMemo builds the L2 memo: an LRU of capacity results that clones
+// them on both sides. A capacity ≤ 0 stores nothing.
+func newMemo(capacity int) *lru.LRU[sim.AppResult] {
+	return lru.New(capacity, sim.AppResult.Clone)
 }
 
 // Close stops the prober and fails every active sweep.

@@ -12,21 +12,19 @@ func memoResult(refs uint64) sim.AppResult {
 }
 
 // TestMemoNonpositiveCapacityIsNoop pins the -cache-style "negative
-// disables" contract: a memo with cap <= 0 stores nothing — in
-// particular it must not clone every result into the LRU only to evict
-// it again within the same put.
+// disables" contract: a memo with cap <= 0 stores nothing.
 func TestMemoNonpositiveCapacityIsNoop(t *testing.T) {
 	for _, capacity := range []int{0, -1, -4096} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
 			m := newMemo(capacity)
 			for i := 0; i < 4; i++ {
-				m.put(fmt.Sprintf("k%d", i), memoResult(uint64(i)))
+				m.Put(fmt.Sprintf("k%d", i), memoResult(uint64(i)))
 			}
-			if m.len() != 0 {
-				t.Fatalf("len = %d; want 0 (disabled memo must hold nothing)", m.len())
+			if m.Len() != 0 {
+				t.Fatalf("Len = %d; want 0 (disabled memo must hold nothing)", m.Len())
 			}
-			if _, ok := m.get("k0"); ok {
-				t.Fatalf("get hit on a disabled memo")
+			if _, ok := m.Get("k0"); ok {
+				t.Fatalf("Get hit on a disabled memo")
 			}
 		})
 	}
@@ -34,49 +32,30 @@ func TestMemoNonpositiveCapacityIsNoop(t *testing.T) {
 
 func TestMemoLRUEviction(t *testing.T) {
 	m := newMemo(2)
-	m.put("a", memoResult(1))
-	m.put("b", memoResult(2))
-	if _, ok := m.get("a"); !ok { // refresh a: b is now the eviction victim
+	m.Put("a", memoResult(1))
+	m.Put("b", memoResult(2))
+	if _, ok := m.Get("a"); !ok { // refresh a: b is now the eviction victim
 		t.Fatal("a missing")
 	}
-	m.put("c", memoResult(3))
-	if m.len() != 2 {
-		t.Fatalf("len = %d; want 2", m.len())
+	m.Put("c", memoResult(3))
+	if m.Len() != 2 {
+		t.Fatalf("Len = %d; want 2", m.Len())
 	}
-	if _, ok := m.get("b"); ok {
+	if _, ok := m.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := m.get(k); !ok {
+		if _, ok := m.Get(k); !ok {
 			t.Fatalf("%s missing", k)
 		}
 	}
 
 	// Overwrite refreshes in place, no growth.
-	m.put("a", memoResult(9))
-	if m.len() != 2 {
-		t.Fatalf("len after overwrite = %d; want 2", m.len())
+	m.Put("a", memoResult(9))
+	if m.Len() != 2 {
+		t.Fatalf("Len after overwrite = %d; want 2", m.Len())
 	}
-	if res, ok := m.get("a"); !ok || res.Refs != 9 {
+	if res, ok := m.Get("a"); !ok || res.Refs != 9 {
 		t.Fatalf("overwrite lost: %+v, %v", res, ok)
-	}
-}
-
-// TestMemoClonesOnBothSides: mutations of a caller's result after put,
-// or of a returned result, must not leak into the memo.
-func TestMemoClonesOnBothSides(t *testing.T) {
-	m := newMemo(4)
-	in := memoResult(1)
-	m.put("k", in)
-	in.RemoteHitFrac[0] = 99
-
-	out, ok := m.get("k")
-	if !ok || out.RemoteHitFrac[0] != 0.5 {
-		t.Fatalf("put did not clone: %+v", out)
-	}
-	out.RemoteHitFrac[0] = 42
-	again, _ := m.get("k")
-	if again.RemoteHitFrac[0] != 0.5 {
-		t.Fatalf("get did not clone: %+v", again)
 	}
 }

@@ -1,58 +1,101 @@
 package engine
 
-import "testing"
+import (
+	"context"
+	"sync/atomic"
+	"testing"
+)
 
-func TestResultCacheBasics(t *testing.T) {
-	c := newResultCache(2)
-	if _, ok := c.get("a"); ok {
-		t.Fatal("empty cache reported a hit")
-	}
-	c.add("a", 1)
-	c.add("b", 2)
-	if v, ok := c.get("a"); !ok || v.(int) != 1 {
-		t.Fatalf("get(a) = %v, %v", v, ok)
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
-	}
+// countingCache submits keyed tasks to e and counts how often each one
+// actually ran, so a test can tell a result-cache hit from a rerun.
+type countingCache struct {
+	t    *testing.T
+	e    *Engine
+	runs map[string]*atomic.Int32
 }
 
+func newCountingCache(t *testing.T, e *Engine) *countingCache {
+	return &countingCache{t: t, e: e, runs: make(map[string]*atomic.Int32)}
+}
+
+// submit runs key to completion and reports whether it was a cache hit.
+func (c *countingCache) submit(key string) bool {
+	c.t.Helper()
+	n, ok := c.runs[key]
+	if !ok {
+		n = new(atomic.Int32)
+		c.runs[key] = n
+	}
+	j := c.e.Submit(Task{
+		Key: key,
+		Run: func(ctx context.Context, report func(uint64)) (any, error) {
+			n.Add(1)
+			return key, nil
+		},
+	})
+	res, err := j.Wait(context.Background())
+	if err != nil || res.(string) != key {
+		c.t.Fatalf("submit(%s) = %v, %v", key, res, err)
+	}
+	return j.Status().CacheHit
+}
+
+// TestResultCacheLRUEviction: the engine's finished-result cache evicts
+// the least recently used result, and a cache hit counts as a use.
 func TestResultCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.add("a", 1)
-	c.add("b", 2)
-	c.get("a")    // refresh a: b is now the LRU entry
-	c.add("c", 3) // evicts b
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
+	e := New(Options{Workers: 1, CacheEntries: 2})
+	defer e.Close()
+	c := newCountingCache(t, e)
+
+	c.submit("a")
+	c.submit("b")
+	if !c.submit("a") { // refresh a: b is now the LRU entry
+		t.Fatal("a should have been a cache hit")
+	}
+	c.submit("c") // evicts b
+	if got := e.Stats().CacheEntries; got != 2 {
+		t.Errorf("CacheEntries = %d, want 2", got)
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
+		if !c.submit(k) {
 			t.Errorf("%s should have survived", k)
 		}
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.submit("b") {
+		t.Error("b should have been evicted")
+	}
+	if got := c.runs["b"].Load(); got != 2 {
+		t.Errorf("b ran %d times, want 2", got)
 	}
 }
 
-func TestResultCacheRefreshExisting(t *testing.T) {
-	c := newResultCache(2)
-	c.add("a", 1)
-	c.add("a", 10) // refresh, not duplicate
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
-	}
-	if v, _ := c.get("a"); v.(int) != 10 {
-		t.Errorf("get(a) = %v, want 10", v)
-	}
-}
-
+// TestResultCacheMinimumCapacity: the smallest enabled cache holds
+// exactly one result, and a zero capacity means the default rather
+// than a disabled cache.
 func TestResultCacheMinimumCapacity(t *testing.T) {
-	c := newResultCache(0) // clamped to 1
-	c.add("a", 1)
-	c.add("b", 2)
-	if c.len() != 1 {
-		t.Errorf("len = %d, want 1", c.len())
+	e := New(Options{Workers: 1, CacheEntries: 1})
+	defer e.Close()
+	c := newCountingCache(t, e)
+
+	c.submit("a")
+	c.submit("b") // evicts a
+	if got := e.Stats().CacheEntries; got != 1 {
+		t.Errorf("CacheEntries = %d, want 1", got)
+	}
+	if !c.submit("b") {
+		t.Error("b should have been a cache hit")
+	}
+	if c.submit("a") {
+		t.Error("a should have been evicted")
+	}
+
+	d := New(Options{Workers: 1, CacheEntries: 0})
+	defer d.Close()
+	dc := newCountingCache(t, d)
+	for _, k := range []string{"a", "b", "c"} {
+		dc.submit(k)
+	}
+	if got := d.Stats().CacheEntries; got != 3 {
+		t.Errorf("CacheEntries with the default capacity = %d, want 3", got)
 	}
 }
