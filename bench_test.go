@@ -374,8 +374,11 @@ func BenchmarkSweep(b *testing.B) {
 // spec pays 16 full passes, and the single sub is the floor — one
 // simulation of the same workload with one filter attached, i.e. the
 // cost a per-cell sweep pays for every one of its 16 cells.
-// PERFORMANCE.md tracks fused ≤ 2× single. The cache is disabled so
-// every iteration really simulates. Compare with:
+// PERFORMANCE.md tracks fused ≤ 2× single. The result cache is disabled
+// so every iteration really simulates. From its second iteration on,
+// fused replays the stream memo's copy of the Lu stream; fused-fresh
+// submits the same 16-member group with a workload seed no earlier pass
+// used, so every pass generates its stream. Compare with:
 //
 //	go test -bench 'BenchmarkSweepFused' -benchtime 2x .
 func BenchmarkSweepFused(b *testing.B) {
@@ -404,6 +407,31 @@ func BenchmarkSweepFused(b *testing.B) {
 		}
 		b.ReportMetric(float64(cells), "cells")
 	})
+	b.Run("fused-fresh", func(b *testing.B) {
+		sp, err := workload.ByName("Lu")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp = sp.Scale(spec.Scale)
+		for i := 0; i < b.N; i++ {
+			freshSeed++
+			in := sim.Input{Spec: sp}
+			in.Spec.Seed += freshSeed
+			members := make([]sim.Member, len(axis))
+			for k, name := range axis {
+				cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(name))
+				members[k] = sim.Member{Key: sim.Key(in, cfg, 0), Config: cfg}
+			}
+			eng := engine.New(engine.Options{CacheEntries: -1})
+			for _, j := range eng.SubmitGroup(sim.GroupTask(in, members, sim.SampleOptions{})) {
+				if _, err := j.Wait(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			eng.Close()
+		}
+		b.ReportMetric(float64(len(axis)), "cells")
+	})
 	b.Run("per-cell", func(b *testing.B) {
 		forced := spec
 		forced.NoFuse = true
@@ -427,6 +455,11 @@ func BenchmarkSweepFused(b *testing.B) {
 		}
 	})
 }
+
+// freshSeed offsets the workload seed of every fused-fresh pass, across
+// all runs of the benchmark in one process, so no pass finds its stream
+// memoized.
+var freshSeed int64
 
 // BenchmarkFilterProbe measures raw probe throughput of each variant —
 // the operation on every snoop's critical path.

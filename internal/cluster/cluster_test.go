@@ -167,6 +167,46 @@ func TestClusterSurvivesWorkerLoss(t *testing.T) {
 	}
 }
 
+// TestClusterBoundsOversizedReply: a worker whose /v1/cells reply
+// never ends is cut off at the client's reply cap, declared dead and its
+// unit rescheduled; the sweep completes on the survivor, bit-identical
+// to the single-process run, and the coordinator stops reading within a
+// few socket buffers of the cap.
+func TestClusterBoundsOversizedReply(t *testing.T) {
+	const limit = 1 << 20
+	workers, clients := startWorkers(t, 2, service.Options{Workers: 2})
+	for _, c := range clients {
+		cluster.SetMaxReply(c, limit)
+	}
+	workers[0].bloatNext = 1
+	co := newCoordinator(t, clients, nil)
+
+	spec := sweep.Spec{
+		Name:       "oversized-reply",
+		Workloads:  []string{"Lu", "ch", "Fmm"},
+		Filters:    []string{"EJ-32x4", "IJ-8x4x7"},
+		FilterMode: sweep.ModeEach,
+		Scale:      0.02,
+	}
+	want := runLocal(t, spec, nil)
+	s, err := co.Submit(spec, nil, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitSweep(t, s); !reflect.DeepEqual(want, got) {
+		t.Fatal("result diverges from single-process run after an oversized reply")
+	}
+	if workers[0].cellRequests() == 0 {
+		t.Fatal("worker 0 never saw a unit — the oversized reply was never sent")
+	}
+	if st := co.Stats(); st.CellsRescheduled == 0 {
+		t.Error("the oversized reply rescheduled no cells")
+	}
+	if sent := workers[0].bloatedBytes(); sent > 64*limit {
+		t.Errorf("the coordinator accepted %d bytes of a reply capped at %d", sent, limit)
+	}
+}
+
 // TestClusterSurvivesSlowLoris: a worker that stalls past the dispatch
 // deadline is declared dead and its unit rescheduled; the sweep
 // completes on the survivors, and the stalled worker is revived by the

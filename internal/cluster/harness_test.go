@@ -10,6 +10,7 @@ package cluster_test
 // real HTTP listener, exactly as it would to a remote daemon.
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -35,6 +36,8 @@ type faultyWorker struct {
 	dropNext  int           // next N /v1/cells requests compute, then abort
 	stallNext int           // next N /v1/cells requests stall by stall
 	stall     time.Duration // slow-loris delay for stalled requests
+	bloatNext int           // next N /v1/cells requests stream an endless reply
+	bloated   int64         // bytes of endless replies the client accepted
 	cellReqs  int           // /v1/cells requests seen (lifetime)
 	traceUps  int           // /v1/traces uploads seen (lifetime)
 	tenants   map[string]bool
@@ -102,6 +105,12 @@ func (w *faultyWorker) serve(rw http.ResponseWriter, r *http.Request) {
 			w.stallNext--
 			stall = w.stall
 		}
+		if w.bloatNext > 0 {
+			w.bloatNext--
+			w.mu.Unlock()
+			w.streamEndlessReply(rw)
+			return
+		}
 	}
 	w.mu.Unlock()
 
@@ -116,6 +125,34 @@ func (w *faultyWorker) serve(rw http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	svc.Handler().ServeHTTP(rw, r)
+}
+
+// endlessReplyLimit ends an endless reply whose client never hangs up,
+// so a coordinator that reads without bound fails the test instead of
+// exhausting memory.
+const endlessReplyLimit = 1 << 30
+
+// streamEndlessReply answers 200 with a well-formed but never-ending
+// cells array, until the client stops reading or endlessReplyLimit.
+func (w *faultyWorker) streamEndlessReply(rw http.ResponseWriter) {
+	rw.Header().Set("Content-Type", "application/json")
+	rw.WriteHeader(http.StatusOK)
+	filler := bytes.Repeat([]byte(`{"index":0,"key":"k","result":{}},`), 2048)
+	n, err := rw.Write([]byte(`{"cells":[`))
+	for sent := int64(n); err == nil && sent < endlessReplyLimit; sent += int64(n) {
+		w.mu.Lock()
+		w.bloated = sent
+		w.mu.Unlock()
+		n, err = rw.Write(filler)
+	}
+}
+
+// bloatedBytes returns how much of its endless replies the worker got
+// to send.
+func (w *faultyWorker) bloatedBytes() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.bloated
 }
 
 // crash makes every subsequent request abort its connection, as if the

@@ -1,26 +1,32 @@
 // Package lru is the content-addressed least-recently-used map behind
-// both result caches of the system: the engine's in-memory L1 and the
-// cluster coordinator's digest→result L2 memo.
+// the system's memo tiers: the engine's in-memory result cache, the
+// cluster coordinator's digest→result L2 memo and the simulator's
+// byte-bounded stream memo.
 package lru
 
 import "container/list"
 
 // LRU maps string keys to values, evicting the least recently used
-// entry beyond its capacity. A capacity ≤ 0 stores nothing: Put is a
-// no-op, which is how callers disable a tier without nil checks.
+// entries once their total weight exceeds its capacity. Every entry
+// weighs 1 unless the LRU was built with NewWeighted. A capacity ≤ 0
+// stores nothing: Put is a no-op, which is how callers disable a tier
+// without nil checks.
 //
 // An LRU is externally synchronized: callers use it under their own
 // mutex.
 type LRU[V any] struct {
-	cap   int
-	clone func(V) V
-	order *list.List               // front = most recently used
-	byKey map[string]*list.Element // value: *entry[V]
+	cap    int
+	clone  func(V) V
+	weigh  func(V) int              // nil: every entry weighs 1
+	weight int                      // total weight of the stored entries
+	order  *list.List               // front = most recently used
+	byKey  map[string]*list.Element // value: *entry[V]
 }
 
 type entry[V any] struct {
-	key string
-	val V
+	key    string
+	val    V
+	weight int
 }
 
 // New returns an empty LRU holding at most capacity entries. clone, when
@@ -36,6 +42,15 @@ func New[V any](capacity int, clone func(V) V) *LRU[V] {
 	}
 }
 
+// NewWeighted returns an empty LRU whose entries weigh weigh(v) each and
+// together at most budget. A value heavier than the whole budget is not
+// stored. Values are stored as-is: callers treat them as immutable.
+func NewWeighted[V any](budget int, weigh func(V) int) *LRU[V] {
+	c := New[V](budget, nil)
+	c.weigh = weigh
+	return c
+}
+
 // Get returns the value stored under key, refreshing its recency.
 func (c *LRU[V]) Get(key string) (V, bool) {
 	el, ok := c.byKey[key]
@@ -47,28 +62,40 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 	return c.copy(el.Value.(*entry[V]).val), true
 }
 
-// Put inserts or refreshes a value, evicting the least recently used
-// entry when over capacity.
+// Put inserts or replaces a value, evicting least recently used entries
+// while the total weight exceeds the capacity.
 func (c *LRU[V]) Put(key string, val V) {
-	if c.cap <= 0 {
+	w := 1
+	if c.weigh != nil {
+		w = c.weigh(val)
+	}
+	if c.cap <= 0 || w > c.cap {
 		return
 	}
 	val = c.copy(val)
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*entry[V]).val = val
+		e := el.Value.(*entry[V])
+		c.weight += w - e.weight
+		e.val, e.weight = val, w
 		c.order.MoveToFront(el)
-		return
+	} else {
+		c.byKey[key] = c.order.PushFront(&entry[V]{key: key, val: val, weight: w})
+		c.weight += w
 	}
-	c.byKey[key] = c.order.PushFront(&entry[V]{key: key, val: val})
-	for c.order.Len() > c.cap {
+	// The new entry fits the capacity alone, so it is never evicted.
+	for c.weight > c.cap {
 		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*entry[V]).key)
+		e := c.order.Remove(oldest).(*entry[V])
+		delete(c.byKey, e.key)
+		c.weight -= e.weight
 	}
 }
 
 // Len returns the number of stored entries.
 func (c *LRU[V]) Len() int { return c.order.Len() }
+
+// Weight returns the total weight of the stored entries.
+func (c *LRU[V]) Weight() int { return c.weight }
 
 func (c *LRU[V]) copy(v V) V {
 	if c.clone == nil {

@@ -99,3 +99,36 @@ func TestClonesOnBothSides(t *testing.T) {
 		t.Fatalf("Get did not clone: %v", again)
 	}
 }
+
+// TestWeightedBudget pins the weighted contract the stream memo relies
+// on: eviction keeps the total weight within the budget, replacing an
+// entry reweighs it, and a value heavier than the whole budget is not
+// stored and evicts nothing.
+func TestWeightedBudget(t *testing.T) {
+	c := NewWeighted(10, func(s []byte) int { return len(s) })
+	c.Put("a", make([]byte, 4))
+	c.Put("b", make([]byte, 4))
+	if c.Weight() != 8 || c.Len() != 2 {
+		t.Fatalf("Weight, Len = %d, %d; want 8, 2", c.Weight(), c.Len())
+	}
+	c.Put("too-big", make([]byte, 11))
+	if _, ok := c.Get("too-big"); ok || c.Len() != 2 {
+		t.Fatalf("an over-budget value was stored or evicted others (Len %d)", c.Len())
+	}
+	c.Get("a")                  // b is least recently used now
+	c.Put("c", make([]byte, 3)) // 11 > 10: evicts b
+	if _, ok := c.Get("b"); ok {
+		t.Error("b should have been evicted")
+	}
+	if c.Weight() != 7 {
+		t.Errorf("Weight = %d, want 7", c.Weight())
+	}
+	c.Put("a", make([]byte, 7)) // reweigh a in place: 7 + 3 = 10 fits
+	if c.Weight() != 10 || c.Len() != 2 {
+		t.Errorf("after reweighing: Weight, Len = %d, %d; want 10, 2", c.Weight(), c.Len())
+	}
+	c.Put("d", make([]byte, 10)) // evicts c, then a
+	if c.Weight() != 10 || c.Len() != 1 {
+		t.Errorf("Weight, Len = %d, %d; want 10, 1", c.Weight(), c.Len())
+	}
+}

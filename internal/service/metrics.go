@@ -2,6 +2,8 @@ package service
 
 import (
 	"net/http"
+
+	"jetty/internal/sim"
 )
 
 // Service-level observability: GET /metrics exposes the daemon's
@@ -75,6 +77,10 @@ func (s *Server) snapshotGauges() {
 	t.engCoalesced.Set(st.Coalesced)
 	t.engCanceled.Set(st.Canceled)
 	t.engFailed.Set(st.Failed)
+	mst := sim.StreamStats()
+	t.streamMemoHits.Set(mst.Hits)
+	t.streamMemoMisses.Set(mst.Misses)
+	t.streamMemoBytes.Set(float64(mst.Bytes))
 
 	// Durable daemon: one store.Stats() snapshot feeds the store
 	// instruments; the engine's store-hit counter rides the same engine

@@ -76,6 +76,12 @@ type telemetry struct {
 	engCanceled  *obs.Counter
 	engFailed    *obs.Counter
 
+	// Stream memo instruments, mirrored from one sim.StreamStats()
+	// snapshot per scrape. The memo is process-wide.
+	streamMemoHits   *obs.Counter
+	streamMemoMisses *obs.Counter
+	streamMemoBytes  *obs.Gauge
+
 	// Cluster instruments, registered only in coordinator role (nil
 	// otherwise); set from one cluster.Stats() snapshot per scrape.
 	clusterWorkersConfigured *obs.Gauge
@@ -204,6 +210,12 @@ func newTelemetry(log *slog.Logger, slowJob time.Duration, clustered, persistent
 		"Executions that ended canceled.")
 	t.engFailed = reg.NewCounter("jettyd_engine_failed_total",
 		"Executions that ended in error.")
+	t.streamMemoHits = reg.NewCounter("jettyd_stream_memo_hits_total",
+		"Generated runs that replayed a memoized reference stream.")
+	t.streamMemoMisses = reg.NewCounter("jettyd_stream_memo_misses_total",
+		"Generated runs that found no memoized stream and ran the generator.")
+	t.streamMemoBytes = reg.NewGauge("jettyd_stream_memo_bytes",
+		"Bytes of reference streams memoized now.")
 
 	if clustered {
 		t.clusterWorkersConfigured = reg.NewGauge("jettyd_cluster_workers_configured",

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"jetty/internal/obs"
+	"jetty/internal/sweep"
 )
 
 // syncBuffer is a goroutine-safe log sink: the slog handler writes from
@@ -291,6 +292,10 @@ func TestMetricsMonotoneAcrossScrapes(t *testing.T) {
 		"jettyd_admission_occupancy",
 		"jettyd_live_feed_windows_buffered",
 		"jettyd_jobs_unfinished",
+		// Stream memo.
+		"jettyd_stream_memo_hits_total",
+		"jettyd_stream_memo_misses_total",
+		"jettyd_stream_memo_bytes",
 		// Build info.
 		"jettyd_build_info",
 	} {
@@ -476,5 +481,50 @@ func TestPprofGate(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof on: GET /debug/pprof/ = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestStreamMemoMetrics pins the stream memo's instruments. With the
+// engine cache off, two identical sweeps both simulate, and the second
+// replays the stream the first generated: one miss, then one hit.
+func TestStreamMemoMetrics(t *testing.T) {
+	_, base := newTestServer(t, Options{Workers: 1, CacheEntries: -1})
+	value := func(name string) float64 {
+		t.Helper()
+		exp, err := obs.ParseText(scrapeMetrics(t, base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range exp.Samples {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("scrape has no %s sample", name)
+		return 0
+	}
+	const (
+		hits   = "jettyd_stream_memo_hits_total"
+		misses = "jettyd_stream_memo_misses_total"
+		size   = "jettyd_stream_memo_bytes"
+	)
+	// A phased stream's key keeps its length, so at a scale no other
+	// test uses no earlier run in this process can have memoized it.
+	spec := sweep.Spec{Workloads: []string{"PhasedOLTP"}, Filters: []string{"EJ-16x2"}, Scale: 0.0137}
+	h0, m0 := value(hits), value(misses)
+	for i, want := range []struct{ hits, misses float64 }{{0, 1}, {1, 1}} {
+		var st SweepStatus
+		if code := doJSON(t, "POST", base+"/v1/sweeps", spec, &st); code != http.StatusAccepted {
+			t.Fatalf("sweep %d: submit code %d", i, code)
+		}
+		if st := waitSweepDone(t, base, st.ID); st.State != "done" {
+			t.Fatalf("sweep %d ended %s", i, st.State)
+		}
+		if dh, dm := value(hits)-h0, value(misses)-m0; dh != want.hits || dm != want.misses {
+			t.Fatalf("after sweep %d: %v hits, %v misses; want %v, %v", i, dh, dm, want.hits, want.misses)
+		}
+		if value(size) <= 0 {
+			t.Fatalf("after sweep %d: the memo holds no bytes", i)
+		}
 	}
 }

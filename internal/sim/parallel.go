@@ -99,26 +99,6 @@ func (o SampleOptions) newSampler(cfg smp.Config, total uint64) (*metrics.Sample
 	}), nil
 }
 
-// generate drives sys over sp's generated stream, optionally teeing
-// every consumed reference into tw.
-func generate(ctx context.Context, sys *smp.System, sp workload.Spec, tw *trace.Writer, report func(done uint64)) error {
-	var src trace.Source = sp.Source(sys.Config().CPUs)
-	var cp *trace.Capture
-	if tw != nil {
-		cp = trace.NewCapture(src, tw)
-		src = cp
-	}
-	if err := runChunked(ctx, sys, src, sp.Accesses, report); err != nil {
-		return err
-	}
-	if cp != nil {
-		if err := cp.Err(); err != nil {
-			return fmt.Errorf("sim: recording trace: %w", err)
-		}
-	}
-	return nil
-}
-
 // Runner executes app runs on an engine worker pool.
 type Runner struct {
 	eng *engine.Engine

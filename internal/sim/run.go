@@ -111,6 +111,11 @@ type Plan struct {
 // returns an error if any filter violated the safety requirement or the
 // machine ended incoherent.
 func Run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(done uint64)) ([]AppResult, error) {
+	return run(ctx, in, base, plan, report, streams)
+}
+
+// run is Run with generator inputs served through the stream memo m.
+func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(done uint64), m *streamMemo) ([]AppResult, error) {
 	cfg := base
 	if plan.Banks != nil {
 		cfg = fusedConfig(base, plan.Banks)
@@ -149,7 +154,7 @@ func Run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 		label = in.Trace.pseudoSpec()
 		err = replay(ctx, sys, rd, in.Trace.Records, report)
 	} else {
-		err = generate(ctx, sys, in.Spec, plan.Capture, report)
+		err = m.generate(ctx, sys, in.Spec, plan.Capture, report)
 	}
 	if err != nil {
 		return nil, err

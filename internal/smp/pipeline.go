@@ -6,25 +6,28 @@ import (
 	"jetty/internal/jetty"
 )
 
-// The filter banks are driven through an event log. A JETTY only decides
+// The filter banks are driven through event logs. A JETTY only decides
 // whether a snoop may skip its tag probe; the protocol never reads
 // filter state. So the machine records every filter event — a snoop
 // probe, a unit fill, a block allocation or eviction — as one packed
-// word, and apply, the only code that drives a filter, delivers the
-// words to the banks in log order. Each filter therefore sees exactly
-// the event sequence it would have seen had it been called inline.
+// word in the log of the node whose bank it drives, and apply, the only
+// code that drives a filter, delivers one node's words to its bank in
+// log order. Filters on different nodes share no state, so each filter
+// sees exactly the event sequence it would have seen had it been called
+// inline, whatever order the nodes' logs are applied in.
 //
-// Inside Run and StepBatch full chunks of the log go to one companion
-// goroutine per machine, which drives the banks while the machine steps
-// on. Everything that reads filter state waits for it first (join):
+// Inside Run and StepBatch full chunks of a node's log go to that node's
+// companion goroutine, one per node, which drives the node's bank while
+// the machine steps on; no companion ever reads another node's events.
+// Everything that reads filter state waits for all of them first (join):
 // the end of Run, StepBatch and DrainWriteBuffers, every sampler window,
 // SetSampler and Close. Step and DrainWriteBuffers apply their events
 // inline on the caller's goroutine.
 
 // Event word layout: kind in bits 0-1, the snoop's present and
-// blockAbsent flags in bits 2-3, the node in bits 4-9 (Config allows at
-// most 64 CPUs) and the unit (snoop, fill) or block (alloc, evict) above;
-// a 36-bit physical address leaves both well inside 54 bits.
+// blockAbsent flags in bits 2-3, and the unit (snoop, fill) or block
+// (alloc, evict) above; a 36-bit physical address leaves both well
+// inside 60 bits. The node is implicit: it owns the log.
 const (
 	evSnoop uint64 = iota
 	evFill
@@ -34,22 +37,23 @@ const (
 	evKindMask    = 3
 	evPresent     = 1 << 2
 	evBlockAbsent = 1 << 3
-	evNodeShift   = 4
-	evNodeMask    = 63
-	evArgShift    = 10
+	evArgShift    = 4
 )
 
 const (
 	chunkEvents = 1 << 10 // events per chunk
-	ringChunks  = 4       // chunks per machine: one filling, the rest queued or free
+	ringChunks  = 4       // chunks per node log: one filling, the rest queued or free
 )
 
 type chunk [chunkEvents]uint64
 
-// chunkMsg hands one filled chunk to the companion.
-type chunkMsg struct {
-	buf *chunk
-	n   int
+// eventLog is the machine side of one node's log: the chunk being
+// filled and the ring's empty chunks.
+type eventLog struct {
+	buf      *chunk
+	n        int
+	spare    []*chunk // empty chunks the machine holds besides buf
+	inFlight int      // chunks the companion has not returned yet
 }
 
 // nodeBank is one node's filter bank. The filters are also grouped by
@@ -92,26 +96,26 @@ func (b *nodeBank) add(f jetty.Filter) {
 	}
 }
 
-// filterPipe is the consumer side of the log: the banks and the
-// channels to the companion. It never references the System, so a
-// machine dropped without Close can still be collected, and its cleanup
-// then stops the companion. The banks are their own allocation, off the
-// cache lines of the machine's per-node counters.
+// filterPipe is the consumer side of one node's log: the node's bank
+// and the channels to its companion. It never references the System, so
+// a machine dropped without Close can still be collected, and its
+// cleanup then stops the companions. The pipes are their own
+// allocation, off the cache lines of the machine's per-node state.
 type filterPipe struct {
-	banks    []nodeBank
+	bank     nodeBank
 	upbShift uint
 
-	// Both channels hold up to ringChunks chunks, every chunk a machine
-	// owns, so the companion never blocks returning one.
-	full chan chunkMsg // to the companion; closed by stop
-	free chan *chunk   // applied chunks, back to the machine; closed when the companion exits
+	// Both channels hold up to ringChunks chunks, every chunk the node's
+	// log owns, so the companion never blocks returning one.
+	full chan *chunk // filled chunks to the companion; closed by stop
+	free chan *chunk // applied chunks, back to the machine; closed when the companion exits
 }
 
-// apply delivers events to the banks in log order, auditing every probe
-// that filtered a snoop to a present unit.
+// apply delivers one node's events to its bank in log order, auditing
+// every probe that filtered a snoop to a present unit.
 func (p *filterPipe) apply(evs []uint64) {
+	b := &p.bank
 	for _, ev := range evs {
-		b := &p.banks[ev>>evNodeShift&evNodeMask]
 		x := ev >> evArgShift
 		switch ev & evKindMask {
 		case evSnoop:
@@ -190,82 +194,96 @@ func (p *filterPipe) apply(evs []uint64) {
 	}
 }
 
-// serve is the companion goroutine: it applies chunks as they arrive
-// and exits when stop closes the channel.
+// serve is a companion goroutine: it applies its node's chunks as they
+// arrive and exits when stop closes the channel.
 func (p *filterPipe) serve() {
-	for m := range p.full {
-		p.apply(m.buf[:m.n])
-		p.free <- m.buf
+	for c := range p.full {
+		p.apply(c[:])
+		p.free <- c
 	}
 	close(p.free)
 }
 
-// stop ends the companion once it has drained the queue.
+// stop ends the companion once it has drained its queue.
 func (p *filterPipe) stop() { close(p.full) }
 
-// emit appends one filter event to the log.
-func (s *System) emit(ev uint64) {
-	s.log[s.logN&(chunkEvents-1)] = ev
-	s.logN++
-	if s.logN == chunkEvents {
-		s.spill()
+// stopCompanions is the cleanup of a machine dropped without Close.
+func stopCompanions(pipes []filterPipe) {
+	for i := range pipes {
+		pipes[i].stop()
 	}
 }
 
-// spill empties a full log: to the companion inside Run and StepBatch,
-// inline everywhere else.
-func (s *System) spill() {
+// emit appends one filter event to node n's log.
+func (s *System) emit(n *node, ev uint64) {
+	l := &n.log
+	l.buf[l.n&(chunkEvents-1)] = ev
+	l.n++
+	if l.n == chunkEvents {
+		s.spill(n)
+	}
+}
+
+// spill empties node n's full log: to its companion inside Run and
+// StepBatch, inline everywhere else.
+func (s *System) spill(n *node) {
+	l, p := &n.log, &s.pipes[n.id]
 	if !s.pipelined {
-		s.pipe.apply(s.log[:s.logN])
-		s.logN = 0
+		p.apply(l.buf[:])
+		l.n = 0
 		return
 	}
-	p := s.pipe
 	if p.full == nil {
-		s.startCompanion()
+		s.startCompanions()
 	}
-	p.full <- chunkMsg{s.log, s.logN}
-	s.inFlight++
-	if n := len(s.spare); n > 0 {
-		s.log, s.spare = s.spare[n-1], s.spare[:n-1]
+	p.full <- l.buf
+	l.inFlight++
+	if k := len(l.spare); k > 0 {
+		l.buf, l.spare = l.spare[k-1], l.spare[:k-1]
 	} else {
-		s.log = <-p.free
-		s.inFlight--
+		l.buf = <-p.free
+		l.inFlight--
 	}
-	s.logN = 0
+	l.n = 0
 }
 
-// startCompanion creates the chunk ring and the companion goroutine,
-// once per machine, on the first chunk Run or StepBatch hands off.
-func (s *System) startCompanion() {
-	p := s.pipe
-	p.full = make(chan chunkMsg, ringChunks)
-	p.free = make(chan *chunk, ringChunks)
-	s.spare = make([]*chunk, ringChunks-1, ringChunks)
-	for i := range s.spare {
-		s.spare[i] = new(chunk)
+// startCompanions creates every node's chunk ring and companion
+// goroutine, once per machine, on the first chunk Run or StepBatch
+// hands off.
+func (s *System) startCompanions() {
+	for i := range s.pipes {
+		p, l := &s.pipes[i], &s.nodes[i].log
+		p.full = make(chan *chunk, ringChunks)
+		p.free = make(chan *chunk, ringChunks)
+		l.spare = make([]*chunk, ringChunks-1, ringChunks)
+		for j := range l.spare {
+			l.spare[j] = new(chunk)
+		}
+		go p.serve()
 	}
-	go p.serve()
-	s.cleanup = runtime.AddCleanup(s, (*filterPipe).stop, p)
+	s.cleanup = runtime.AddCleanup(s, stopCompanions, s.pipes)
 }
 
-// beginPipeline routes full chunks to the companion until join. A
+// beginPipeline routes full chunks to the companions until join. A
 // machine without filters, or a closed one, keeps applying inline.
 func (s *System) beginPipeline() {
 	s.pipelined = !s.closed && len(s.cfg.Filters) > 0
 }
 
-// join brings the banks up to date with the machine: it takes back
-// every chunk handed to the companion, which returns each one once it is
-// applied, then applies the partial chunk inline. Afterwards the
+// join brings every bank up to date with the machine: it takes back
+// every chunk handed to a companion, which returns each one once it is
+// applied, then applies the node's partial chunk inline. Afterwards the
 // caller's goroutine may read filter state.
 func (s *System) join() {
-	for ; s.inFlight > 0; s.inFlight-- {
-		s.spare = append(s.spare, <-s.pipe.free)
-	}
-	if s.logN > 0 {
-		s.pipe.apply(s.log[:s.logN])
-		s.logN = 0
+	for i := range s.nodes {
+		l, p := &s.nodes[i].log, &s.pipes[i]
+		for ; l.inFlight > 0; l.inFlight-- {
+			l.spare = append(l.spare, <-p.free)
+		}
+		if l.n > 0 {
+			p.apply(l.buf[:l.n])
+			l.n = 0
+		}
 	}
 }
 
@@ -275,16 +293,19 @@ func (s *System) endPipeline() {
 	s.pipelined = false
 }
 
-// Close stops the machine's companion goroutine and waits for it to
+// Close stops the machine's companion goroutines and waits for them to
 // exit. The machine stays usable, applying every filter event inline.
 // Close is idempotent. A machine dropped without Close releases its
-// goroutine when it is garbage collected.
+// goroutines when it is garbage collected.
 func (s *System) Close() {
 	s.join()
-	if p := s.pipe; p.full != nil && !s.closed {
+	if s.pipes[0].full != nil && !s.closed {
 		s.cleanup.Stop()
-		p.stop()
-		for range p.free {
+		for i := range s.pipes {
+			p := &s.pipes[i]
+			p.stop()
+			for range p.free {
+			}
 		}
 	}
 	s.closed = true

@@ -30,7 +30,7 @@ func (f *absentFilter) Counts() energy.FilterCounts {
 // plantAbsentFilter replaces bank position 0 of node cpu with an
 // absentFilter.
 func plantAbsentFilter(s *System, cpu int) {
-	b := &s.pipe.banks[cpu]
+	b := &s.pipes[cpu].bank
 	var nb nodeBank
 	for i, f := range b.filters {
 		if i == 0 {
@@ -53,7 +53,7 @@ func TestFilterSafetyAuditThroughPipeline(t *testing.T) {
 		plantAbsentFilter(s, 1)
 		d.drive(s, recs)
 		s.DrainWriteBuffers()
-		if pipelined := s.pipe.full != nil; pipelined != (d.name != "Step") {
+		if pipelined := s.pipes[0].full != nil; pipelined != (d.name != "Step") {
 			t.Errorf("%s: companion started = %v", d.name, pipelined)
 		}
 		got := s.FilterCounts(0).FilteredHits
@@ -87,10 +87,30 @@ func waitGoroutines(t *testing.T, n int) {
 	}
 }
 
-// TestCloseStopsCompanion pins the lifecycle: the companion starts with
-// the first pipelined batch, Close stops it before returning, a second
-// Close is a no-op, and a closed machine keeps stepping with its events
-// applied inline and identical results.
+// waitCompanionsExit waits until every node's companion has exited,
+// which closes its free channel, collecting garbage in between so a
+// dropped machine's cleanup runs.
+func waitCompanionsExit(t *testing.T, pipes []filterPipe) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for i := range pipes {
+		for open := true; open; {
+			select {
+			case _, open = <-pipes[i].free:
+			case <-time.After(5 * time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("cpu%d's companion is still running", i)
+				}
+				runtime.GC()
+			}
+		}
+	}
+}
+
+// TestCloseStopsCompanion pins the lifecycle: every node's companion
+// starts with the first pipelined batch, Close stops all of them before
+// returning, a second Close is a no-op, and a closed machine keeps
+// stepping with its events applied inline and identical results.
 func TestCloseStopsCompanion(t *testing.T) {
 	cfg := hotPathConfig()
 	recs := hotPathRecs(1 << 13)
@@ -98,16 +118,28 @@ func TestCloseStopsCompanion(t *testing.T) {
 
 	s := New(cfg)
 	s.StepBatch(recs)
-	if s.pipe.full == nil {
-		t.Fatal("StepBatch handed no chunk to the companion")
+	for i := range s.pipes {
+		if s.pipes[i].full == nil {
+			t.Fatalf("StepBatch started no companion for cpu%d", i)
+		}
 	}
 	during := runtime.NumGoroutine()
 	s.Close()
+	for i := range s.pipes {
+		select {
+		case _, open := <-s.pipes[i].free:
+			if open {
+				t.Fatalf("cpu%d's companion returned a chunk after Close", i)
+			}
+		default:
+			t.Fatalf("cpu%d's companion still running after Close", i)
+		}
+	}
 	// Goroutines left over from earlier tests may exit at any time, so
 	// counts are compared with upper bounds only.
 	waitGoroutines(t, base)
-	if after := runtime.NumGoroutine(); during <= after {
-		t.Fatalf("%d goroutines with the companion running, %d after Close", during, after)
+	if after := runtime.NumGoroutine(); during < after+cfg.CPUs {
+		t.Fatalf("%d goroutines with %d companions running, %d after Close", during, cfg.CPUs, after)
 	}
 	s.Close()
 	s.StepBatch(recs)
@@ -125,16 +157,21 @@ func TestCloseStopsCompanion(t *testing.T) {
 }
 
 // TestDroppedSystemReleasesCompanion covers the backstop: a machine
-// dropped without Close must not leak its companion goroutine.
+// dropped without Close must not leak any node's companion goroutine.
+// The test keeps only the pipes, which never reference the machine.
 func TestDroppedSystemReleasesCompanion(t *testing.T) {
 	base := runtime.NumGoroutine()
-	func() {
+	pipes := func() []filterPipe {
 		s := New(hotPathConfig())
 		s.StepBatch(hotPathRecs(1 << 13))
-		if s.pipe.full == nil {
-			t.Fatal("StepBatch handed no chunk to the companion")
+		for i := range s.pipes {
+			if s.pipes[i].full == nil {
+				t.Fatalf("StepBatch started no companion for cpu%d", i)
+			}
 		}
+		return s.pipes
 	}()
+	waitCompanionsExit(t, pipes)
 	waitGoroutines(t, base)
 }
 
@@ -157,8 +194,11 @@ func TestEventLogSpillsInline(t *testing.T) {
 	if snoops < 4*chunkEvents {
 		t.Fatalf("only %d snoops; the drain did not overflow a chunk", snoops)
 	}
-	if s.logN != 0 || s.pipe.full != nil {
-		t.Fatalf("drain left %d events logged (companion started: %v)", s.logN, s.pipe.full != nil)
+	for i := range s.nodes {
+		if s.nodes[i].log.n != 0 || s.pipes[i].full != nil {
+			t.Fatalf("drain left %d events in cpu%d's log (companion started: %v)",
+				s.nodes[i].log.n, i, s.pipes[i].full != nil)
+		}
 	}
 	for i := range cfg.Filters {
 		if p := s.FilterCounts(i).Probes; p != snoops {

@@ -84,14 +84,14 @@ func (s *System) snoop(o *node, unit, block uint64, kind bus.Kind) bool {
 
 	// The filter bank observes every snoop (and is audited for safety
 	// violations) through the event log.
-	ev := evSnoop | uint64(o.id)<<evNodeShift | unit<<evArgShift
+	ev := evSnoop | unit<<evArgShift
 	if present {
 		ev |= evPresent
 	}
 	if blockAbsent {
 		ev |= evBlockAbsent
 	}
-	s.emit(ev)
+	s.emit(o, ev)
 
 	if !present {
 		o.l2c.SnoopMisses++
@@ -138,7 +138,7 @@ func (s *System) snoop(o *node, unit, block uint64, kind bus.Kind) bool {
 		o.l2c.SnoopStateWrites++
 		if freed {
 			o.l2c.TagEvictions++
-			s.emit(evEvict | uint64(o.id)<<evNodeShift | block<<evArgShift)
+			s.emit(o, evEvict|block<<evArgShift)
 		}
 	}
 	return true
@@ -177,12 +177,12 @@ func (s *System) fillL2Unit(n *node, unit, block uint64, st cache.State) cache.F
 	}
 	if allocated {
 		n.l2c.TagAllocs++
-		s.emit(evAlloc | uint64(n.id)<<evNodeShift | block<<evArgShift)
+		s.emit(n, evAlloc|block<<evArgShift)
 	}
 	n.l2.SetStateAt(f, unit, st)
 	n.l2.TouchAt(f)
 	n.l2c.LocalFills++
-	s.emit(evFill | uint64(n.id)<<evNodeShift | unit<<evArgShift)
+	s.emit(n, evFill|unit<<evArgShift)
 	return f
 }
 
@@ -194,7 +194,7 @@ func (s *System) fillL2Unit(n *node, unit, block uint64, st cache.State) cache.F
 // other nodes).
 func (s *System) handleEviction(n *node, ev *cache.Eviction) {
 	n.l2c.TagEvictions++
-	s.emit(evEvict | uint64(n.id)<<evNodeShift | ev.Block<<evArgShift)
+	s.emit(n, evEvict|ev.Block<<evArgShift)
 	for _, u := range ev.Units {
 		if u.InL1 {
 			s.l1SnoopInvalidate(n, u.Unit)

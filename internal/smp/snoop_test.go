@@ -99,7 +99,7 @@ func TestBlockAbsentDistinction(t *testing.T) {
 	other := uint64(0x8000)
 	read(s, 1, other)
 
-	ej := s.pipe.banks[0].filters[0]
+	ej := s.pipes[0].bank.filters[0]
 	g := s.geom
 	if ej.Peek(g.Unit(base), g.Block(base)) {
 		t.Error("EJ recorded a subblock-only miss as block absence (unsafe)")
@@ -164,7 +164,7 @@ func TestDeepSafetySweepCatchesPlantedViolation(t *testing.T) {
 	}
 	// Corrupt cpu0's filter: claim the (cached) block absent.
 	g := s.geom
-	s.pipe.banks[0].filters[0].SnoopMiss(g.Unit(a), g.Block(a), true)
+	s.pipes[0].bank.filters[0].SnoopMiss(g.Unit(a), g.Block(a), true)
 	if err := s.CheckFilterSafety(); err == nil {
 		t.Fatal("planted violation not detected by the deep sweep")
 	}

@@ -49,8 +49,8 @@ func (s *System) FilterNames() []string {
 // which must be zero for a correct filter).
 func (s *System) FilterCounts(idx int) energy.FilterCounts {
 	var c energy.FilterCounts
-	for i := range s.pipe.banks {
-		b := &s.pipe.banks[i]
+	for i := range s.pipes {
+		b := &s.pipes[i].bank
 		c.Add(b.filters[idx].Counts())
 		c.FilteredHits += b.unsafeFl[idx]
 	}
@@ -90,7 +90,7 @@ func (s *System) CheckFilterSafety() error {
 				return
 			}
 			block := s.geom.BlockOfUnit(unit)
-			for i, f := range s.pipe.banks[n.id].filters {
+			for i, f := range s.pipes[n.id].bank.filters {
 				if f.Peek(unit, block) {
 					err = fmt.Errorf("smp: cpu%d filter %s claims resident unit %#x absent",
 						n.id, s.cfg.Filters[i].Name(), unit)

@@ -44,7 +44,8 @@ func (s *CPUStats) Add(o CPUStats) {
 
 // node is one processor: core-side buffers, caches and counters. Caches
 // and write buffer are embedded by value so one node is one contiguous
-// region. Its filter bank lives in the filter pipe (pipeline.go).
+// region. Its filter bank lives in its filter pipe (pipeline.go); log
+// holds the bank's pending events.
 type node struct {
 	id  int
 	l1  cache.L1
@@ -52,6 +53,7 @@ type node struct {
 	wb  writeBuffer
 	cpu CPUStats
 	l2c energy.Counts
+	log eventLog
 }
 
 // System is the simulated SMP machine.
@@ -82,14 +84,10 @@ type System struct {
 	sampler    *metrics.Sampler
 	nextSample uint64
 
-	// Filter event log (pipeline.go). The machine appends to log; pipe
-	// holds the banks the events drive.
-	log       *chunk
-	logN      int
-	spare     []*chunk // empty chunks the machine holds besides log
-	inFlight  int      // chunks the companion has not returned yet
-	pipe      *filterPipe
-	pipelined bool // full chunks go to the companion (inside Run/StepBatch)
+	// Filter pipes (pipeline.go), one per node: the banks each node's
+	// event log drives.
+	pipes     []filterPipe
+	pipelined bool // full chunks go to the companions (inside Run/StepBatch)
 	closed    bool
 	cleanup   runtime.Cleanup
 }
@@ -114,11 +112,7 @@ func New(cfg Config) *System {
 		bus:          bus.NewStats(cfg.CPUs),
 		nodes:        make([]node, cfg.CPUs),
 		nextSample:   noSample,
-		log:          new(chunk),
-		pipe: &filterPipe{
-			banks:    make([]nodeBank, cfg.CPUs),
-			upbShift: upbShift,
-		},
+		pipes:        make([]filterPipe, cfg.CPUs),
 	}
 	for i := range s.nodes {
 		n := &s.nodes[i]
@@ -126,8 +120,11 @@ func New(cfg Config) *System {
 		n.l1 = *cache.NewL1(cfg.L1)
 		n.l2 = *cache.NewL2(cfg.L2)
 		n.wb = *newWriteBuffer(cfg.WBEntries)
+		n.log.buf = new(chunk)
+		p := &s.pipes[i]
+		p.upbShift = upbShift
 		for _, fc := range cfg.Filters {
-			s.pipe.banks[i].add(fc.New(cfg.L2.Geom.UnitsPerBlock))
+			p.bank.add(fc.New(cfg.L2.Geom.UnitsPerBlock))
 		}
 	}
 	return s
@@ -224,7 +221,7 @@ func (s *System) store(n *node, line uint64) {
 // Run interleaves the per-CPU streams of src round-robin, one reference
 // per CPU per turn, until every stream is exhausted or maxRefs references
 // have been processed (0 = unlimited). It returns the number processed.
-// The filter banks run alongside on the companion goroutine; Run joins
+// The filter banks run alongside on the companion goroutines; Run joins
 // them before it returns.
 func (s *System) Run(src trace.Source, maxRefs uint64) uint64 {
 	s.beginPipeline()
@@ -270,7 +267,7 @@ func (s *System) Run(src trace.Source, maxRefs uint64) uint64 {
 // single largest fixed cost of the replay loop. Any change here must
 // mirror step exactly — TestStepBatchMatchesStep and the replay/golden
 // suites enforce the equivalence. Like Run, StepBatch drives the filter
-// banks on the companion goroutine and joins them before it returns.
+// banks on the companion goroutines and joins them before it returns.
 func (s *System) StepBatch(recs []trace.Rec) {
 	s.beginPipeline()
 	for i := range recs {

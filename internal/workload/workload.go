@@ -305,7 +305,16 @@ const pageColors = 16
 type pageTable struct {
 	table    map[uint64]uint64
 	perColor [pageColors]uint64
+	// tlb is a direct-mapped software TLB in front of table: entry
+	// page%tlbEntries holds page+1 (0 = empty) and its frame. The table
+	// only grows and never remaps a page, so a memoized translation
+	// never goes stale.
+	tlb [tlbEntries]struct{ tag, frame uint64 }
 }
+
+// tlbEntries is the software TLB's size: room to spare for the hot and
+// warm tiers of any library spec on a 4-CPU machine (at most 400 pages).
+const tlbEntries = 1024
 
 func newPageTable() *pageTable {
 	return &pageTable{table: make(map[uint64]uint64)}
@@ -315,14 +324,18 @@ func newPageTable() *pageTable {
 // color-preserving frame on first touch.
 func (pt *pageTable) translate(va uint64) uint64 {
 	page := va >> pageBits
-	frame, ok := pt.table[page]
-	if !ok {
-		color := page % pageColors
-		frame = pt.perColor[color]*pageColors + color
-		pt.perColor[color]++
-		pt.table[page] = frame
+	e := &pt.tlb[page%tlbEntries]
+	if e.tag != page+1 {
+		frame, ok := pt.table[page]
+		if !ok {
+			color := page % pageColors
+			frame = pt.perColor[color]*pageColors + color
+			pt.perColor[color]++
+			pt.table[page] = frame
+		}
+		e.tag, e.frame = page+1, frame
 	}
-	return frame<<pageBits | va&((1<<pageBits)-1)
+	return e.frame<<pageBits | va&((1<<pageBits)-1)
 }
 
 // burstState tracks record-reuse bursts within one random tier.

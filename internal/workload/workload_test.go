@@ -201,6 +201,46 @@ func TestPagingIsCompactAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestTLBMatchesPageTable pins the software TLB's exactness: every
+// translation through it equals the first-touch table's own answer,
+// including pages that evict each other from one TLB slot.
+func TestTLBMatchesPageTable(t *testing.T) {
+	pt := newPageTable()
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 200_000; i++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		// 4096 pages over 4 TLB-slot aliases each: hits, conflict
+		// misses and first touches all occur.
+		page := state % (4 * tlbEntries)
+		va := regionGap + page<<pageBits | state>>52
+		pa := pt.translate(va)
+		frame, ok := pt.table[va>>pageBits]
+		if !ok || pa != frame<<pageBits|va&(1<<pageBits-1) {
+			t.Fatalf("ref %d: translate(%#x) = %#x, table frame %#x (present %v)", i, va, pa, frame, ok)
+		}
+	}
+}
+
+// BenchmarkSourceNext measures stream production: one generated
+// reference of the Lu mixture, round-robin over 4 CPUs.
+func BenchmarkSourceNext(b *testing.B) {
+	sp, err := ByName("Lu")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := sp.Source(4)
+	var sink uint64
+	for i := 0; b.Loop(); i++ {
+		ref, _ := src.Next(i & 3)
+		sink += ref.Addr
+	}
+	benchSink = sink
+}
+
+var benchSink uint64
+
 func TestPairSharingProducesCrossCPUTraffic(t *testing.T) {
 	sp, _ := ByName("Unstructured")
 	src := sp.Source(4)
