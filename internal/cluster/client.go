@@ -51,19 +51,11 @@ type Health struct {
 	Stats engine.Stats `json:"stats"`
 }
 
-// maxCellsReply caps the bytes RunCells reads of one /v1/cells reply.
-// A unit's reply grows with its cells' retained timelines; 256 MiB holds
-// 16 sampled cells at sweep.MaxWindowsPerCell windows of about 1 KB
-// each. A worker that sends more is treated as failed, so a broken or
-// hostile one cannot grow the coordinator's memory without bound.
-const maxCellsReply = 256 << 20
-
 // Client is a coordinator's handle on one remote jettyd worker.
 type Client struct {
-	base     string
-	name     string
-	http     *http.Client
-	maxReply int64 // maxCellsReply, lowered only by tests
+	base string
+	name string
+	http *http.Client
 }
 
 // NewClient dials nothing: it validates the base URL ("http://host:port")
@@ -76,7 +68,7 @@ func NewClient(base string) (*Client, error) {
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("cluster: worker URL %q: want http://host:port", base)
 	}
-	return &Client{base: base, name: u.Host, http: &http.Client{}, maxReply: maxCellsReply}, nil
+	return &Client{base: base, name: u.Host, http: &http.Client{}}, nil
 }
 
 // URL returns the worker's base URL.
@@ -106,8 +98,11 @@ func (c *Client) Probe(ctx context.Context) (Health, error) {
 }
 
 // RunCells dispatches one cell unit and blocks until the worker ran it
-// (or ctx expires). Non-2xx replies come back as *StatusError.
-func (c *Client) RunCells(ctx context.Context, tenant string, creq CellsRequest) (CellsResponse, error) {
+// (or ctx expires). Non-2xx replies come back as *StatusError. It reads
+// at most maxReply bytes of the reply, so a broken or hostile worker
+// cannot grow the coordinator's memory without bound; a caller passes
+// the unit's replyBound, which no honest reply exceeds.
+func (c *Client) RunCells(ctx context.Context, tenant string, creq CellsRequest, maxReply int64) (CellsResponse, error) {
 	body, err := json.Marshal(creq)
 	if err != nil {
 		return CellsResponse{}, err
@@ -128,11 +123,11 @@ func (c *Client) RunCells(ctx context.Context, tenant string, creq CellsRequest)
 	if resp.StatusCode != http.StatusOK {
 		return CellsResponse{}, &StatusError{Code: resp.StatusCode, Msg: errorBody(resp.Body)}
 	}
-	reply := &io.LimitedReader{R: resp.Body, N: c.maxReply}
+	reply := &io.LimitedReader{R: resp.Body, N: maxReply}
 	var out CellsResponse
 	if err := json.NewDecoder(reply).Decode(&out); err != nil {
 		if reply.N == 0 {
-			return CellsResponse{}, fmt.Errorf("cluster: %s: cells reply exceeds %d bytes", c.name, c.maxReply)
+			return CellsResponse{}, fmt.Errorf("cluster: %s: cells reply exceeds %d bytes", c.name, maxReply)
 		}
 		return CellsResponse{}, fmt.Errorf("cluster: %s: bad cells body: %w", c.name, err)
 	}

@@ -14,6 +14,8 @@
 package cluster
 
 import (
+	"encoding/json"
+
 	"jetty/internal/sim"
 	"jetty/internal/sweep"
 )
@@ -60,4 +62,54 @@ type CellsResponse struct {
 	Worker string `json:"worker,omitempty"`
 	// Cells holds one outcome per requested index, in request order.
 	Cells []CellOutcome `json:"cells"`
+}
+
+// Bounds on the JSON encoding of a CellsResponse with every counter at
+// its widest; TestReplyBoundCoversWidestReply checks them against the
+// encoder.
+const (
+	// replyBytes covers the response outside its cells.
+	replyBytes = 1 << 10
+	// outcomeBytes covers a CellOutcome's fields and its result's
+	// scalars and statistics, without the per-CPU, per-filter and
+	// per-window parts, the spec and the filter names.
+	outcomeBytes = 4 << 10
+	// outcomeCPUBytes covers a result's two per-CPU entries.
+	outcomeCPUBytes = 64
+	// outcomeFilterBytes covers a result's per-filter counts and
+	// coverage.
+	outcomeFilterBytes = 256
+	// windowBytes covers a timeline window without its filters;
+	// windowFilterBytes one filter's counts in it.
+	windowBytes       = 1 << 10
+	windowFilterBytes = 256
+)
+
+// replyBound bounds the bytes of an honest reply to a request for the
+// cells at indices, sampled every interval references (0: unsampled). A
+// cell's result grows with its CPUs, its filters and, sampled, its
+// windows; its spec and filter names are counted as encoded. (Both are
+// plain data, so encoding them cannot fail.)
+func replyBound(cells []sweep.Cell, indices []int, interval uint64) int64 {
+	n := int64(replyBytes)
+	for _, i := range indices {
+		c := cells[i]
+		cfg := c.Config()
+		spec, _ := json.Marshal(c.Label())
+		names := make([]string, len(cfg.Filters))
+		for j, f := range cfg.Filters {
+			names[j] = f.Name()
+		}
+		nameBytes, _ := json.Marshal(names)
+		filters := int64(len(cfg.Filters))
+		n += outcomeBytes + int64(len(spec)) + 2*int64(len(nameBytes)) +
+			int64(cfg.CPUs)*outcomeCPUBytes + filters*outcomeFilterBytes
+		if interval > 0 {
+			// A run emits a window per interval, a partial tail
+			// window and a drain-only one (sim's newSampler).
+			windows := int64(c.Total()/interval) + 2
+			n += windows * (windowBytes + filters*windowFilterBytes)
+		}
+	}
+	return n
 }

@@ -360,10 +360,10 @@ func (s *Sweep) startAttempt(u int, w *worker) {
 }
 
 // runAttempt dispatches the unit, classifies the outcome, and wakes the
-// scheduler. Error taxonomy: transport failure condemns the worker
-// (mark dead, hedge); 5xx/429 condemns the moment (requeue with
-// backoff, worker stays alive); any other 4xx condemns the request
-// (permanent sweep failure).
+// scheduler. Error taxonomy: transport failure (or an over-long reply)
+// condemns the worker (mark dead, hedge); 5xx/429 condemns the moment
+// (requeue with backoff, worker stays alive); any other 4xx condemns
+// the request (permanent sweep failure).
 func (s *Sweep) runAttempt(a *attempt, attemptNo int) {
 	ctx, cancel := context.WithTimeout(s.co.ctx, s.co.opts.RequestTimeout)
 	defer cancel()
@@ -373,7 +373,8 @@ func (s *Sweep) runAttempt(a *attempt, attemptNo int) {
 	err := s.co.ensureTraces(ctx, a.w, s.tenant, s.traces)
 	var resp CellsResponse
 	if err == nil {
-		resp, err = a.w.client.RunCells(ctx, s.tenant, CellsRequest{Spec: s.spec, Indices: indices})
+		resp, err = a.w.client.RunCells(ctx, s.tenant, CellsRequest{Spec: s.spec, Indices: indices},
+			replyBound(s.cells, indices, s.spec.Interval))
 	}
 
 	if err == nil {
@@ -403,9 +404,11 @@ func (s *Sweep) runAttempt(a *attempt, attemptNo int) {
 		}
 		s.removeAttempt(a, true)
 	default:
-		// Transport failure: the worker is gone. markDead hedges every
-		// live attempt on it — including this one — so requeue here only
-		// if that pass didn't (the worker was already dead).
+		// Transport failure, or a reply past the unit's replyBound,
+		// which no honest worker sends: the worker is gone or broken.
+		// markDead hedges every live attempt on it — including this one —
+		// so requeue here only if that pass didn't (the worker was
+		// already dead).
 		s.co.markDead(a.w, err)
 		s.removeAttempt(a, true)
 	}

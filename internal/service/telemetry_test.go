@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -484,6 +485,9 @@ func TestPprofGate(t *testing.T) {
 	}
 }
 
+// memoMetricsRuns counts TestStreamMemoMetrics runs in this process.
+var memoMetricsRuns atomic.Int64
+
 // TestStreamMemoMetrics pins the stream memo's instruments. With the
 // engine cache off, two identical sweeps both simulate, and the second
 // replays the stream the first generated: one miss, then one hit.
@@ -508,9 +512,11 @@ func TestStreamMemoMetrics(t *testing.T) {
 		misses = "jettyd_stream_memo_misses_total"
 		size   = "jettyd_stream_memo_bytes"
 	)
-	// A phased stream's key keeps its length, so at a scale no other
-	// test uses no earlier run in this process can have memoized it.
-	spec := sweep.Spec{Workloads: []string{"PhasedOLTP"}, Filters: []string{"EJ-16x2"}, Scale: 0.0137}
+	// A phased stream's key keeps its length, so at a scale no earlier
+	// run in this process used (a rerun under -count moves it) the
+	// first sweep cannot find its stream memoized.
+	scale := 0.0137 + 0.0001*float64(memoMetricsRuns.Add(1))
+	spec := sweep.Spec{Workloads: []string{"PhasedOLTP"}, Filters: []string{"EJ-16x2"}, Scale: scale}
 	h0, m0 := value(hits), value(misses)
 	for i, want := range []struct{ hits, misses float64 }{{0, 1}, {1, 1}} {
 		var st SweepStatus

@@ -39,6 +39,15 @@ func (in Input) Total() uint64 {
 	return in.Spec.Accesses
 }
 
+// Label returns the workload spec a run of in labels its results with:
+// the generator spec, or a trace's name and length.
+func (in Input) Label() workload.Spec {
+	if in.Trace != nil {
+		return in.Trace.pseudoSpec()
+	}
+	return in.Spec
+}
+
 // kind is the input's telemetry label for a single-member task.
 func (in Input) kind() string {
 	if in.Trace != nil {
@@ -148,10 +157,8 @@ func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 		}
 		sys.SetSampler(sm)
 	}
-	label := in.Spec
 	var err error
 	if rd != nil {
-		label = in.Trace.pseudoSpec()
 		err = replay(ctx, sys, rd, in.Trace.Records, report)
 	} else {
 		err = m.generate(ctx, sys, in.Spec, plan.Capture, report)
@@ -159,7 +166,7 @@ func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 	if err != nil {
 		return nil, err
 	}
-	full, err := finishRun(sys, label, cfg)
+	full, err := finishRun(sys, in.Label(), cfg)
 	if err != nil {
 		return nil, err
 	}

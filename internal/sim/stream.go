@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"jetty/internal/addr"
 	"jetty/internal/lru"
@@ -17,12 +18,12 @@ import (
 // The stream memo. The paper captured each application's reference
 // stream once and replayed it for every filter configuration; a
 // generator input is the same kind of fixed stream, a pure function of
-// its spec and the machine's CPU count. So generated streams are kept,
-// packed, in one process-wide memo bounded in bytes, and a run whose
-// stream is memoized replays it through System.StepBatch instead of
-// running the generator again. A miss runs the generator as before,
-// records the stream as the machine consumes it and stores it once the
-// pass completes.
+// its spec and the machine's CPU count. So generated streams are kept in
+// one process-wide memo bounded in bytes, and a run whose stream is
+// memoized steps it through System.StepBatch instead of running the
+// generator again. A miss runs the generator as before, records the
+// stream as the machine consumes it and stores it once the pass
+// completes.
 //
 // A stationary mixture's stream does not depend on Accesses (Spec.Scale
 // changes nothing else): a shorter run consumes a prefix of a longer
@@ -31,62 +32,68 @@ import (
 // Accesses, so its key keeps it.
 
 // streamBudget bounds the bytes of memoized streams: a 100,000-reference
-// stream packs into 0.8 MB, a full-scale suite app into about 10 MB.
+// stream takes 1.6 MB, a full-scale suite app about 20 MB.
 const streamBudget = 64 << 20
 
-// A memoized record packs into one word: the operation in bit 0, the
-// CPU in bits 1-6 (a machine has at most 64) and the physical address,
-// masked the way the machine reads it, above.
-const (
-	recCPUShift  = 1
-	recAddrShift = 7
-)
+// recBytes is the memo's cost of one record.
+const recBytes = int(unsafe.Sizeof(trace.Rec{}))
 
-func packRec(r trace.Rec) uint64 {
-	return r.Addr<<recAddrShift | uint64(r.CPU)<<recCPUShift | uint64(r.Op)
-}
-
-func unpackRec(w uint64) trace.Rec {
-	return trace.Rec{Addr: w >> recAddrShift, CPU: int32(w >> recCPUShift & 63), Op: trace.Op(w & 1)}
-}
-
-// streamMemo is a byte-bounded LRU of packed streams. A stored stream is
-// never modified, so a run keeps reading it after it is evicted.
+// streamMemo is a byte-bounded LRU of streams, each held as the records
+// System.StepBatch reads. A stored stream is never modified, so a run
+// keeps stepping it after it is evicted.
 type streamMemo struct {
-	budget       int
-	mu           sync.Mutex
-	streams      *lru.LRU[[]uint64]
+	budget  int
+	mu      sync.Mutex
+	streams *lru.LRU[[]trace.Rec]
+	// recording maps a key to the length of the longest stream a miss
+	// is recording under it now.
+	recording    map[string]uint64
 	hits, misses uint64
 }
 
 func newStreamMemo(budget int) *streamMemo {
 	return &streamMemo{
-		budget:  budget,
-		streams: lru.NewWeighted(budget, func(s []uint64) int { return 8 * len(s) }),
+		budget:    budget,
+		streams:   lru.NewWeighted(budget, func(s []trace.Rec) int { return recBytes * len(s) }),
+		recording: make(map[string]uint64),
 	}
 }
 
 // streams is the process-wide stream memo.
 var streams = newStreamMemo(streamBudget)
 
-// get returns the first n records of the stream memoized under key, or
-// nil when none of that length is.
-func (m *streamMemo) get(key string, n uint64) []uint64 {
+// lookup returns the first n records of the stream memoized under key,
+// or nil when none of that length is. On a miss it also reports whether
+// the caller is to record the stream it generates: only when the stream
+// fits the budget and no run is recording one at least as long under
+// key already, so concurrent misses of one stream record it once.
+func (m *streamMemo) lookup(key string, n uint64) (s []trace.Rec, record bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if s, ok := m.streams.Get(key); ok && uint64(len(s)) >= n {
 		m.hits++
-		return s[:n]
+		return s[:n], false
 	}
 	m.misses++
-	return nil
+	if n == 0 || n > uint64(m.budget/recBytes) || m.recording[key] >= n {
+		return nil, false
+	}
+	m.recording[key] = n
+	return nil, true
 }
 
-// put memoizes a complete stream unless a stream at least as long is
-// memoized under key already.
-func (m *streamMemo) put(key string, s []uint64) {
+// finish ends the recording of n records that lookup started under key.
+// It memoizes s, the complete stream, unless s is nil (the pass failed)
+// or a stream at least as long is memoized under key already.
+func (m *streamMemo) finish(key string, n uint64, s []trace.Rec) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.recording[key] == n {
+		delete(m.recording, key)
+	}
+	if s == nil {
+		return
+	}
 	if old, ok := m.streams.Get(key); ok && len(old) >= len(s) {
 		return
 	}
@@ -141,43 +148,43 @@ func streamKey(sp workload.Spec, cpus int) string {
 // the whole generation.
 func (m *streamMemo) generate(ctx context.Context, sys *smp.System, sp workload.Spec, tw *trace.Writer, report func(done uint64)) error {
 	cpus := sys.Config().CPUs
-	key := streamKey(sp, cpus)
-	if tw == nil {
-		if s := m.get(key, sp.Accesses); s != nil {
-			return stepStream(ctx, sys, streamBuf(ctx), s, report)
-		}
-	}
-
 	var src trace.Source = sp.Source(cpus)
 	var cp *trace.Capture
+	var rec *recorder
 	if tw != nil {
 		cp = trace.NewCapture(src, tw)
 		src = cp
-	}
-	var rec *recorder
-	if sp.Accesses <= uint64(m.budget)/8 {
-		rec = &recorder{src: src, recs: make([]uint64, 0, sp.Accesses)}
-		src = rec
-	}
-	if err := runChunked(ctx, sys, src, sp.Accesses, report); err != nil {
-		return err
-	}
-	if cp != nil {
-		if err := cp.Err(); err != nil {
-			return fmt.Errorf("sim: recording trace: %w", err)
+	} else {
+		key := streamKey(sp, cpus)
+		s, record := m.lookup(key, sp.Accesses)
+		if s != nil {
+			return stepStream(ctx, sys, s, report)
+		}
+		if record {
+			rec = &recorder{src: src, recs: make([]trace.Rec, 0, sp.Accesses)}
+			src = rec
+			defer func() { m.finish(key, sp.Accesses, rec.recs) }()
 		}
 	}
-	if rec != nil {
-		m.put(key, rec.recs)
+	err := runChunked(ctx, sys, src, sp.Accesses, report)
+	if err == nil && cp != nil {
+		if err = cp.Err(); err != nil {
+			err = fmt.Errorf("sim: recording trace: %w", err)
+		}
 	}
-	return nil
+	if err != nil && rec != nil {
+		rec.recs = nil
+	}
+	return err
 }
 
-// recorder tees a generator into a packed stream, in the order the
-// machine consumes its references.
+// recorder tees a generator into a stream, in the order the machine
+// consumes its references, with the address masked the way the machine
+// reads it. Its slice is allocated at the stream's full length up
+// front, so the memo weighs exactly the memory it holds.
 type recorder struct {
 	src  trace.Source
-	recs []uint64
+	recs []trace.Rec
 }
 
 // CPUs implements trace.Source.
@@ -186,38 +193,24 @@ func (r *recorder) CPUs() int { return r.src.CPUs() }
 // Next implements trace.Source.
 func (r *recorder) Next(cpu int) (trace.Ref, bool) {
 	ref, ok := r.src.Next(cpu)
-	r.recs = append(r.recs, packRec(trace.Rec{Addr: ref.Addr & addr.PhysMask, CPU: int32(cpu), Op: ref.Op}))
+	r.recs = append(r.recs, trace.Rec{Addr: ref.Addr & addr.PhysMask, CPU: int32(cpu), Op: ref.Op})
 	return ref, ok
 }
 
 // stepStream steps a memoized stream through sys in batches of
-// progressChunk references.
-func stepStream(ctx context.Context, sys *smp.System, buf []trace.Rec, s []uint64, report func(done uint64)) error {
-	var done uint64
-	for len(s) > 0 {
+// progressChunk references, checking for cancellation and reporting
+// progress between batches as runChunked does.
+func stepStream(ctx context.Context, sys *smp.System, s []trace.Rec, report func(done uint64)) error {
+	for done := 0; done < len(s); {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		batch := buf[:min(len(buf), len(s))]
-		for i := range batch {
-			batch[i] = unpackRec(s[i])
-		}
-		sys.StepBatch(batch)
-		s = s[len(batch):]
-		done += uint64(len(batch))
+		n := min(progressChunk, len(s)-done)
+		sys.StepBatch(s[done : done+n])
+		done += n
 		if report != nil {
-			report(done)
+			report(uint64(done))
 		}
 	}
 	return nil
-}
-
-// streamBufKey keys the reusable stream record buffer in an engine
-// worker's Scratch.
-type streamBufKey struct{}
-
-// streamBuf returns a stream record buffer, reusing the per-worker one
-// when the run executes on an engine worker (engine.ScratchFrom).
-func streamBuf(ctx context.Context) []trace.Rec {
-	return scratchRecs(ctx, streamBufKey{}, progressChunk)
 }

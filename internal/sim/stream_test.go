@@ -10,6 +10,7 @@ import (
 
 	"jetty/internal/jetty"
 	"jetty/internal/smp"
+	"jetty/internal/trace"
 	"jetty/internal/workload"
 )
 
@@ -218,7 +219,7 @@ func TestStreamMemoConcurrentRuns(t *testing.T) {
 func TestStreamMemoBudget(t *testing.T) {
 	cfg := memoTestConfig()
 	const n = 10_000
-	m := newStreamMemo(8 * (2*n + n/2)) // two streams of n records fit, three do not
+	m := newStreamMemo(recBytes * (2*n + n/2)) // two streams of n records fit, three do not
 	specs := make([]workload.Spec, 3)
 	for i := range specs {
 		sp, err := workload.ByName("Barnes")
@@ -233,8 +234,8 @@ func TestStreamMemoBudget(t *testing.T) {
 			t.Fatalf("memo holds %d bytes over its %d-byte budget", w, m.budget)
 		}
 	}
-	if m.streams.Len() != 2 || m.streams.Weight() != 2*8*n {
-		t.Fatalf("memo holds %d streams in %d bytes, want 2 in %d", m.streams.Len(), m.streams.Weight(), 2*8*n)
+	if m.streams.Len() != 2 || m.streams.Weight() != 2*recBytes*n {
+		t.Fatalf("memo holds %d streams in %d bytes, want 2 in %d", m.streams.Len(), m.streams.Weight(), 2*recBytes*n)
 	}
 	if _, ok := m.streams.Get(streamKey(specs[0], cfg.CPUs)); ok {
 		t.Error("the least recently used stream survived eviction")
@@ -275,5 +276,45 @@ func TestCanceledMissStoresNothing(t *testing.T) {
 	wantCounts(t, "after the canceled miss", m, 0, 2)
 	if m.streams.Len() != 1 {
 		t.Fatal("a complete miss stored nothing")
+	}
+	if len(m.recording) != 0 {
+		t.Errorf("%d recordings left open", len(m.recording))
+	}
+}
+
+// TestStreamMemoRecordsOnce pins who records a missed stream: the first
+// miss of a key, then only a miss of a longer stream while that one is
+// in flight, and never a stream over the budget. Finishing a failed
+// recording stores nothing and lets the next miss record again.
+func TestStreamMemoRecordsOnce(t *testing.T) {
+	const n = 1000
+	m := newStreamMemo(recBytes * 4 * n)
+	steps := []struct {
+		label  string
+		n      uint64
+		record bool
+	}{
+		{"first miss", n, true},
+		{"concurrent miss", n, false},
+		{"concurrent shorter miss", n / 2, false},
+		{"concurrent longer miss", 2 * n, true},
+		{"over-budget miss", 5 * n, false},
+	}
+	for _, st := range steps {
+		if s, record := m.lookup("k", st.n); s != nil || record != st.record {
+			t.Fatalf("%s: hit %v, record %v; want a miss, record %v", st.label, s != nil, record, st.record)
+		}
+	}
+	m.finish("k", 2*n, nil)
+	m.finish("k", n, nil)
+	if m.streams.Len() != 0 || len(m.recording) != 0 {
+		t.Fatalf("failed recordings left %d streams, %d recordings", m.streams.Len(), len(m.recording))
+	}
+	if _, record := m.lookup("k", n); !record {
+		t.Fatal("a miss after failed recordings does not record")
+	}
+	m.finish("k", n, make([]trace.Rec, n))
+	if s, record := m.lookup("k", n-1); len(s) != n-1 || record {
+		t.Fatalf("prefix lookup: %d records, record %v; want %d, false", len(s), record, n-1)
 	}
 }

@@ -85,21 +85,15 @@ type replayBufKey struct{}
 // replayBuf returns a replay record buffer, reusing the per-worker one
 // when the run executes on an engine worker (engine.ScratchFrom).
 func replayBuf(ctx context.Context) []trace.Rec {
-	return scratchRecs(ctx, replayBufKey{}, replayBatchRecords)
-}
-
-// scratchRecs returns a record buffer of n records: the one the engine
-// worker running ctx keeps under key, or a new one off the engine.
-func scratchRecs(ctx context.Context, key any, n int) []trace.Rec {
 	sc := engine.ScratchFrom(ctx)
 	if sc == nil {
-		return make([]trace.Rec, n)
+		return make([]trace.Rec, replayBatchRecords)
 	}
-	if buf, ok := sc.Get(key).([]trace.Rec); ok {
+	if buf, ok := sc.Get(replayBufKey{}).([]trace.Rec); ok {
 		return buf
 	}
-	buf := make([]trace.Rec, n)
-	sc.Put(key, buf)
+	buf := make([]trace.Rec, replayBatchRecords)
+	sc.Put(replayBufKey{}, buf)
 	return buf
 }
 

@@ -291,6 +291,9 @@ func (c Cell) Config() smp.Config { return c.cfg }
 // without holding engine jobs).
 func (c Cell) Total() uint64 { return c.in.Total() }
 
+// Label returns the workload spec the cell's result carries.
+func (c Cell) Label() workload.Spec { return c.in.Label() }
+
 // Expand resolves and expands the spec into its cells, in deterministic
 // workload-major order. traces may be nil when the spec has no trace
 // entries.
