@@ -44,7 +44,7 @@
 //	       -cluster-workers http://localhost:8081,http://localhost:8082
 //
 // The coordinator serves the same API as a single daemon — clients POST
-// sweeps to /v1/sweeps exactly as before — but cells run on the
+// sweeps and experiments exactly as before — but cells run on the
 // workers, lost workers are detected and their cells rescheduled, and
 // GET /v1/cluster/status reports the worker table and cluster counters.
 package main

@@ -101,7 +101,7 @@ func run(specPath, format, by, outPath string, workers int, quiet bool) error {
 	defer stop()
 
 	start := time.Now()
-	s, err := sweep.Submit(runner, spec, fileTraceResolver)
+	s, err := sweep.Submit(runner, spec, fileTraceResolver, sweep.Submission{})
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"jetty/internal/cluster"
 	"jetty/internal/obs"
-	"jetty/internal/sim"
 	"jetty/internal/sweep"
 )
 
@@ -49,20 +48,13 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 
 	tenant := tenantFrom(r.Context())
 	s.mu.Lock()
-	resolver := func(digest string) (sim.TraceInput, error) {
-		in, ok := s.traces[digest]
-		if !ok {
-			return sim.TraceInput{}, fmt.Errorf("not uploaded (POST it to /v1/traces first)")
-		}
-		return in, nil
-	}
 	if code, reason, err := s.admitLocked(tenant, len(req.Indices)); err != nil {
 		s.mu.Unlock()
 		s.tel.admissionRejected.With(tenant, reason).Add(1)
 		s.writeRetryError(w, code, tenant, err)
 		return
 	}
-	cs, err := sweep.SubmitCells(s.runner, req.Spec, resolver, obs.RequestID(r.Context()), tenant, req.Indices)
+	cs, err := sweep.SubmitCells(s.runner, req.Spec, s.traceLocked, obs.RequestID(r.Context()), tenant, req.Indices)
 	if err != nil {
 		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, err)

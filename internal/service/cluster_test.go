@@ -241,3 +241,50 @@ func TestCellsEndpoint(t *testing.T) {
 		t.Errorf("quota-limited cells code %d, want 429", code)
 	}
 }
+
+// TestClusterRunsExperiments: an experiment sent to a coordinator shards
+// its runs across the workers like any sweep, and its results, tables
+// and live stream match a single-process daemon's.
+func TestClusterRunsExperiments(t *testing.T) {
+	coordBase, _ := newClusterFleet(t, 2)
+	_, plainBase := newTestServer(t, Options{Workers: 2})
+
+	req := SubmitRequest{Apps: []string{"Lu", "ch"}, Scale: 0.02, Filters: []string{"EJ-32x4", "EJ-16x2"}, Interval: 4096}
+	run := func(base string) (ExperimentResult, []sseEvent) {
+		t.Helper()
+		var st ExperimentStatus
+		if code := doJSON(t, "POST", base+"/v1/experiments", req, &st); code != http.StatusAccepted {
+			t.Fatalf("submit code %d", code)
+		}
+		if final := waitDone(t, base, st.ID); final.State != "done" {
+			t.Fatalf("experiment ended %s", final.State)
+		}
+		var res ExperimentResult
+		if code := doJSON(t, "GET", base+"/v1/experiments/"+st.ID+"/result", nil, &res); code != http.StatusOK {
+			t.Fatalf("result code %d", code)
+		}
+		return res, liveStream(t, base, st.ID, 1<<20)
+	}
+	clusterRes, clusterLive := run(coordBase)
+	plainRes, _ := run(plainBase)
+	if !reflect.DeepEqual(clusterRes.Results, plainRes.Results) || !reflect.DeepEqual(clusterRes.Tables, plainRes.Tables) {
+		t.Error("coordinator experiment results or tables diverge from the single-process daemon's")
+	}
+	// No window hook fires on the coordinator: the live stream is topped
+	// up from the retained timelines.
+	windows := 0
+	for _, r := range clusterRes.Results {
+		windows += len(r.Timeline.Windows)
+	}
+	if got := len(clusterLive) - 1; got != windows || windows == 0 {
+		t.Errorf("coordinator live stream delivered %d windows, timelines hold %d", got, windows)
+	}
+
+	var cst cluster.Stats
+	if code := doJSON(t, "GET", coordBase+"/v1/cluster/status", nil, &cst); code != http.StatusOK {
+		t.Fatalf("cluster status code %d", code)
+	}
+	if cst.CellsDispatched == 0 {
+		t.Error("coordinator dispatched no cells for an experiment")
+	}
+}

@@ -8,18 +8,18 @@ import (
 	"sync"
 	"time"
 
-	"jetty/internal/engine"
 	"jetty/internal/metrics"
-	"jetty/internal/sim"
+	"jetty/internal/sweep"
 )
 
 // Live observability: sampled experiments (SubmitRequest.Interval > 0)
 // expose their timeline two ways — GET .../timeline serves the finished
 // per-app timelines, and GET .../live streams windows as Server-Sent
 // Events while the simulation runs. The stream source is a liveFeed fed
-// by the sampler's OnWindow hook on the engine worker; subscribers that
-// attach late (or whose experiment was served from the result cache, so
-// no hook ever fired) are topped up from the retained timelines when the
+// by the sweep's per-cell window hook (sweep.Submission.OnWindow) on the
+// engine worker; subscribers that attach late (or whose experiment was
+// served from the result cache or ran on cluster workers, so no hook
+// ever fired) are topped up from the retained timelines when the
 // experiment finishes, so every subscriber always sees the complete
 // window sequence exactly once.
 
@@ -36,7 +36,11 @@ type liveFeed struct {
 	notify chan struct{}
 }
 
-func newLiveFeed(apps []string) *liveFeed {
+func newLiveFeed(cells []sweep.Cell) *liveFeed {
+	apps := make([]string, len(cells))
+	for i, c := range cells {
+		apps[i] = c.Label().Name
+	}
 	return &liveFeed{
 		apps:   apps,
 		wins:   make([][]json.RawMessage, len(apps)),
@@ -45,7 +49,7 @@ func newLiveFeed(apps []string) *liveFeed {
 	}
 }
 
-// publish appends one window for job idx. The window pointer is borrowed
+// publish appends one window for cell idx. The window pointer is borrowed
 // from the sampler (valid only during the callback), so it is encoded
 // before the lock, never stored.
 func (f *liveFeed) publish(idx int, w *metrics.Window) {
@@ -75,9 +79,9 @@ func (f *liveFeed) buffered() int {
 	return n
 }
 
-// finish tops up windows no hook delivered (cache-hit jobs ran before
+// finish tops up windows no hook delivered (cache-hit cells ran before
 // this experiment attached, or a subscriber raced the last publishes)
-// from the jobs' retained timelines, then marks the feed complete.
+// from the cells' retained timelines, then marks the feed complete.
 // Idempotent; any SSE handler that observes the experiment terminal may
 // call it.
 func (f *liveFeed) finish(timelines []*metrics.Timeline) {
@@ -134,25 +138,20 @@ func (f *liveFeed) next(cursors []int) (events []liveEvent, done bool, wait <-ch
 	return events, f.done, f.notify
 }
 
-// resultTimelines collects the finished jobs' timelines in job order
-// (nil for jobs that failed, were canceled, or ran unsampled). It never
-// blocks: only terminal-state jobs are consulted, so Wait returns
-// immediately — and it deliberately waits under the background context,
-// not the subscriber's: a detaching subscriber's canceled request must
-// not race the finished channel into finishing the feed with nil
-// timelines (which would permanently truncate every later subscriber's
-// stream).
-func (e *experiment) resultTimelines() []*metrics.Timeline {
-	out := make([]*metrics.Timeline, len(e.jobs))
-	for i, j := range e.jobs {
-		if j.State() != engine.Done {
-			continue
-		}
-		v, err := j.Wait(context.Background())
-		if err != nil {
-			continue
-		}
-		out[i] = v.(sim.AppResult).Timeline
+// timelines returns a finished experiment's per-cell timelines, or nil
+// unless it finished done. It waits under the background context, not
+// the subscriber's: a detaching subscriber's canceled request must not
+// race the finished channel into finishing the feed with nil timelines
+// (which would permanently truncate every later subscriber's stream).
+// Callers observe the job terminal first, so Wait returns at once.
+func (j *job) timelines() []*metrics.Timeline {
+	res, err := j.sw.Wait(context.Background())
+	if err != nil {
+		return nil
+	}
+	out := make([]*metrics.Timeline, len(res.Cells))
+	for _, tl := range res.Timelines {
+		out[tl.Cell] = tl.Timeline
 	}
 	return out
 }
@@ -171,34 +170,22 @@ type TimelineResponse struct {
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	exp := s.lookup(w, r)
-	if exp == nil {
+	j := s.lookup(w, r, true)
+	if j == nil {
 		return
 	}
-	if exp.interval == 0 {
+	if j.req.Interval == 0 {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("experiment %s was not sampled; submit with \"interval\" to record a timeline", exp.id))
+			fmt.Errorf("experiment %s was not sampled; submit with \"interval\" to record a timeline", j.id))
 		return
 	}
-	st := exp.status()
-	if st.State != "done" {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  "experiment not finished",
-			"status": st,
-		})
+	res := s.result(w, r, j)
+	if res == nil {
 		return
 	}
-	out := TimelineResponse{ID: exp.id, Interval: exp.interval}
-	for i, j := range exp.jobs {
-		v, err := j.Wait(r.Context())
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		out.Apps = append(out.Apps, AppTimeline{
-			App:      exp.specs[i].Name,
-			Timeline: v.(sim.AppResult).Timeline.Clone(),
-		})
+	out := TimelineResponse{ID: j.id, Interval: j.req.Interval}
+	for i, ar := range appResults(res) {
+		out.Apps = append(out.Apps, AppTimeline{App: res.Cells[i].Cell.Label().Name, Timeline: ar.Timeline})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -215,11 +202,11 @@ const livePollPeriod = 100 * time.Millisecond
 //	event: done      data: {final ExperimentStatus}
 //
 // Works for unsampled experiments too (no window events, a final done),
-// and for experiments canceled or evicted mid-stream (their jobs reach a
-// terminal state, closing the stream cleanly).
+// and for experiments canceled or evicted mid-stream (their cells reach
+// a terminal state, closing the stream cleanly).
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	exp := s.lookup(w, r)
-	if exp == nil {
+	j := s.lookup(w, r, true)
+	if j == nil {
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -236,22 +223,22 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	defer s.tel.liveSubscribers.Add(-1)
 
 	var cursors []int
-	if exp.feed != nil {
-		cursors = make([]int, len(exp.jobs))
+	if j.feed != nil {
+		cursors = make([]int, len(j.sw.Cells()))
 	}
 	ticker := time.NewTicker(livePollPeriod)
 	defer ticker.Stop()
 	for {
-		st := exp.status()
+		st := j.experimentStatus()
 		terminal := st.State == "done" || st.State == "failed" || st.State == "canceled"
 		var done bool
 		var wait <-chan struct{}
-		if exp.feed != nil {
+		if j.feed != nil {
 			if terminal {
-				exp.feed.finish(exp.resultTimelines())
+				j.feed.finish(j.timelines())
 			}
 			var events []liveEvent
-			events, done, wait = exp.feed.next(cursors)
+			events, done, wait = j.feed.next(cursors)
 			for _, ev := range events {
 				raw, err := json.Marshal(ev)
 				if err != nil {

@@ -29,22 +29,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // engine reads with locked registry reads).
 func (s *Server) snapshotGauges() {
 	s.mu.Lock()
-	registered := len(s.exps)
-	sweepsRegistered := len(s.sweeps)
-	unfinished := s.unfinishedLocked()
+	var registered, buffered int
+	for _, j := range s.jobs {
+		if j.experiment() {
+			registered++
+		}
+		if j.feed != nil {
+			buffered += j.feed.buffered()
+		}
+	}
+	sweepsRegistered := len(s.jobs) - registered
 	tracesStored := len(s.traces)
 	var traceBytes int
 	for _, in := range s.traces {
 		traceBytes += len(in.Data)
 	}
-	var buffered int
-	for _, exp := range s.exps {
-		if exp.feed != nil {
-			buffered += exp.feed.buffered()
-		}
-	}
-	loads := s.tenantLoadsLocked()
+	loads := s.loadsLocked()
 	s.mu.Unlock()
+	unfinished := unfinishedJobs(loads)
 
 	eng := s.runner.Engine()
 	st := eng.Stats()

@@ -2,7 +2,7 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,28 +51,17 @@ func (s *Server) persistJob(j jobJournal) {
 	}
 }
 
-// watchSweep retires a journaled sweep's record once it completes. It
-// polls rather than calling Wait: sweep.Sweep.Wait cancels the
-// remaining cells on first error, and a watcher must never cancel work.
-// Canceled and failed jobs keep their journal entry, so a sweep
-// interrupted by shutdown (its cells die Canceled) is resubmitted at
-// next boot.
-func (s *Server) watchSweep(id string, sw sweepHandle) {
-	for sw.Unfinished() {
+// watch retires a journaled job's record once it completes. It polls
+// rather than calling Wait: sweep.Sweep.Wait cancels the remaining cells
+// on first error, and a watcher must never cancel work. Canceled and
+// failed jobs keep their journal entry, so a job interrupted by shutdown
+// (its cells die Canceled) is resubmitted at next boot.
+func (s *Server) watch(j *job) {
+	for j.sw.Unfinished() {
 		time.Sleep(watchPoll)
 	}
-	if sw.Status(false).State == "done" {
-		s.store.DeleteJob(id)
-	}
-}
-
-// watchExperiment is watchSweep for experiments.
-func (s *Server) watchExperiment(exp *experiment) {
-	for exp.unfinished() {
-		time.Sleep(watchPoll)
-	}
-	if exp.status().State == "done" {
-		s.store.DeleteJob(exp.id)
+	if j.sw.Status(false).State == "done" {
+		s.store.DeleteJob(j.id)
 	}
 }
 
@@ -128,15 +117,24 @@ func (s *Server) restore() {
 			s.store.DeleteJob(id)
 			continue
 		}
-		switch j.Kind {
-		case jobKindSweep:
-			s.restoreSweep(j)
-		case jobKindExperiment:
-			s.restoreExperiment(j)
-		default:
-			s.tel.log.Warn("discarding job journal of unknown kind", "id", id, "kind", j.Kind)
-			s.store.DeleteJob(id)
+		s.mu.Lock()
+		spec, req, err := j.submission(s.traceLocked)
+		var cells []sweep.Cell
+		if err == nil {
+			cells, err = spec.Expand(s.traceLocked)
 		}
+		var jb *job
+		if err == nil {
+			jb, err = s.startLocked(j.ID, spec, req, cells, j.Origin, j.Tenant)
+		}
+		s.mu.Unlock()
+		if err != nil {
+			s.tel.log.Warn("journaled job no longer submittable", "id", id, "kind", j.Kind, "err", err)
+			s.store.DeleteJob(id)
+			continue
+		}
+		s.tel.log.Info("resumed job from journal", "id", id, "kind", j.Kind, "tenant", j.Tenant)
+		go s.watch(jb)
 	}
 }
 
@@ -150,54 +148,16 @@ func (s *Server) noteSeq(id string) {
 	}
 }
 
-// restoreSweep resubmits one journaled sweep under its original ID.
-func (s *Server) restoreSweep(j jobJournal) {
-	if j.Spec == nil || j.Spec.Validate() != nil {
-		s.store.DeleteJob(j.ID)
-		return
+// submission recovers what a journal record submitted: a sweep's spec
+// as journaled, or an experiment's request with the sweep it translates
+// to. Every other record is stale or damaged.
+func (j jobJournal) submission(traces sweep.TraceResolver) (sweep.Spec, *SubmitRequest, error) {
+	switch {
+	case j.Kind == jobKindSweep && j.Spec != nil:
+		return *j.Spec, nil, nil
+	case j.Kind == jobKindExperiment && j.Request != nil:
+		spec, err := j.Request.sweepSpec(traces)
+		return spec, j.Request, err
 	}
-	s.mu.Lock()
-	resolver := func(digest string) (sim.TraceInput, error) {
-		in, ok := s.traces[digest]
-		if !ok {
-			return sim.TraceInput{}, errTraceGone
-		}
-		return in, nil
-	}
-	sw, err := s.startSweepLocked(*j.Spec, resolver, j.Origin, j.Tenant)
-	if err != nil {
-		s.mu.Unlock()
-		s.tel.log.Warn("journaled sweep no longer submittable", "id", j.ID, "err", err)
-		s.store.DeleteJob(j.ID)
-		return
-	}
-	s.registerSweepLocked(j.ID, sw)
-	s.mu.Unlock()
-	s.tel.log.Info("resumed sweep from journal", "id", j.ID, "tenant", j.Tenant)
-	go s.watchSweep(j.ID, sw)
+	return sweep.Spec{}, nil, fmt.Errorf("journal record of kind %q carries no job", j.Kind)
 }
-
-// restoreExperiment resubmits one journaled experiment under its
-// original ID. buildExperiment revalidates against the restored trace
-// store (it takes s.mu itself, so it must run before we lock).
-func (s *Server) restoreExperiment(j jobJournal) {
-	if j.Request == nil {
-		s.store.DeleteJob(j.ID)
-		return
-	}
-	specs, traceIn, cfg, err := s.buildExperiment(*j.Request)
-	if err != nil {
-		s.tel.log.Warn("journaled experiment no longer submittable", "id", j.ID, "err", err)
-		s.store.DeleteJob(j.ID)
-		return
-	}
-	s.mu.Lock()
-	exp := s.registerExperimentLocked(j.ID, j.Tenant, j.Origin, *j.Request, specs, traceIn, cfg)
-	s.mu.Unlock()
-	s.tel.log.Info("resumed experiment from journal", "id", j.ID, "tenant", j.Tenant)
-	go s.watchExperiment(exp)
-}
-
-// errTraceGone is the resolver error for a journaled sweep whose trace
-// upload did not survive the restart.
-var errTraceGone = errors.New("trace not in the durable store (re-upload it via POST /v1/traces)")

@@ -242,3 +242,44 @@ func TestRestoreDiscardsTornJournal(t *testing.T) {
 		t.Errorf("post-restore sweep ID %s collides with restored ID space", st2.ID)
 	}
 }
+
+// TestRestoreExperimentJournalRecord: an experiment journal record in
+// the request format restores under its original ID, tenant and origin,
+// and finishes with the result a live submission of the same request
+// gets.
+func TestRestoreExperimentJournalRecord(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SubmitRequest{Apps: []string{"Lu", "ch"}, Scale: 0.02, Filters: []string{"EJ-16x2"}, Interval: 4096}
+	rec := `{"id":"exp-000007","kind":"experiment","tenant":"alice","origin":"req-7",` +
+		`"request":{"apps":["Lu","ch"],"scale":0.02,"filters":["EJ-16x2"],"interval":4096}}`
+	if err := st.PutJob("exp-000007", []byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 2, Store: st})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+
+	fin := waitDone(t, ts.URL, "exp-000007")
+	if fin.State != "done" || fin.Tenant != "alice" || fin.Jobs[0].Origin != "req-7" {
+		t.Fatalf("restored experiment %s for tenant %q, origin %q; want done for alice, req-7",
+			fin.State, fin.Tenant, fin.Jobs[0].Origin)
+	}
+	var restored, live ExperimentResult
+	doJSON(t, "GET", ts.URL+"/v1/experiments/exp-000007/result", nil, &restored)
+
+	_, base := newTestServer(t, Options{Workers: 2})
+	var lst ExperimentStatus
+	doJSON(t, "POST", base+"/v1/experiments", req, &lst)
+	waitDone(t, base, lst.ID)
+	doJSON(t, "GET", base+"/v1/experiments/"+lst.ID+"/result", nil, &live)
+	live.ID = restored.ID
+	if !reflect.DeepEqual(restored, live) || len(restored.Results) != 2 {
+		t.Error("restored experiment's result differs from a live submission's")
+	}
+}

@@ -1,15 +1,21 @@
 // Package service implements jettyd's HTTP/JSON API: submit an
-// experiment, poll its status/progress, fetch the finished result
-// tables. It is a thin, stateless-looking shell over the engine — the
-// engine enforces the concurrency cap (worker pool) and deduplicates
+// experiment or a sweep, poll its status/progress, fetch the finished
+// result tables. It is a thin, stateless-looking shell over the engine —
+// the engine enforces the concurrency cap (worker pool) and deduplicates
 // identical work (in-flight coalescing plus the content-addressed result
 // cache), so any number of concurrent clients can drive one daemon
 // safely.
+//
+// Every job is a sweep. An experiment is the one-machine, bank-mode
+// sweep its request translates to (SubmitRequest.sweepSpec); the
+// experiment endpoints render that sweep's status and result in the
+// experiment response shapes.
 //
 // API (bodies JSON unless noted):
 //
 //	GET    /healthz                     liveness + engine stats
 //	GET    /metrics                     service counters, Prometheus text format
+//	GET    /buildinfo                   the binary's build metadata
 //	GET    /v1/workloads                the workload library (Table 2 + scenarios)
 //	GET    /v1/filters                  the figure filter configurations
 //	POST   /v1/experiments              submit (SubmitRequest) -> 202 ExperimentStatus
@@ -24,15 +30,19 @@
 //	GET    /v1/sweeps/{id}              aggregate + per-cell status
 //	GET    /v1/sweeps/{id}/result       finished metrics + rendered aggregate tables
 //	DELETE /v1/sweeps/{id}              cancel and forget
+//	POST   /v1/cells                    run one unit of a sweep's cells (cluster worker endpoint)
+//	GET    /v1/cluster/status           coordinator role: worker table and cluster counters
 //	POST   /v1/traces                   upload a raw JTRC trace file -> TraceInfo
 //	GET    /v1/traces                   list uploaded traces
 //	GET    /v1/traces/{digest}          one uploaded trace's info
 //	DELETE /v1/traces/{digest}          forget an uploaded trace
+//	GET    /debug/pprof/                net/http/pprof (only with Options.Pprof)
 //
 // Uploaded traces are replayed by submitting an experiment whose
-// "trace" field names the upload's digest; the engine caches replay
-// results under (trace digest, machine config), so identical uploads
-// from different clients share one execution.
+// "trace" field names the upload's digest (or a sweep with a
+// "trace:<digest>" workload); the engine caches replay results under
+// (trace digest, machine config), so identical uploads from different
+// clients share one execution.
 package service
 
 import (
@@ -52,7 +62,6 @@ import (
 
 	"jetty/internal/cluster"
 	"jetty/internal/engine"
-	"jetty/internal/metrics"
 	"jetty/internal/obs"
 	"jetty/internal/sim"
 	"jetty/internal/smp"
@@ -67,19 +76,21 @@ type Options struct {
 	Workers int
 	// CacheEntries is the engine result-cache capacity (0 = default).
 	CacheEntries int
-	// MaxUnfinished bounds experiments that are queued or running across
-	// all tenants; extra submissions get 503 + Retry-After (the daemon as
-	// a whole is saturated). 0 means the default (64).
+	// MaxUnfinished bounds the jobs that are queued or running across all
+	// tenants — experiments, sweeps and in-flight /v1/cells units alike;
+	// extra submissions get 503 + Retry-After (the daemon as a whole is
+	// saturated). 0 means the default (64).
 	MaxUnfinished int
-	// MaxUnfinishedPerTenant bounds one tenant's unfinished experiments
-	// and sweeps; extra submissions get 429 + Retry-After (the tenant is
-	// over quota, the daemon is not). 0 means the default (16).
+	// MaxUnfinishedPerTenant bounds one tenant's unfinished jobs, counted
+	// as MaxUnfinished counts them; extra submissions get 429 +
+	// Retry-After (the tenant is over quota, the daemon is not). 0 means
+	// the default (16).
 	MaxUnfinishedPerTenant int
 	// MaxQueuedCellsPerTenant bounds one tenant's non-terminal engine
-	// jobs (experiment runs plus sweep cells) so a single giant sweep
-	// cannot consume a tenant-jobs quota slot while monopolizing the
-	// engine; extra submissions get 429 + Retry-After. 0 means the
-	// default (2048).
+	// jobs (the cells of its experiments, sweeps and cell units) so a
+	// single giant sweep cannot consume a tenant-jobs quota slot while
+	// monopolizing the engine; extra submissions get 429 + Retry-After. 0
+	// means the default (2048).
 	MaxQueuedCellsPerTenant int
 	// MaxTracesPerTenant bounds one tenant's stored uploads within the
 	// global MaxTraces store; extra uploads get 429 + Retry-After. 0
@@ -89,11 +100,11 @@ type Options struct {
 	// deficit-round-robin queue: a tenant with weight w drains w tasks
 	// per scheduling round. Unlisted tenants (and weights < 1) get 1.
 	TenantWeights map[string]int
-	// MaxRetained bounds the registry as a whole: when a submission
-	// would exceed it, the oldest finished experiments (and the results
-	// their jobs pin) are evicted. 0 means the default (512). Clients
-	// that fetch promptly never notice; a long-running daemon never
-	// accumulates results without bound.
+	// MaxRetained bounds the registry as a whole, experiments and sweeps
+	// together: when a submission would exceed it, the oldest finished
+	// jobs (and the results their cells pin) are evicted. 0 means the
+	// default (512). Clients that fetch promptly never notice; a
+	// long-running daemon never accumulates results without bound.
 	MaxRetained int
 	// MaxTraces bounds the uploaded-trace store; further uploads get
 	// 507 until one is deleted. 0 means the default (32).
@@ -111,11 +122,11 @@ type Options struct {
 	// handler. Off by default: the profiler is an operator tool, not
 	// part of the public API surface.
 	Pprof bool
-	// Cluster, when set, makes this daemon a coordinator: POST
-	// /v1/sweeps shards cells across the coordinator's workers instead
-	// of the local engine, and GET /v1/cluster/status reports the
-	// cluster. Experiments, traces and direct cell units still run
-	// locally. The server takes ownership: Close closes the coordinator.
+	// Cluster, when set, makes this daemon a coordinator: sweeps and
+	// experiments shard their cells across the coordinator's workers
+	// instead of the local engine, and GET /v1/cluster/status reports the
+	// cluster. Direct cell units (POST /v1/cells) still run locally. The
+	// server takes ownership: Close closes the coordinator.
 	Cluster *cluster.Coordinator
 	// Role names the daemon's cluster role in /healthz ("single",
 	// "worker", "coordinator"; empty = "single"). Informational.
@@ -141,8 +152,8 @@ const (
 	DefaultMaxTraceBytes           = 64 << 20
 )
 
-// Server owns the engine, the experiment registry and the uploaded-
-// trace store.
+// Server owns the engine, the job registry and the uploaded-trace
+// store.
 type Server struct {
 	runner          *sim.Runner
 	maxUnfinished   int
@@ -161,31 +172,13 @@ type Server struct {
 	draining atomic.Bool // set by SetDraining during shutdown
 
 	mu          sync.Mutex
-	exps        map[string]*experiment
-	order       []string // insertion order, for stable listings
+	jobs        map[string]*job // experiments and sweeps, by ID
+	order       []string        // insertion order, for stable listings
 	seq         int
-	sweeps      map[string]*sweepJob
-	sweepOrder  []string
 	cellRuns    map[string]*cellRun       // in-flight POST /v1/cells units
 	traces      map[string]sim.TraceInput // by digest
 	traceOrder  []string
 	traceOwners map[string]string // digest -> uploading tenant (quota accounting)
-}
-
-// experiment is one submitted batch of app runs.
-type experiment struct {
-	id     string
-	tenant string
-	req    SubmitRequest
-	cfg    smp.Config
-	specs  []workload.Spec
-	jobs   []*engine.Job
-
-	// interval and feed are set on sampled experiments: interval is the
-	// timeline window width, feed the live-stream buffer the samplers'
-	// OnWindow hooks publish into.
-	interval uint64
-	feed     *liveFeed
 }
 
 // New builds a server (and its engine). Close it to stop the workers.
@@ -251,8 +244,7 @@ func New(opts Options) *Server {
 		role:            role,
 		store:           opts.Store,
 		tel:             tel,
-		exps:            make(map[string]*experiment),
-		sweeps:          make(map[string]*sweepJob),
+		jobs:            make(map[string]*job),
 		cellRuns:        make(map[string]*cellRun),
 		traces:          make(map[string]sim.TraceInput),
 		traceOwners:     make(map[string]string),
@@ -428,288 +420,171 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, false, &req) {
 		return
 	}
-	specs, traceIn, cfg, err := s.buildExperiment(req)
+	s.mu.Lock()
+	spec, err := req.sweepSpec(s.traceLocked)
+	s.mu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	tenant := tenantFrom(r.Context())
-	origin := obs.RequestID(r.Context())
-	s.mu.Lock()
-	if code, reason, err := s.admitLocked(tenant, len(specs)); err != nil {
-		s.mu.Unlock()
-		s.tel.admissionRejected.With(tenant, reason).Add(1)
-		s.writeRetryError(w, code, tenant, err)
+	j := s.submit(w, r, spec, &req)
+	if j == nil {
 		return
 	}
-	exp := s.registerExperimentLocked("", tenant, origin, req, specs, traceIn, cfg)
-	s.mu.Unlock()
-
-	if s.store != nil {
-		s.persistJob(jobJournal{ID: exp.id, Kind: jobKindExperiment, Tenant: tenant, Origin: origin, Request: &req})
-		go s.watchExperiment(exp)
-	}
 	s.tel.expSubmitted.Add(1)
-	writeJSON(w, http.StatusAccepted, exp.status())
-}
-
-// registerExperimentLocked builds the experiment, submits its engine
-// tasks and registers it — the shared tail of a live submission
-// (handleSubmit) and a journal replay (restore). id == "" allocates the
-// next exp-NNNNNN; restore passes the journaled ID so clients' handles
-// stay valid across a restart. Caller holds s.mu.
-func (s *Server) registerExperimentLocked(id, tenant, origin string, req SubmitRequest, specs []workload.Spec, traceIn *sim.TraceInput, cfg smp.Config) *experiment {
-	if id == "" {
-		s.seq++
-		id = fmt.Sprintf("exp-%06d", s.seq)
-	}
-	exp := &experiment{
-		id:       id,
-		tenant:   tenant,
-		req:      req,
-		cfg:      cfg,
-		specs:    specs,
-		interval: req.Interval,
-	}
-	// Sampled experiments stream into a live feed; each job's sampler
-	// publishes under its own index. The hook only fires for executions
-	// this submission actually started — cache hits and coalesced runs
-	// are topped up from the retained timelines when the stream finishes.
-	if exp.interval > 0 {
-		apps := make([]string, len(specs))
-		for i, sp := range specs {
-			apps[i] = sp.Name
-		}
-		exp.feed = newLiveFeed(apps)
-	}
-	// Streamed windows must match the retained timeline's exactly, so
-	// the hook attaches the same energy breakdown buildTimeline will.
-	windowEnergy := sim.WindowEnergy(cfg)
-	sampleOpt := func(idx int) sim.SampleOptions {
-		return sim.SampleOptions{
-			Interval: exp.interval,
-			OnWindow: func(win *metrics.Window) {
-				win.Energy = windowEnergy(win)
-				exp.feed.publish(idx, win)
-			},
-		}
-	}
-	// Submit while holding the registry lock so a canceling client can
-	// never observe the experiment without its jobs. Submit never blocks
-	// on the work itself. Every task carries the submitting request's ID
-	// as its origin, so job telemetry (status JSON, slow-job logs)
-	// correlates back to the X-Request-Id the client saw — and the
-	// request's tenant, so the engine's fair-share queue schedules it
-	// under that identity.
-	eng := s.runner.Engine()
-	for i, sp := range specs {
-		in := sim.Input{Spec: sp}
-		if traceIn != nil {
-			in = sim.Input{Trace: traceIn} // specs holds the replay's one label
-		}
-		var opt sim.SampleOptions
-		if exp.interval > 0 {
-			opt = sampleOpt(i)
-		}
-		g := sim.GroupTask(in, []sim.Member{{Key: sim.Key(in, cfg, exp.interval), Config: cfg}}, opt)
-		g.Origin = origin
-		g.Tenant = tenant
-		exp.jobs = append(exp.jobs, eng.SubmitGroup(g)...)
-	}
-	s.exps[exp.id] = exp
-	s.order = append(s.order, exp.id)
-	s.evictLocked()
-	return exp
+	writeJSON(w, http.StatusAccepted, j.experimentStatus())
 }
 
 // Request bounds: everything here arrives from unauthenticated clients,
-// so every dimension a request can grow in is capped.
+// so every dimension a request can grow in is capped (the sweep spec's
+// own bounds, such as sweep.MaxScale, cap the rest).
 const (
-	// MaxScale bounds the access-budget multiplier: the largest Table 2
-	// budget (3M references) times MaxScale stays a finite,
-	// hours-not-years job and far from uint64 conversion overflow.
-	MaxScale = 10_000
 	// maxRequestBytes bounds the submit body size.
 	maxRequestBytes = 1 << 20
 	// maxListLen bounds the apps and filters list lengths (the full
 	// suite is 10 apps; the full figure bank is 21 configurations).
 	maxListLen = 64
-	// maxTimelineWindows bounds one sampled run's timeline: interval and
-	// budget must combine to at most this many windows, or a tiny
-	// interval against a scaled-up budget would retain unbounded window
-	// lists per cached result. The same cap guards sweep cells; sharing
-	// the constant keeps the two admission layers consistent.
-	maxTimelineWindows = sweep.MaxWindowsPerCell
 )
 
-// buildExperiment validates a request into runnable specs (or a stored
-// trace to replay) and a machine.
-func (s *Server) buildExperiment(req SubmitRequest) ([]workload.Spec, *sim.TraceInput, smp.Config, error) {
-	if req.Scale < 0 || req.Scale > MaxScale {
-		return nil, nil, smp.Config{}, fmt.Errorf("scale %v out of range (0, %d]", req.Scale, MaxScale)
-	}
+// sweepSpec translates an experiment into the one-machine, bank-mode
+// sweep that runs it; traces resolves the replay digest, whose width is
+// the machine's unless CPUs says otherwise. It makes the experiment-only
+// checks; the sweep spec's own validation does the rest.
+func (req SubmitRequest) sweepSpec(traces sweep.TraceResolver) (sweep.Spec, error) {
 	if len(req.Apps) > maxListLen || len(req.Filters) > maxListLen {
-		return nil, nil, smp.Config{}, fmt.Errorf("apps/filters lists capped at %d entries", maxListLen)
+		return sweep.Spec{}, fmt.Errorf("apps/filters lists capped at %d entries", maxListLen)
 	}
-	cpus := req.CPUs
-
-	var specs []workload.Spec
-	var traceIn *sim.TraceInput
+	spec := sweep.Spec{
+		Workloads: req.Apps,
+		Machines:  []sweep.Machine{{CPUs: req.CPUs, NSB: req.NSB}},
+		Filters:   req.Filters,
+		Scale:     req.Scale,
+		Interval:  req.Interval,
+		// Every app runs as its own group, so each run's sampler feeds
+		// the live stream (sweep.Submission.OnWindow) even when an app
+		// is listed twice.
+		NoFuse: true,
+	}
+	if req.Interval > 0 {
+		spec.Timelines = sweep.TimelinesAll
+	}
 	switch {
 	case req.Trace != "":
-		// Replay experiment: the stored stream is the workload.
 		if len(req.Apps) > 0 {
-			return nil, nil, smp.Config{}, fmt.Errorf("apps and trace are mutually exclusive")
+			return sweep.Spec{}, fmt.Errorf("apps and trace are mutually exclusive")
 		}
 		if req.Scale != 0 && req.Scale != 1 {
-			return nil, nil, smp.Config{}, fmt.Errorf("scale does not apply to a trace replay")
+			return sweep.Spec{}, fmt.Errorf("scale does not apply to a trace replay")
 		}
-		s.mu.Lock()
-		in, ok := s.traces[req.Trace]
-		s.mu.Unlock()
-		if !ok {
-			return nil, nil, smp.Config{}, fmt.Errorf("unknown trace %q (upload it via POST /v1/traces)", req.Trace)
+		in, err := traces(req.Trace)
+		if err != nil {
+			return sweep.Spec{}, fmt.Errorf("unknown trace %q (upload it via POST /v1/traces)", req.Trace)
 		}
-		if cpus == 0 {
-			cpus = in.CPUs
+		if req.CPUs == 0 {
+			spec.Machines[0].CPUs = in.CPUs
 		}
-		if cpus < in.CPUs {
-			return nil, nil, smp.Config{}, fmt.Errorf("trace needs %d cpus, request says %d", in.CPUs, cpus)
-		}
-		traceIn = &in
-		specs = []workload.Spec{{Name: in.Name, Accesses: in.Records}}
-
+		spec.Workloads = []string{sweep.TracePrefix + req.Trace}
 	case len(req.Apps) == 0:
-		specs = workload.Specs()
-	default:
-		for _, name := range req.Apps {
-			sp, err := workload.Lookup(name)
-			if err != nil {
-				return nil, nil, smp.Config{}, err
-			}
-			specs = append(specs, sp)
+		for _, sp := range workload.Specs() {
+			spec.Workloads = append(spec.Workloads, sp.Name)
 		}
 	}
-
-	if cpus == 0 {
-		cpus = 4
-	}
-	if traceIn == nil {
-		scale := req.Scale
-		if scale == 0 {
-			scale = 1
-		}
-		for i := range specs {
-			specs[i] = specs[i].Scale(scale)
-		}
-	}
-
-	if req.Interval > 0 {
-		if req.Interval < metrics.MinInterval {
-			return nil, nil, smp.Config{}, fmt.Errorf("interval %d below minimum %d", req.Interval, metrics.MinInterval)
-		}
-		for _, sp := range specs {
-			if windows := sp.Accesses / req.Interval; windows > maxTimelineWindows {
-				return nil, nil, smp.Config{}, fmt.Errorf(
-					"%s at interval %d yields %d timeline windows (cap %d); raise the interval",
-					sp.Name, req.Interval, windows, maxTimelineWindows)
-			}
-		}
-	}
-
-	cfg, err := sim.PaperBankConfig(cpus, req.NSB, req.Filters)
-	if err != nil {
-		return nil, nil, smp.Config{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, smp.Config{}, err
-	}
-	return specs, traceIn, cfg, nil
+	return spec, nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]ExperimentStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.exps[id].status())
+	jobs := s.list(true)
+	out := make([]ExperimentStatus, 0, len(jobs))
+	for _, j := range jobs {
+		out = append(out, j.experimentStatus())
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *experiment {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	exp := s.exps[id]
-	s.mu.Unlock()
-	if exp == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", id))
-	}
-	return exp
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if exp := s.lookup(w, r); exp != nil {
-		writeJSON(w, http.StatusOK, exp.status())
+	if j := s.lookup(w, r, true); j != nil {
+		writeJSON(w, http.StatusOK, j.experimentStatus())
 	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	exp := s.lookup(w, r)
-	if exp == nil {
+	j := s.lookup(w, r, true)
+	if j == nil {
 		return
 	}
-	st := exp.status()
-	if st.State != "done" {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  "experiment not finished",
-			"status": st,
-		})
+	res := s.result(w, r, j)
+	if res == nil {
 		return
 	}
-	results := make([]sim.AppResult, len(exp.jobs))
-	for i, j := range exp.jobs {
-		v, err := j.Wait(r.Context())
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		results[i] = v.(sim.AppResult).Clone()
-	}
+	results := appResults(res)
 	writeJSON(w, http.StatusOK, ExperimentResult{
-		ID:      exp.id,
-		Request: exp.req,
+		ID:      j.id,
+		Request: *j.req,
 		Results: results,
-		Tables:  renderTables(results, exp.cfg),
+		Tables:  renderTables(results, res.Cells[0].Cell.Config()),
 	})
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	exp := s.exps[id]
-	if exp != nil {
-		delete(s.exps, id)
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) { s.cancel(w, r, true) }
+
+// experimentStatus renders the job's sweep status as an experiment's:
+// one job per cell, named by its app.
+func (j *job) experimentStatus() ExperimentStatus {
+	st := j.sw.Status(true)
+	cells := j.sw.Cells()
+	out := ExperimentStatus{
+		ID:       j.id,
+		Tenant:   st.Tenant,
+		State:    st.State,
+		Done:     st.Done,
+		Total:    st.Total,
+		Fraction: st.Fraction,
+		Jobs:     make([]JobStatus, len(st.Cell)),
+	}
+	for i, c := range st.Cell {
+		out.Jobs[i] = JobStatus{
+			App:         cells[i].Label().Name,
+			Key:         c.Key,
+			State:       c.State,
+			Done:        c.Done,
+			Total:       c.Total,
+			Fraction:    cellFraction(c),
+			CacheHit:    c.CacheHit,
+			Disposition: c.Disposition,
+			Origin:      c.Origin,
+			Tenant:      c.Tenant,
+			QueueWaitMS: c.QueueWaitMS,
+			RunMS:       c.RunMS,
+			Error:       c.Error,
 		}
 	}
-	s.mu.Unlock()
-	if exp == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", id))
-		return
+	return out
+}
+
+// cellFraction is one cell's completed progress in 0..1: 1 once done,
+// 0 while the total is unknown.
+func cellFraction(c sweep.CellStatus) float64 {
+	if c.State == engine.Done.String() {
+		return 1
 	}
-	for _, j := range exp.jobs {
-		j.Cancel()
+	if c.Total == 0 {
+		return 0
 	}
-	if s.store != nil {
-		s.store.DeleteJob(id) // an explicitly canceled job must not resurrect at boot
+	return min(1, float64(c.Done)/float64(c.Total))
+}
+
+// appResults returns an experiment's results in app order, each with
+// its timeline attached again (the sweep keeps timelines apart from the
+// cell results).
+func appResults(res *sweep.Result) []sim.AppResult {
+	out := make([]sim.AppResult, len(res.Cells))
+	for i, c := range res.Cells {
+		out[i] = c.Result
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "canceled"})
+	for _, tl := range res.Timelines {
+		out[tl.Cell].Timeline = tl.Timeline
+	}
+	return out
 }
 
 // TraceInfo describes one uploaded trace.
@@ -779,7 +654,7 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("trace store holds its cap of %d traces; DELETE one first", s.maxTraces))
 		return
 	}
-	if s.tenantTracesLocked(tenant) >= s.maxTenantTraces {
+	if s.loadsLocked()[tenant].traces >= s.maxTenantTraces {
 		s.mu.Unlock()
 		s.tel.admissionRejected.With(tenant, "tenant_traces").Add(1)
 		s.writeRetryError(w, http.StatusTooManyRequests, tenant,
@@ -851,53 +726,6 @@ func (s *Server) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"digest": digest, "state": "deleted"})
 }
 
-// evictLocked drops the oldest finished experiments until the registry
-// is within maxRetained, releasing the results their jobs pin. Unfinished
-// experiments are never evicted (the admission cap bounds those).
-func (s *Server) evictLocked() {
-	if len(s.order) <= s.maxRetained {
-		return
-	}
-	kept := s.order[:0]
-	excess := len(s.order) - s.maxRetained
-	for _, id := range s.order {
-		exp := s.exps[id]
-		if excess > 0 && !exp.unfinished() {
-			delete(s.exps, id)
-			for _, j := range exp.jobs {
-				j.Cancel() // no-op on finished jobs; releases the handle
-			}
-			s.tel.evicted.Add(1)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
-}
-
-// unfinishedLocked counts experiments and sweeps still queued or
-// running: one admission cap covers both job kinds.
-func (s *Server) unfinishedLocked() int {
-	n := 0
-	for _, exp := range s.exps {
-		if exp.unfinished() {
-			n++
-		}
-	}
-	for _, job := range s.sweeps {
-		if job.sw.Unfinished() {
-			n++
-		}
-	}
-	for _, run := range s.cellRuns {
-		if run.cs.Unfinished() {
-			n++
-		}
-	}
-	return n
-}
-
 // admitLocked runs the two-layer admission check for a submission by
 // tenant that adds newCells engine jobs. The global cap answers 503 —
 // the daemon as a whole is saturated and a load balancer should back
@@ -905,94 +733,44 @@ func (s *Server) unfinishedLocked() int {
 // while the daemon still has headroom. Both carry Retry-After. reason
 // labels the rejection counter.
 func (s *Server) admitLocked(tenant string, newCells int) (code int, reason string, err error) {
-	if s.unfinishedLocked() >= s.maxUnfinished {
+	loads := s.loadsLocked()
+	if unfinishedJobs(loads) >= s.maxUnfinished {
 		return http.StatusServiceUnavailable, "global_cap",
 			fmt.Errorf("%d jobs already in flight (global cap)", s.maxUnfinished)
 	}
-	jobs, cells := s.tenantLoadLocked(tenant)
-	if jobs >= s.maxTenantJobs {
+	l := loads[tenant]
+	if l.jobs >= s.maxTenantJobs {
 		return http.StatusTooManyRequests, "tenant_jobs",
-			fmt.Errorf("tenant %q has %d unfinished jobs (per-tenant cap %d)", tenant, jobs, s.maxTenantJobs)
+			fmt.Errorf("tenant %q has %d unfinished jobs (per-tenant cap %d)", tenant, l.jobs, s.maxTenantJobs)
 	}
-	if cells+newCells > s.maxTenantCells {
+	if l.cells+newCells > s.maxTenantCells {
 		return http.StatusTooManyRequests, "tenant_cells",
 			fmt.Errorf("tenant %q would hold %d queued cells (per-tenant cap %d)",
-				tenant, cells+newCells, s.maxTenantCells)
+				tenant, l.cells+newCells, s.maxTenantCells)
 	}
 	return 0, "", nil
 }
 
-// tenantLoadLocked counts one tenant's unfinished jobs (experiments +
-// sweeps) and their non-terminal engine jobs (runs + cells).
-func (s *Server) tenantLoadLocked(tenant string) (jobs, cells int) {
-	for _, exp := range s.exps {
-		if exp.tenant != tenant {
-			continue
-		}
-		if c := exp.unfinishedJobs(); c > 0 {
-			jobs++
-			cells += c
-		}
-	}
-	for _, job := range s.sweeps {
-		if job.sw.Tenant() != tenant {
-			continue
-		}
-		if c := job.sw.UnfinishedCells(); c > 0 {
-			jobs++
-			cells += c
-		}
-	}
-	for _, run := range s.cellRuns {
-		if run.tenant != tenant {
-			continue
-		}
-		if c := run.cs.UnfinishedCells(); c > 0 {
-			jobs++
-			cells += c
-		}
-	}
-	return jobs, cells
-}
-
-// tenantTracesLocked counts the stored uploads owned by tenant.
-func (s *Server) tenantTracesLocked(tenant string) int {
-	n := 0
-	for _, owner := range s.traceOwners {
-		if owner == tenant {
-			n++
-		}
-	}
-	return n
-}
-
-// tenantLoadsLocked snapshots every tenant's occupancy for /metrics.
-func (s *Server) tenantLoadsLocked() map[string]tenantLoad {
+// loadsLocked snapshots every tenant's occupancy: its unfinished jobs
+// (experiments, sweeps and in-flight cell units), their non-terminal
+// cells, and its stored traces. Every tenant with a registered job gets
+// an entry, so its gauges read 0 once its load drains. Caller holds
+// s.mu.
+func (s *Server) loadsLocked() map[string]tenantLoad {
 	loads := make(map[string]tenantLoad)
-	for _, exp := range s.exps {
-		l := loads[exp.tenant]
-		if c := exp.unfinishedJobs(); c > 0 {
+	add := func(tenant string, cells int) {
+		l := loads[tenant]
+		if cells > 0 {
 			l.jobs++
-			l.cells += c
+			l.cells += cells
 		}
-		loads[exp.tenant] = l
+		loads[tenant] = l
 	}
-	for _, job := range s.sweeps {
-		t := job.sw.Tenant()
-		l := loads[t]
-		if c := job.sw.UnfinishedCells(); c > 0 {
-			l.jobs++
-			l.cells += c
-		}
-		loads[t] = l
+	for _, j := range s.jobs {
+		add(j.sw.Tenant(), j.sw.UnfinishedCells())
 	}
 	for _, run := range s.cellRuns {
-		l := loads[run.tenant]
-		if c := run.cs.UnfinishedCells(); c > 0 {
-			l.jobs++
-			l.cells += c
-		}
-		loads[run.tenant] = l
+		add(run.tenant, run.cs.UnfinishedCells())
 	}
 	for _, owner := range s.traceOwners {
 		l := loads[owner]
@@ -1002,74 +780,14 @@ func (s *Server) tenantLoadsLocked() map[string]tenantLoad {
 	return loads
 }
 
-// unfinished reports whether any of the experiment's jobs is still
-// queued or running. Unlike status() it allocates nothing: it runs under
-// the registry mutex on every submission.
-func (e *experiment) unfinished() bool {
-	for _, j := range e.jobs {
-		if !j.State().Terminal() {
-			return true
-		}
-	}
-	return false
-}
-
-// unfinishedJobs counts the experiment's non-terminal engine jobs (the
-// per-tenant cell-quota accounting).
-func (e *experiment) unfinishedJobs() int {
+// unfinishedJobs totals the tenants' unfinished jobs: one admission cap
+// covers every job kind.
+func unfinishedJobs(loads map[string]tenantLoad) int {
 	n := 0
-	for _, j := range e.jobs {
-		if !j.State().Terminal() {
-			n++
-		}
+	for _, l := range loads {
+		n += l.jobs
 	}
 	return n
-}
-
-// status aggregates the per-job snapshots.
-func (e *experiment) status() ExperimentStatus {
-	out := ExperimentStatus{ID: e.id, Tenant: e.tenant}
-	counts := map[engine.State]int{}
-	for i, j := range e.jobs {
-		js := j.Status()
-		counts[js.State]++
-		out.Done += js.Done
-		out.Total += js.Total
-		out.Jobs = append(out.Jobs, JobStatus{
-			App:         e.specs[i].Name,
-			Key:         js.Key,
-			State:       js.State.String(),
-			Done:        js.Done,
-			Total:       js.Total,
-			Fraction:    js.Fraction(),
-			CacheHit:    js.CacheHit,
-			Disposition: js.Disposition,
-			Origin:      js.Origin,
-			Tenant:      js.Tenant,
-			QueueWaitMS: durationMS(js.QueueWait),
-			RunMS:       durationMS(js.Run),
-			Error:       js.Err,
-		})
-	}
-	switch {
-	case counts[engine.Failed] > 0:
-		out.State = "failed"
-	case counts[engine.Canceled] > 0:
-		out.State = "canceled"
-	case counts[engine.Running] > 0 || (counts[engine.Queued] > 0 && counts[engine.Done] > 0):
-		out.State = "running"
-	case counts[engine.Queued] > 0:
-		out.State = "queued"
-	default:
-		out.State = "done"
-	}
-	if out.Total > 0 {
-		out.Fraction = float64(out.Done) / float64(out.Total)
-	}
-	if out.State == "done" {
-		out.Fraction = 1
-	}
-	return out
 }
 
 // renderTables renders the paper's reports that apply to one finished

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -11,18 +12,19 @@ import (
 	"jetty/internal/sweep"
 )
 
-// Sweep endpoints: a sweep is an asynchronous job like an experiment,
-// but its unit of admission is the whole cross-product — every cell
-// shares the engine's worker pool, cache and dedup with ordinary
-// experiments, and "trace:<digest>" workload entries replay traces
-// previously uploaded via POST /v1/traces.
+// The job registry. Every job is a sweep: POST /v1/sweeps registers the
+// spec it is given, POST /v1/experiments the one-machine sweep its
+// request translates to. One map holds both, in one insertion order,
+// under one eviction bound; each endpoint family serves only its own
+// IDs (exp-NNNNNN and swp-NNNNNN from one sequence).
 
 // sweepHandle is what the registry needs from a submitted sweep. Both
 // execution paths satisfy it: *sweep.Sweep (cells on the local engine)
 // and *cluster.Sweep (cells sharded across remote workers), so every
-// /v1/sweeps endpoint serves either transparently.
+// job endpoint serves either transparently.
 type sweepHandle interface {
 	Tenant() string
+	Cells() []sweep.Cell
 	Status(detailed bool) sweep.Status
 	Unfinished() bool
 	UnfinishedCells() int
@@ -30,10 +32,26 @@ type sweepHandle interface {
 	Wait(ctx context.Context) (*sweep.Result, error)
 }
 
-// sweepJob is one submitted sweep in the registry.
-type sweepJob struct {
+// job is one submitted sweep in the registry.
+type job struct {
 	id string
 	sw sweepHandle
+	// req is the request of a job submitted as an experiment (nil for a
+	// sweep); the experiment endpoints render from it.
+	req *SubmitRequest
+	// feed buffers a sampled experiment's windows for GET .../live.
+	feed *liveFeed
+}
+
+// experiment reports whether the job was submitted as an experiment.
+func (j *job) experiment() bool { return j.req != nil }
+
+// noun names the endpoint family in error messages.
+func noun(experiment bool) string {
+	if experiment {
+		return "experiment"
+	}
+	return "sweep"
 }
 
 // SweepStatus is a sweep's progress snapshot.
@@ -65,85 +83,208 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	// Submit while holding the registry lock, exactly like experiments:
-	// admission and registration are atomic, and the trace resolver reads
-	// the upload store under the same lock.
-	tenant := tenantFrom(r.Context())
-	s.mu.Lock()
-	resolver := func(digest string) (sim.TraceInput, error) {
-		in, ok := s.traces[digest]
-		if !ok {
-			return sim.TraceInput{}, fmt.Errorf("not uploaded (POST it to /v1/traces first)")
-		}
-		return in, nil
+	j := s.submit(w, r, spec, nil)
+	if j == nil {
+		return
 	}
+	s.tel.sweepSubmitted.Add(1)
+	writeJSON(w, http.StatusAccepted, SweepStatus{ID: j.id, Status: j.sw.Status(true)})
+}
+
+// submit admits spec for the requesting tenant, starts it, registers it
+// and, on a durable daemon, journals it. req is the experiment request
+// spec was translated from (nil for a sweep). A refused submission gets
+// its error response written here, and submit returns nil.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, spec sweep.Spec, req *SubmitRequest) *job {
+	tenant := tenantFrom(r.Context())
+	origin := obs.RequestID(r.Context())
+	// Admission and registration are atomic under the registry lock, and
+	// the trace resolver reads the upload store under the same lock.
+	s.mu.Lock()
 	// Expand first (cheap, deterministic) so the per-tenant cell quota
 	// judges the sweep by its true cell count before anything schedules.
-	cells, err := spec.Expand(resolver)
+	cells, err := spec.Expand(s.traceLocked)
 	if err != nil {
 		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil
 	}
 	if code, reason, err := s.admitLocked(tenant, len(cells)); err != nil {
 		s.mu.Unlock()
 		s.tel.admissionRejected.With(tenant, reason).Add(1)
 		s.writeRetryError(w, code, tenant, err)
-		return
+		return nil
 	}
-	origin := obs.RequestID(r.Context())
-	sw, err := s.startSweepLocked(spec, resolver, origin, tenant)
-	if err != nil {
-		s.mu.Unlock()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	job := s.registerSweepLocked("", sw)
+	j, err := s.startLocked("", spec, req, cells, origin, tenant)
 	s.mu.Unlock()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil
+	}
 
 	if s.store != nil {
-		s.persistJob(jobJournal{ID: job.id, Kind: jobKindSweep, Tenant: tenant, Origin: origin, Spec: &spec})
-		go s.watchSweep(job.id, sw)
+		rec := jobJournal{ID: j.id, Kind: jobKindSweep, Tenant: tenant, Origin: origin, Spec: &spec}
+		if req != nil {
+			rec = jobJournal{ID: j.id, Kind: jobKindExperiment, Tenant: tenant, Origin: origin, Request: req}
+		}
+		s.persistJob(rec)
+		go s.watch(j)
 	}
-	s.tel.sweepSubmitted.Add(1)
-	writeJSON(w, http.StatusAccepted, SweepStatus{ID: job.id, Status: sw.Status(true)})
+	return j
 }
 
-// startSweepLocked submits a validated spec on whichever execution path
-// this daemon runs sweeps on. Coordinator role shards the sweep's cells
-// across the cluster's workers; otherwise the local engine runs them.
-// Either path yields a sweepHandle with identical observable behavior.
-// Caller holds s.mu (the resolver reads the trace store under it).
-func (s *Server) startSweepLocked(spec sweep.Spec, resolver sweep.TraceResolver, origin, tenant string) (sweepHandle, error) {
+// startLocked submits spec — sharded across the cluster's workers in
+// coordinator role, else on the local engine — and registers the job
+// under id, or under the next exp-/swp-NNNNNN when id is "" (restore
+// passes the journaled ID). cells is spec's expansion. Caller holds
+// s.mu, so a canceling client never observes a job without its cells.
+func (s *Server) startLocked(id string, spec sweep.Spec, req *SubmitRequest, cells []sweep.Cell, origin, tenant string) (*job, error) {
+	j := &job{req: req}
+	sub := sweep.Submission{Origin: origin, Tenant: tenant}
+	prefix := "swp"
+	if req != nil {
+		prefix, sub.Kind = "exp", sim.KindWorkload
+		if req.Trace != "" {
+			sub.Kind = sim.KindTrace
+		}
+		if req.Interval > 0 {
+			j.feed = newLiveFeed(cells)
+			sub.OnWindow = j.feed.publish
+		}
+	}
+	var err error
 	if s.cluster != nil {
-		return s.cluster.Submit(spec, resolver, origin, tenant)
+		j.sw, err = s.cluster.Submit(spec, s.traceLocked, origin, tenant)
+	} else {
+		j.sw, err = sweep.Submit(s.runner, spec, s.traceLocked, sub)
 	}
-	return sweep.SubmitAs(s.runner, spec, resolver, origin, tenant)
-}
-
-// registerSweepLocked registers a started sweep under id — or under the
-// next swp-NNNNNN when id is "" (a live submission; restore passes the
-// journaled ID). Caller holds s.mu.
-func (s *Server) registerSweepLocked(id string, sw sweepHandle) *sweepJob {
+	if err != nil {
+		return nil, err
+	}
 	if id == "" {
 		s.seq++
-		id = fmt.Sprintf("swp-%06d", s.seq)
+		id = fmt.Sprintf("%s-%06d", prefix, s.seq)
 	}
-	job := &sweepJob{id: id, sw: sw}
-	s.sweeps[job.id] = job
-	s.sweepOrder = append(s.sweepOrder, job.id)
-	s.evictSweepsLocked()
-	return job
+	j.id = id
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.evictLocked()
+	return j, nil
+}
+
+// traceLocked resolves a "trace:<digest>" workload entry from the
+// upload store. Caller holds s.mu.
+func (s *Server) traceLocked(digest string) (sim.TraceInput, error) {
+	in, ok := s.traces[digest]
+	if !ok {
+		return sim.TraceInput{}, errors.New("not uploaded (POST it to /v1/traces first)")
+	}
+	return in, nil
+}
+
+// evictLocked drops the oldest finished jobs until the registry is
+// within maxRetained, releasing the results their cells pin. Unfinished
+// jobs are never evicted (the admission cap bounds those).
+func (s *Server) evictLocked() {
+	if len(s.order) <= s.maxRetained {
+		return
+	}
+	kept := s.order[:0]
+	excess := len(s.order) - s.maxRetained
+	for _, id := range s.order {
+		j := s.jobs[id]
+		if excess > 0 && !j.sw.Unfinished() {
+			delete(s.jobs, id)
+			j.sw.Cancel() // no-op on finished cells; releases the handles
+			s.tel.evicted.Add(1)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	s.order = kept
+}
+
+// list returns the registered jobs of one endpoint family, oldest first.
+func (s *Server) list(experiments bool) []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*job
+	for _, id := range s.order {
+		if j := s.jobs[id]; j.experiment() == experiments {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// lookup returns the job the request's {id} names if it belongs to the
+// endpoint family; otherwise it answers 404 and returns nil.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, experiment bool) *job {
+	id := r.PathValue("id")
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil || j.experiment() != experiment {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", noun(experiment), id))
+		return nil
+	}
+	return j
+}
+
+// result returns a finished job's folded result. While the job is not
+// done it answers 409 with the job's status and returns nil.
+func (s *Server) result(w http.ResponseWriter, r *http.Request, j *job) *sweep.Result {
+	if st := j.sw.Status(false); st.State != "done" {
+		var status any = SweepStatus{ID: j.id, Status: st}
+		if j.experiment() {
+			status = j.experimentStatus()
+		}
+		writeJSON(w, http.StatusConflict, map[string]any{
+			"error":  noun(j.experiment()) + " not finished",
+			"status": status,
+		})
+		return nil
+	}
+	res, err := j.sw.Wait(r.Context()) // immediate: every cell is done
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return nil
+	}
+	return res
+}
+
+// cancel withdraws and forgets the job the request's {id} names, if it
+// belongs to the endpoint family.
+func (s *Server) cancel(w http.ResponseWriter, r *http.Request, experiment bool) {
+	id := r.PathValue("id")
+	s.mu.Lock()
+	j := s.jobs[id]
+	if j != nil && j.experiment() == experiment {
+		delete(s.jobs, id)
+		for i, oid := range s.order {
+			if oid == id {
+				s.order = append(s.order[:i], s.order[i+1:]...)
+				break
+			}
+		}
+	} else {
+		j = nil
+	}
+	s.mu.Unlock()
+	if j == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", noun(experiment), id))
+		return
+	}
+	j.sw.Cancel()
+	if s.store != nil {
+		s.store.DeleteJob(id) // an explicitly canceled job must not resurrect at boot
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "canceled"})
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*sweepJob, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		jobs = append(jobs, s.sweeps[id])
-	}
-	s.mu.Unlock()
+	jobs := s.list(false)
 	out := make([]SweepStatus, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, SweepStatus{ID: j.id, Status: j.sw.Status(false)})
@@ -151,43 +292,23 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) lookupSweep(w http.ResponseWriter, r *http.Request) *sweepJob {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	job := s.sweeps[id]
-	s.mu.Unlock()
-	if job == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
-	}
-	return job
-}
-
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	if job := s.lookupSweep(w, r); job != nil {
-		writeJSON(w, http.StatusOK, SweepStatus{ID: job.id, Status: job.sw.Status(true)})
+	if j := s.lookup(w, r, false); j != nil {
+		writeJSON(w, http.StatusOK, SweepStatus{ID: j.id, Status: j.sw.Status(true)})
 	}
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	job := s.lookupSweep(w, r)
-	if job == nil {
+	j := s.lookup(w, r, false)
+	if j == nil {
 		return
 	}
-	st := job.sw.Status(false)
-	if st.State != "done" {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  "sweep not finished",
-			"status": SweepStatus{ID: job.id, Status: st},
-		})
-		return
-	}
-	res, err := job.sw.Wait(r.Context()) // immediate: every cell is done
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	res := s.result(w, r, j)
+	if res == nil {
 		return
 	}
 	writeJSON(w, http.StatusOK, SweepResult{
-		ID:        job.id,
+		ID:        j.id,
 		Spec:      res.Spec,
 		Metrics:   res.Metrics,
 		Timelines: res.Timelines,
@@ -195,53 +316,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	job := s.sweeps[id]
-	if job != nil {
-		delete(s.sweeps, id)
-		for i, oid := range s.sweepOrder {
-			if oid == id {
-				s.sweepOrder = append(s.sweepOrder[:i], s.sweepOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	s.mu.Unlock()
-	if job == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
-		return
-	}
-	job.sw.Cancel()
-	if s.store != nil {
-		s.store.DeleteJob(id) // an explicitly canceled sweep must not resurrect at boot
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "canceled"})
-}
-
-// evictSweepsLocked drops the oldest finished sweeps beyond maxRetained,
-// releasing the results their cells pin (the sweep counterpart of
-// evictLocked).
-func (s *Server) evictSweepsLocked() {
-	if len(s.sweepOrder) <= s.maxRetained {
-		return
-	}
-	kept := s.sweepOrder[:0]
-	excess := len(s.sweepOrder) - s.maxRetained
-	for _, id := range s.sweepOrder {
-		job := s.sweeps[id]
-		if excess > 0 && !job.sw.Unfinished() {
-			delete(s.sweeps, id)
-			job.sw.Cancel() // no-op on finished cells; releases the handles
-			s.tel.evicted.Add(1)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.sweepOrder = kept
-}
+func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) { s.cancel(w, r, false) }
 
 // renderSweepTables renders the aggregate views a study usually wants:
 // per-filter and per-(workload, filter) summaries as markdown, plus the

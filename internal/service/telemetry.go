@@ -338,9 +338,9 @@ func (t *telemetry) runEWMASeconds() float64 {
 }
 
 // tenantLoad is one tenant's point-in-time occupancy, computed under the
-// registry lock per scrape (see snapshotGauges).
+// registry lock per submission and per scrape (see loadsLocked).
 type tenantLoad struct {
-	jobs   int // unfinished experiments + sweeps
+	jobs   int // unfinished experiments, sweeps and cell units
 	cells  int // non-terminal engine jobs across them
 	queued int // executions waiting in the engine's fair-share queue
 	traces int // retained uploaded traces owned by the tenant

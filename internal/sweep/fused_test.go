@@ -98,7 +98,7 @@ func TestSweepFusedMatchesPerCell(t *testing.T) {
 	}
 
 	// The fused path must actually fuse: one group per library workload.
-	s, err := Submit(testRunner(t), spec, nil)
+	s, err := Submit(testRunner(t), spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFusedCacheInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		executed := r.Engine().Stats().Executed
-		s, err := Submit(r, perCellSpec, nil)
+		s, err := Submit(r, perCellSpec, nil, Submission{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestFusedCacheInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		executed := r.Engine().Stats().Executed
-		s, err := Submit(r, spec, nil)
+		s, err := Submit(r, spec, nil, Submission{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestFusedCacheInterop(t *testing.T) {
 		}
 		executed := r.Engine().Stats().Executed
 
-		s, err := Submit(r, spec, nil)
+		s, err := Submit(r, spec, nil, Submission{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestFusedCancelAndLoss(t *testing.T) {
 		FilterMode: ModeEach,
 		Scale:      100,
 	}
-	s, err := SubmitOrigin(r, spec, nil, "req-cancel-1")
+	s, err := Submit(r, spec, nil, Submission{Origin: "req-cancel-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestFusedProgressMonotone(t *testing.T) {
 		FilterMode: ModeEach,
 		Scale:      2,
 	}
-	s, err := Submit(r, spec, nil)
+	s, err := Submit(r, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,9 @@ const (
 	MaxCells = 4096
 	// MaxRepeat bounds the repetition axis.
 	MaxRepeat = 64
-	// MaxScale bounds the access-budget multiplier (mirrors the service's
-	// per-experiment cap).
+	// MaxScale bounds the access-budget multiplier: the largest Table 2
+	// budget (3M references) times MaxScale stays a finite,
+	// hours-not-years job and far from uint64 conversion overflow.
 	MaxScale = 10_000
 )
 

@@ -6,63 +6,65 @@ import (
 	"time"
 
 	"jetty/internal/engine"
+	"jetty/internal/metrics"
 	"jetty/internal/sim"
 )
 
 // Sweep is one submitted sweep: every cell scheduled on the engine, with
 // per-cell status observable while it runs. Build one with Submit.
 type Sweep struct {
+	CellSet
 	spec   Spec
-	cells  []Cell
-	origin string
 	tenant string
-	jobs   []*engine.Job
-	fused  int // fused group tasks submitted (multi-cell groups)
+}
+
+// Submission says who submitted a sweep and how its cells report.
+type Submission struct {
+	// Origin is a correlation token stamped onto every cell's engine task
+	// (jettyd passes the submitting HTTP request's ID), so cell telemetry
+	// ties back to the request that started the sweep.
+	Origin string
+	// Tenant is stamped onto every cell's engine task, so the engine's
+	// fair-share queue schedules the cells under the submitting tenant
+	// and cell telemetry carries the tenant label. Empty means the
+	// default tenant.
+	Tenant string
+	// Kind is the engine task kind of cells that run as a group of one;
+	// empty means sim.KindSweep. jettyd's per-kind latency histograms
+	// tell sweep cells from experiment runs (sim.KindWorkload,
+	// sim.KindTrace) by it. Fused groups are always sim.KindFused.
+	Kind string
+	// OnWindow, if set, receives each timeline window of a sampled cell
+	// that runs as a group of one and executes for this submission,
+	// tagged with the cell's Index, on the simulation goroutine. Windows
+	// arrive exactly as the cell's retained timeline will hold them. The
+	// pointer is borrowed: copy or encode it before returning.
+	OnWindow func(cell int, w *metrics.Window)
 }
 
 // Submit expands the spec and schedules every cell on the runner's
 // engine. Submission never blocks on the work itself; identical cells
-// (within this sweep, across sweeps, or against past experiments) are
+// (within this sweep, across sweeps, or against past runs) are
 // deduplicated by the engine's in-flight coalescing and result cache.
-func Submit(r *sim.Runner, spec Spec, traces TraceResolver) (*Sweep, error) {
-	return SubmitOrigin(r, spec, traces, "")
-}
-
-// SubmitOrigin is Submit with a correlation token (jettyd passes the
-// submitting HTTP request's ID) stamped onto every cell's engine task,
-// so cell telemetry ties back to the request that started the sweep.
-func SubmitOrigin(r *sim.Runner, spec Spec, traces TraceResolver, origin string) (*Sweep, error) {
-	return SubmitAs(r, spec, traces, origin, "")
-}
-
-// SubmitAs is SubmitOrigin with a tenant identity stamped onto every
-// cell's engine task, so the engine's fair-share queue schedules the
-// sweep's cells under the submitting tenant and cell telemetry carries
-// the tenant label. Empty means the default tenant.
-func SubmitAs(r *sim.Runner, spec Spec, traces TraceResolver, origin, tenant string) (*Sweep, error) {
+func Submit(r *sim.Runner, spec Spec, traces TraceResolver, sub Submission) (*Sweep, error) {
 	cells, err := spec.Expand(traces)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sweep{spec: spec.normalize(), cells: cells, origin: origin, tenant: tenant}
-	s.jobs = make([]*engine.Job, len(cells))
-	jobs, fused := scheduleCells(r, s.spec, cells, planGroups(s.spec, cells), origin, tenant)
-	for i, j := range jobs {
-		s.jobs[i] = j
-	}
-	s.fused = fused
-	return s, nil
+	norm := spec.normalize()
+	return &Sweep{CellSet: schedule(r, norm, cells, sub), spec: norm, tenant: sub.Tenant}, nil
 }
 
-// scheduleCells submits the given groups of cells on the engine, one
-// group task each, returning the jobs keyed by cell index and the count
-// of multi-cell fused groups. Each group must share one reference
-// stream (the planGroups contract).
-func scheduleCells(r *sim.Runner, spec Spec, cells []Cell, groups [][]int, origin, tenant string) (map[int]*engine.Job, int) {
-	jobs := make(map[int]*engine.Job, len(cells))
-	fused := 0
-	opt := sim.SampleOptions{Interval: spec.Interval}
-	for _, group := range groups {
+// schedule submits cells on the engine, one group task per planned
+// group. Each group shares one reference stream (the planGroups
+// contract).
+func schedule(r *sim.Runner, spec Spec, cells []Cell, sub Submission) CellSet {
+	cs := CellSet{cells: cells, jobs: make([]*engine.Job, len(cells))}
+	kind := sub.Kind
+	if kind == "" {
+		kind = sim.KindSweep
+	}
+	for _, group := range planGroups(spec, cells) {
 		// Every cell in a group measures the same reference stream on the
 		// same machine — only the observer bank differs — so the whole
 		// group runs as one simulation pass (see plan.go). Member keys are
@@ -73,30 +75,43 @@ func scheduleCells(r *sim.Runner, spec Spec, cells []Cell, groups [][]int, origi
 		for k, i := range group {
 			members[k] = sim.Member{Key: cells[i].Key, Config: cells[i].cfg}
 		}
+		opt := sim.SampleOptions{Interval: spec.Interval}
+		if len(group) == 1 && sub.OnWindow != nil {
+			opt.OnWindow = cellWindows(cells[group[0]], sub.OnWindow)
+		}
 		g := sim.GroupTask(cells[group[0]].in, members, opt)
 		if len(group) == 1 {
-			// Unfused cells carry the "sweep" task kind so jettyd's per-kind
-			// latency histograms separate cell durations from one-off
-			// experiment runs.
-			g.Kind = sim.KindSweep
+			g.Kind = kind
 		} else {
-			fused++
+			cs.fused++
 		}
-		g.Origin = origin
-		g.Tenant = tenant
+		g.Origin = sub.Origin
+		g.Tenant = sub.Tenant
 		for k, j := range r.Engine().SubmitGroup(g) {
-			jobs[group[k]] = j
+			cs.jobs[group[k]] = j
 		}
 	}
-	return jobs, fused
+	return cs
 }
 
-// CellSet is a scheduled subset of a sweep's cells: a cluster worker's
-// share of a distributed sweep. The subset replans fusion among its own
-// members (cells sharing a reference stream still fuse even when the
-// coordinator split their siblings across other workers).
+// cellWindows adapts a per-cell window hook to one cell's sampler. It
+// attaches the energy breakdown the finished timeline's windows carry,
+// so streamed and retained windows are identical.
+func cellWindows(c Cell, hook func(int, *metrics.Window)) func(*metrics.Window) {
+	energy := sim.WindowEnergy(c.cfg)
+	return func(w *metrics.Window) {
+		w.Energy = energy(w)
+		hook(c.Index, w)
+	}
+}
+
+// CellSet is a scheduled set of a sweep's cells: a whole sweep's (the
+// job set behind Sweep) or a cluster worker's share of a distributed
+// sweep. A subset replans fusion among its own members (cells sharing a
+// reference stream still fuse even when the coordinator split their
+// siblings across other workers).
 type CellSet struct {
-	cells []Cell // requested subset, in request order
+	cells []Cell // scheduled cells, in request order
 	jobs  []*engine.Job
 	fused int
 }
@@ -124,25 +139,19 @@ func SubmitCells(r *sim.Runner, spec Spec, traces TraceResolver, origin, tenant 
 		}
 		subset[k] = all[i]
 	}
-	norm := spec.normalize()
-	cs := &CellSet{cells: subset}
-	cs.jobs = make([]*engine.Job, len(subset))
-	jobs, fused := scheduleCells(r, norm, subset, planGroups(norm, subset), origin, tenant)
-	for k, j := range jobs {
-		cs.jobs[k] = j
-	}
-	cs.fused = fused
-	return cs, nil
+	cs := schedule(r, spec.normalize(), subset, Submission{Origin: origin, Tenant: tenant})
+	return &cs, nil
 }
 
-// Cells returns the scheduled subset in request order.
+// Cells returns the scheduled cells in request order.
 func (cs *CellSet) Cells() []Cell { return cs.cells }
 
-// FusedGroups returns how many multi-cell fused group tasks the subset
-// scheduled.
+// FusedGroups returns how many multi-cell fused group tasks the set
+// scheduled (0 when every cell ran individually).
 func (cs *CellSet) FusedGroups() int { return cs.fused }
 
-// Unfinished reports whether any cell is still queued or running.
+// Unfinished reports whether any cell is still queued or running (the
+// service's admission accounting; allocates nothing).
 func (cs *CellSet) Unfinished() bool {
 	for _, j := range cs.jobs {
 		if !j.State().Terminal() {
@@ -152,7 +161,8 @@ func (cs *CellSet) Unfinished() bool {
 	return false
 }
 
-// UnfinishedCells counts cells still queued or running.
+// UnfinishedCells counts cells still queued or running (the service's
+// per-tenant cell-quota accounting; allocates nothing).
 func (cs *CellSet) UnfinishedCells() int {
 	n := 0
 	for _, j := range cs.jobs {
@@ -163,7 +173,8 @@ func (cs *CellSet) UnfinishedCells() int {
 	return n
 }
 
-// Cancel withdraws every cell's handle.
+// Cancel withdraws every cell's handle. Cells shared with other
+// submitters keep running for them; exclusive cells stop.
 func (cs *CellSet) Cancel() {
 	for _, j := range cs.jobs {
 		j.Cancel()
@@ -171,7 +182,8 @@ func (cs *CellSet) Cancel() {
 }
 
 // Wait blocks until every cell finishes and returns results aligned
-// with Cells(). On error the remaining handles are released.
+// with Cells(). On error (ctx expires or a cell fails) the remaining
+// handles are released.
 func (cs *CellSet) Wait(ctx context.Context) ([]sim.AppResult, error) {
 	results := make([]sim.AppResult, len(cs.jobs))
 	var firstErr error
@@ -207,19 +219,12 @@ func (cs *CellSet) Dispositions() []string {
 	return out
 }
 
-// FusedGroups returns how many multi-cell fused group tasks the sweep
-// scheduled (0 when every cell ran individually).
-func (s *Sweep) FusedGroups() int { return s.fused }
-
 // Spec returns the (normalized) spec the sweep runs.
 func (s *Sweep) Spec() Spec { return s.spec }
 
 // Tenant returns the tenant identity the sweep was submitted under (""
 // for the default tenant).
 func (s *Sweep) Tenant() string { return s.tenant }
-
-// Cells returns the expanded cells in submission order.
-func (s *Sweep) Cells() []Cell { return s.cells }
 
 // CellStatus is one cell's progress snapshot, including the lifecycle
 // timing breakdown (queue wait, run time, disposition) and the origin
@@ -325,66 +330,20 @@ func durationMS(d time.Duration) float64 {
 	return float64(d.Nanoseconds()) / 1e6
 }
 
-// Unfinished reports whether any cell is still queued or running (the
-// service's admission accounting; allocates nothing).
-func (s *Sweep) Unfinished() bool {
-	for _, j := range s.jobs {
-		if !j.State().Terminal() {
-			return true
-		}
-	}
-	return false
-}
-
-// UnfinishedCells counts cells still queued or running (the service's
-// per-tenant cell-quota accounting; allocates nothing).
-func (s *Sweep) UnfinishedCells() int {
-	n := 0
-	for _, j := range s.jobs {
-		if !j.State().Terminal() {
-			n++
-		}
-	}
-	return n
-}
-
-// Cancel withdraws every cell's handle. Cells shared with other
-// submitters keep running for them; exclusive cells stop.
-func (s *Sweep) Cancel() {
-	for _, j := range s.jobs {
-		j.Cancel()
-	}
-}
-
 // Wait blocks until every cell finishes (or ctx expires / a cell fails;
 // then the remaining handles are released) and folds the results.
 func (s *Sweep) Wait(ctx context.Context) (*Result, error) {
-	results := make([]sim.AppResult, len(s.jobs))
-	var firstErr error
-	for i, j := range s.jobs {
-		if firstErr != nil {
-			j.Cancel()
-			continue
-		}
-		v, err := j.Wait(ctx)
-		if err != nil {
-			j.Cancel()
-			c := s.cells[i]
-			firstErr = fmt.Errorf("sweep: cell %d (%s on %s): %w", c.Index, c.Workload, c.Machine, err)
-			continue
-		}
-		results[i] = v.(sim.AppResult).Clone()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	results, err := s.CellSet.Wait(ctx)
+	if err != nil {
+		return nil, err
 	}
 	return fold(s.spec, s.cells, results), nil
 }
 
-// Run is Submit + Wait: the synchronous entry point (cmd/jettysweep's
-// core, and the simplest way to run a study from Go).
+// Run is Submit + Wait: the synchronous entry point (the simplest way
+// to run a study from Go).
 func Run(ctx context.Context, r *sim.Runner, spec Spec, traces TraceResolver) (*Result, error) {
-	s, err := Submit(r, spec, traces)
+	s, err := Submit(r, spec, traces, Submission{})
 	if err != nil {
 		return nil, err
 	}

@@ -128,7 +128,7 @@ func TestSweepRerunHitsCache(t *testing.T) {
 	}
 	executedBefore := r.Engine().Stats().Executed
 
-	s, err := Submit(r, spec, nil)
+	s, err := Submit(r, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestSampledSweepRerunHitsCache(t *testing.T) {
 	if _, err := Run(context.Background(), r, spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Submit(r, spec, nil)
+	s, err := Submit(r, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSampledSweepRerunHitsCache(t *testing.T) {
 	// The unsampled variant must not be served the sampled cell.
 	plain := spec
 	plain.Interval, plain.Timelines = 0, ""
-	ps, err := Submit(r, plain, nil)
+	ps, err := Submit(r, plain, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestSampledSweepRerunHitsCache(t *testing.T) {
 func TestSweepCancel(t *testing.T) {
 	r := testRunner(t)
 	spec := Spec{Workloads: []string{"Fmm"}, Filters: []string{"EJ-8x2"}, Scale: 100}
-	s, err := Submit(r, spec, nil)
+	s, err := Submit(r, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
