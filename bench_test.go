@@ -32,10 +32,6 @@ import (
 // benchScale shortens the workload access budgets for benchmarking.
 const benchScale = 0.2
 
-// bestHybrid is the paper's best hybrid configuration (Fig. 5b), used as
-// the headline filter for the hot-path benchmarks.
-const bestHybrid = "HJ(IJ-10x4x7,EJ-32x4)"
-
 // BenchmarkTable1 regenerates the Xeon power-breakdown table.
 func BenchmarkTable1(b *testing.B) {
 	var frac float64
@@ -61,30 +57,41 @@ func BenchmarkFig2(b *testing.B) {
 	b.ReportMetric(head*100, "headline%(paper~33)")
 }
 
-// suiteOnce runs the benchmark suite once with the full figure filter
-// bank; the result feeds several benchmarks below. It uses a private,
-// cache-disabled engine so every b.N iteration really re-simulates —
-// the shared DefaultRunner's result cache would otherwise turn all
-// iterations after the first into cache lookups.
-func suiteOnce(b *testing.B, cpus int, nsb bool) ([]sim.AppResult, smp.Config) {
-	b.Helper()
-	eng := engine.New(engine.Options{CacheEntries: -1})
-	defer eng.Close()
-	r := sim.NewRunner(eng)
-	var (
-		results []sim.AppResult
-		cfg     smp.Config
-		err     error
-	)
-	if nsb {
-		results, cfg, err = r.PaperSuiteNSB(context.Background(), cpus, benchScale)
-	} else {
-		results, cfg, err = r.PaperSuite(context.Background(), cpus, benchScale)
+// suiteSpec is the Table 2 suite at benchScale as a bank-mode sweep on
+// one machine; nil filters means the full figure bank.
+func suiteSpec(m sweep.Machine, filters []string) sweep.Spec {
+	spec := sweep.Spec{Machines: []sweep.Machine{m}, Filters: filters, Scale: benchScale}
+	for _, sp := range workload.Specs() {
+		spec.Workloads = append(spec.Workloads, sp.Name)
 	}
+	return spec
+}
+
+// runUncached runs a sweep on a private, cache-disabled engine
+// (workers 0 = GOMAXPROCS), so every b.N iteration really re-simulates:
+// with a result cache every iteration after the first would be a
+// lookup.
+func runUncached(b *testing.B, workers int, spec sweep.Spec) *sweep.Result {
+	b.Helper()
+	eng := engine.New(engine.Options{Workers: workers, CacheEntries: -1})
+	defer eng.Close()
+	res, err := sweep.Run(context.Background(), eng, spec, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return results, cfg
+	return res
+}
+
+// suiteOnce runs the benchmark suite once with the full figure filter
+// bank; the result feeds several benchmarks below.
+func suiteOnce(b *testing.B, cpus int, nsb bool) ([]sim.AppResult, smp.Config) {
+	b.Helper()
+	res := runUncached(b, 0, suiteSpec(sweep.Machine{CPUs: cpus, NSB: nsb}, nil))
+	results := make([]sim.AppResult, len(res.Cells))
+	for i, c := range res.Cells {
+		results[i] = c.Result
+	}
+	return results, res.Cells[0].Cell.Config()
 }
 
 // avgCoverage returns the suite-average coverage of one configuration.
@@ -290,15 +297,14 @@ func BenchmarkThroughputEngine(b *testing.B) {
 // re-simulates (with it on, iterations after the first are free).
 
 // benchSuiteFilters is a representative small bank for the comparison.
-func benchSuiteFilters() smp.Config {
-	return smp.PaperConfig(4).WithFilters(
-		jetty.MustParse("HJ(IJ-10x4x7,EJ-32x4)"),
-		jetty.MustParse("EJ-32x4"),
-	)
-}
+var benchSuiteFilters = []string{sim.BestHybrid, "EJ-32x4"}
 
 func BenchmarkSuiteSerial(b *testing.B) {
-	cfg := benchSuiteFilters()
+	filters, err := jetty.ParseAll(benchSuiteFilters)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := smp.PaperConfig(4).WithFilters(filters...)
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunSuiteSerial(cfg, benchScale); err != nil {
 			b.Fatal(err)
@@ -311,16 +317,11 @@ func BenchmarkSuiteParallel(b *testing.B) {
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		workers = append(workers, n)
 	}
-	cfg := benchSuiteFilters()
+	spec := suiteSpec(sweep.Machine{}, benchSuiteFilters)
 	for _, w := range workers {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := engine.New(engine.Options{Workers: w, CacheEntries: -1})
-				r := sim.NewRunner(eng)
-				if _, err := r.RunSuite(context.Background(), cfg, benchScale); err != nil {
-					b.Fatal(err)
-				}
-				eng.Close()
+				runUncached(b, w, spec)
 			}
 		})
 	}
@@ -349,13 +350,7 @@ func BenchmarkSweep(b *testing.B) {
 	}
 	var best float64
 	for i := 0; i < b.N; i++ {
-		eng := engine.New(engine.Options{CacheEntries: -1})
-		r := sim.NewRunner(eng)
-		res, err := sweep.Run(context.Background(), r, spec, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.Close()
+		res := runUncached(b, 0, spec)
 		groups := sweep.GroupBy(res.Metrics, sweep.ByFilter)
 		top, err := sweep.BestBy(groups, "coverage")
 		if err != nil {
@@ -390,20 +385,10 @@ func BenchmarkSweepFused(b *testing.B) {
 		FilterMode: sweep.ModeEach,
 		Scale:      benchScale * 0.5,
 	}
-	runSweep := func(b *testing.B, spec sweep.Spec) *sweep.Result {
-		b.Helper()
-		eng := engine.New(engine.Options{CacheEntries: -1})
-		defer eng.Close()
-		res, err := sweep.Run(context.Background(), sim.NewRunner(eng), spec, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
 	b.Run("fused", func(b *testing.B) {
 		var cells int
 		for i := 0; i < b.N; i++ {
-			cells = len(runSweep(b, spec).Cells)
+			cells = len(runUncached(b, 0, spec).Cells)
 		}
 		b.ReportMetric(float64(cells), "cells")
 	})
@@ -437,7 +422,7 @@ func BenchmarkSweepFused(b *testing.B) {
 		forced.NoFuse = true
 		var cells int
 		for i := 0; i < b.N; i++ {
-			cells = len(runSweep(b, forced).Cells)
+			cells = len(runUncached(b, 0, forced).Cells)
 		}
 		b.ReportMetric(float64(cells), "cells")
 	})
@@ -497,7 +482,7 @@ func BenchmarkFilterProbe(b *testing.B) {
 //     overhead, which must stay under 5%; the 0 allocs/op guarantee
 //     holds here too (TestStepSteadyStateAllocsSampled).
 func BenchmarkAccessHotPath(b *testing.B) {
-	cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(bestHybrid))
+	cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(sim.BestHybrid))
 	sp, err := workload.ByName("Ocean")
 	if err != nil {
 		b.Fatal(err)
@@ -559,7 +544,7 @@ func BenchmarkAccessHotPath(b *testing.B) {
 // pre-encoded in-memory JTRC trace decoded and stepped through the
 // machine each iteration. Tracked in PERFORMANCE.md.
 func BenchmarkTraceReplay(b *testing.B) {
-	cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(bestHybrid))
+	cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(sim.BestHybrid))
 	sp, err := workload.ByName("Ocean")
 	if err != nil {
 		b.Fatal(err)

@@ -93,15 +93,15 @@ func run(specPath, format, by, outPath string, workers int, quiet bool) error {
 		return usageError{fmt.Errorf("unknown format %q", format)}
 	}
 
-	runner := sim.NewRunner(engine.New(engine.Options{Workers: workers}))
-	defer runner.Engine().Close()
+	eng := engine.New(engine.Options{Workers: workers})
+	defer eng.Close()
 
 	// Ctrl-C cancels every queued and running cell.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	start := time.Now()
-	s, err := sweep.Submit(runner, spec, fileTraceResolver, sweep.Submission{})
+	s, err := sweep.Submit(eng, spec, fileTraceResolver, sweep.Submission{})
 	if err != nil {
 		return err
 	}

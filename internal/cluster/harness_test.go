@@ -20,7 +20,6 @@ import (
 	"jetty/internal/cluster"
 	"jetty/internal/engine"
 	"jetty/internal/service"
-	"jetty/internal/sim"
 	"jetty/internal/sweep"
 )
 
@@ -238,7 +237,7 @@ func runLocal(t *testing.T, spec sweep.Spec, traces sweep.TraceResolver) *sweep.
 	t.Helper()
 	eng := engine.New(engine.Options{})
 	t.Cleanup(eng.Close)
-	res, err := sweep.Run(t.Context(), sim.NewRunner(eng), spec, traces)
+	res, err := sweep.Run(t.Context(), eng, spec, traces)
 	if err != nil {
 		t.Fatal(err)
 	}

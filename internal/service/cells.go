@@ -54,7 +54,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		s.writeRetryError(w, code, tenant, err)
 		return
 	}
-	cs, err := sweep.SubmitCells(s.runner, req.Spec, s.traceLocked, obs.RequestID(r.Context()), tenant, req.Indices)
+	cs, err := sweep.SubmitCells(s.eng, req.Spec, s.traceLocked, obs.RequestID(r.Context()), tenant, req.Indices)
 	if err != nil {
 		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, err)

@@ -48,8 +48,7 @@ func (s *Server) snapshotGauges() {
 	s.mu.Unlock()
 	unfinished := unfinishedJobs(loads)
 
-	eng := s.runner.Engine()
-	st := eng.Stats()
+	st := s.eng.Stats()
 	for tenant, depth := range st.TenantQueues {
 		l := loads[tenant]
 		l.queued = depth
@@ -64,7 +63,7 @@ func (s *Server) snapshotGauges() {
 	t.tracesStored.Set(float64(tracesStored))
 	t.traceBytes.Set(float64(traceBytes))
 	t.feedBuffered.Set(float64(buffered))
-	t.engineWorkers.Set(float64(eng.Workers()))
+	t.engineWorkers.Set(float64(s.eng.Workers()))
 	t.engineQueueDepth.Set(float64(st.QueueDepth))
 	t.engineInflight.Set(float64(st.Inflight))
 	if s.draining.Load() {

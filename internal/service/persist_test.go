@@ -116,7 +116,7 @@ func TestRestartResumesSweep(t *testing.T) {
 	// The persisted cells were served from disk, not recomputed: the new
 	// engine reports store hits, and it executed at most the cells that
 	// were NOT yet on disk at kill time.
-	est := s2.runner.Engine().Stats()
+	est := s2.eng.Stats()
 	if est.StoreHits < uint64(persisted) {
 		t.Errorf("StoreHits = %d, want >= %d (the persisted cells)", est.StoreHits, persisted)
 	}

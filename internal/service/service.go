@@ -155,7 +155,7 @@ const (
 // Server owns the engine, the job registry and the uploaded-trace
 // store.
 type Server struct {
-	runner          *sim.Runner
+	eng             *engine.Engine
 	maxUnfinished   int
 	maxTenantJobs   int
 	maxTenantCells  int
@@ -231,7 +231,7 @@ func New(opts Options) *Server {
 		Store:         resultStore,
 	})
 	s := &Server{
-		runner:          sim.NewRunner(eng),
+		eng:             eng,
 		maxUnfinished:   maxUnfinished,
 		maxTenantJobs:   maxTenantJobs,
 		maxTenantCells:  maxTenantCells,
@@ -265,7 +265,7 @@ func (s *Server) Close() {
 	if s.cluster != nil {
 		s.cluster.Close()
 	}
-	s.runner.Engine().Close()
+	s.eng.Close()
 }
 
 // Handler returns the service's HTTP handler: the API mux wrapped in
@@ -377,7 +377,6 @@ type ExperimentResult struct {
 // so a load balancer or orchestrator stops routing new work while
 // in-flight requests complete.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	eng := s.runner.Engine()
 	state, code := "ready", http.StatusOK
 	if s.draining.Load() {
 		state, code = "draining", http.StatusServiceUnavailable
@@ -386,8 +385,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ok":      code == http.StatusOK,
 		"state":   state,
 		"role":    s.role,
-		"workers": eng.Workers(),
-		"stats":   eng.Stats(),
+		"workers": s.eng.Workers(),
+		"stats":   s.eng.Stats(),
 	})
 }
 
@@ -880,12 +879,12 @@ func retryHintSeconds(code, backlog, workers int, runSeconds, jitter float64) in
 // client is actually behind: the whole engine queue for a global 503,
 // the tenant's own fair-share queue for a 429.
 func (s *Server) writeRetryError(w http.ResponseWriter, code int, tenant string, err error) {
-	st := s.runner.Engine().Stats()
+	st := s.eng.Stats()
 	backlog := st.QueueDepth + st.Inflight
 	if code != http.StatusServiceUnavailable {
 		backlog = st.TenantQueues[tenant]
 	}
-	hint := retryHintSeconds(code, backlog, s.runner.Engine().Workers(),
+	hint := retryHintSeconds(code, backlog, s.eng.Workers(),
 		s.tel.runEWMASeconds(), rand.Float64()*retryJitterFrac)
 	w.Header().Set("Retry-After", strconv.Itoa(hint))
 	writeError(w, code, err)

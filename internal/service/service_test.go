@@ -187,7 +187,7 @@ func TestIdenticalExperimentsShareWork(t *testing.T) {
 	if !final.Jobs[0].CacheHit {
 		t.Error("identical resubmission should be a cache hit")
 	}
-	if st := s.runner.Engine().Stats(); st.CacheHits == 0 {
+	if st := s.eng.Stats(); st.CacheHits == 0 {
 		t.Errorf("engine stats show no cache hits: %+v", st)
 	}
 

@@ -156,7 +156,7 @@ func (s *Server) startLocked(id string, spec sweep.Spec, req *SubmitRequest, cel
 	if s.cluster != nil {
 		j.sw, err = s.cluster.Submit(spec, s.traceLocked, origin, tenant)
 	} else {
-		j.sw, err = sweep.Submit(s.runner, spec, s.traceLocked, sub)
+		j.sw, err = sweep.Submit(s.eng, spec, s.traceLocked, sub)
 	}
 	if err != nil {
 		return nil, err

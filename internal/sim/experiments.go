@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -30,47 +29,10 @@ func AllFigureConfigs() []string {
 	return out
 }
 
-// bestHybridName is the paper's best hybrid configuration, the
-// representative filter of the summary and sensitivity experiments.
-const bestHybridName = "HJ(IJ-10x4x7,EJ-32x4)"
-
-// PaperBankConfig builds the paper's machine (subblocked or not) with
-// the named filter bank attached; an empty list means the full figure
-// bank. It is the single source of the default experiment machine, used
-// by the suite entry points here and by the jettyd service.
-func PaperBankConfig(cpus int, nsb bool, filterNames []string) (smp.Config, error) {
-	if len(filterNames) == 0 {
-		filterNames = AllFigureConfigs()
-	}
-	filters, err := jetty.ParseAll(filterNames)
-	if err != nil {
-		return smp.Config{}, err
-	}
-	base := smp.PaperConfig(cpus)
-	if nsb {
-		base = smp.PaperConfigNSB(cpus)
-	}
-	return base.WithFilters(filters...), nil
-}
-
-// paperSuiteConfig builds the paper's machine with the full figure
-// filter bank attached.
-func paperSuiteConfig(cpus int, nsb bool) (smp.Config, error) {
-	return PaperBankConfig(cpus, nsb, nil)
-}
-
-// PaperSuite runs the whole benchmark suite on the paper's machine with
-// the full figure filter bank attached, concurrently on the shared
-// engine. scale scales the access budgets (1.0 for the full experiment,
-// smaller for benchmarks/smoke tests).
-func PaperSuite(cpus int, scale float64) ([]AppResult, smp.Config, error) {
-	return DefaultRunner().PaperSuite(context.Background(), cpus, scale)
-}
-
-// PaperSuiteNSB is PaperSuite on the non-subblocked machine.
-func PaperSuiteNSB(cpus int, scale float64) ([]AppResult, smp.Config, error) {
-	return DefaultRunner().PaperSuiteNSB(context.Background(), cpus, scale)
-}
+// BestHybrid is the paper's best hybrid configuration (Figure 5(b)), the
+// representative filter of the summary, latency, throughput and
+// sensitivity experiments.
+const BestHybrid = "HJ(IJ-10x4x7,EJ-32x4)"
 
 // Table1Report reproduces Table 1: the Xeon power breakdown with the
 // derived percentage columns recomputed.
@@ -277,7 +239,7 @@ func SummaryReport(results []AppResult, label string) string {
 	for _, r := range results {
 		smOfAll += r.SnoopMissOfAll / float64(len(results))
 		smOfSnoops += r.SnoopMissOfSnoops / float64(len(results))
-		if cov, err := r.CoverageOf("HJ(IJ-10x4x7,EJ-32x4)"); err == nil {
+		if cov, err := r.CoverageOf(BestHybrid); err == nil {
 			bestHJ += cov / float64(len(results))
 		}
 	}
@@ -295,16 +257,6 @@ type SensitivityPoint struct {
 	Assoc    int
 	Coverage float64 // best hybrid
 	OverAll  float64 // serial-mode energy reduction over all L2 accesses
-}
-
-// L2Sensitivity sweeps L2 size and associativity with the best hybrid
-// attached, quantifying the paper's §1 motivation: "As L2 size and
-// associativity increase the power required for their operation also
-// increases" — and with it JETTY's savings. One representative workload
-// keeps the sweep fast; scale shortens it further. The eight design
-// points run concurrently on the shared engine.
-func L2Sensitivity(appName string, scale float64) ([]SensitivityPoint, error) {
-	return DefaultRunner().L2Sensitivity(context.Background(), appName, scale)
 }
 
 // SensitivityReport renders the sweep.

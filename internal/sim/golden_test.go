@@ -64,7 +64,7 @@ const goldenMetricsPath = "testdata/paper_metrics.json"
 // path — no engine, no cache, nothing shared between tests).
 func computeGolden(t *testing.T) []goldenApp {
 	t.Helper()
-	cfg, err := PaperBankConfig(4, false, goldenConfigs)
+	cfg, err := bankConfig(4, goldenConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // strings orphans all stored work: it must be a deliberate, versioned
 // decision, never a side effect of a refactor.
 func TestKeyGolden(t *testing.T) {
-	cfg, err := PaperBankConfig(4, false, []string{"HJ(IJ-10x4x7,EJ-32x4)", "EJ-32x4", "IJ-9x4x7"})
+	cfg, err := bankConfig(4, []string{"HJ(IJ-10x4x7,EJ-32x4)", "EJ-32x4", "IJ-9x4x7"})
 	if err != nil {
 		t.Fatal(err)
 	}

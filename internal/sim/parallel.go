@@ -3,24 +3,20 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"jetty/internal/energy"
-	"jetty/internal/engine"
-	"jetty/internal/jetty"
 	"jetty/internal/metrics"
 	"jetty/internal/smp"
 	"jetty/internal/trace"
-	"jetty/internal/workload"
 )
 
 // The paper's evaluation is embarrassingly parallel: one independent,
-// fully seeded simulation pass per (application, machine) pair. This
-// file submits those passes to an engine.Engine worker pool instead of
-// running them serially. Each pass is still the exact single-threaded
-// simulation of RunApp — only scheduling changes — so results are
-// bit-identical to the serial path (TestParallelSuiteMatchesSerial
-// asserts it under the race detector).
+// fully seeded simulation pass per (application, machine) pair, which
+// the engine runs concurrently (internal/sweep schedules them). Each
+// pass is still the exact single-threaded simulation of RunApp, cut
+// into chunks so it can report progress and be canceled; only
+// scheduling changes, so results are bit-identical to the serial path
+// (TestParallelSuiteMatchesSerial in internal/sweep asserts it under
+// the race detector).
 
 // progressChunk is roughly how many references run between progress
 // reports and cancellation checks. The actual chunk is rounded down to a
@@ -97,178 +93,6 @@ func (o SampleOptions) newSampler(cfg smp.Config, total uint64) (*metrics.Sample
 		Capacity: capacity,
 		OnWindow: o.OnWindow,
 	}), nil
-}
-
-// Runner executes app runs on an engine worker pool.
-type Runner struct {
-	eng *engine.Engine
-}
-
-// NewRunner wraps an engine. The caller keeps ownership (and the Close
-// responsibility) of the engine.
-func NewRunner(e *engine.Engine) *Runner { return &Runner{eng: e} }
-
-// Engine returns the underlying engine (for stats and job submission).
-func (r *Runner) Engine() *engine.Engine { return r.eng }
-
-// Submit schedules one app run and returns its job handle. The job's
-// result is an AppResult; prefer RunApp/RunApps unless the caller needs
-// asynchronous status.
-func (r *Runner) Submit(sp workload.Spec, cfg smp.Config) *engine.Job {
-	in := Input{Spec: sp}
-	return r.eng.SubmitGroup(GroupTask(in, []Member{{Key: Key(in, cfg, 0), Config: cfg}}, SampleOptions{}))[0]
-}
-
-// RunApp runs one application through the engine and waits for it.
-func (r *Runner) RunApp(ctx context.Context, sp workload.Spec, cfg smp.Config) (AppResult, error) {
-	return waitResult(ctx, r.Submit(sp, cfg))
-}
-
-// RunApps runs one simulation per spec concurrently and returns the
-// results in spec order. On error the remaining jobs are released.
-func (r *Runner) RunApps(ctx context.Context, specs []workload.Spec, cfg smp.Config) ([]AppResult, error) {
-	jobs := make([]*engine.Job, len(specs))
-	for i, sp := range specs {
-		jobs[i] = r.Submit(sp, cfg)
-	}
-	out := make([]AppResult, len(specs))
-	var firstErr error
-	for i, j := range jobs {
-		if firstErr != nil {
-			j.Cancel()
-			continue
-		}
-		res, err := waitResult(ctx, j)
-		if err != nil {
-			firstErr = fmt.Errorf("sim: %s: %w", specs[i].Name, err)
-			continue
-		}
-		out[i] = res
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// RunSuite runs the whole benchmark suite (every Table 2 application at
-// the given access-budget scale) on the engine.
-func (r *Runner) RunSuite(ctx context.Context, cfg smp.Config, scale float64) ([]AppResult, error) {
-	specs := workload.Specs()
-	for i := range specs {
-		specs[i] = specs[i].Scale(scale)
-	}
-	return r.RunApps(ctx, specs, cfg)
-}
-
-// PaperSuite runs the suite on the paper's machine with the full figure
-// filter bank attached.
-func (r *Runner) PaperSuite(ctx context.Context, cpus int, scale float64) ([]AppResult, smp.Config, error) {
-	cfg, err := paperSuiteConfig(cpus, false)
-	if err != nil {
-		return nil, smp.Config{}, err
-	}
-	results, err := r.RunSuite(ctx, cfg, scale)
-	return results, cfg, err
-}
-
-// PaperSuiteNSB is PaperSuite on the non-subblocked machine.
-func (r *Runner) PaperSuiteNSB(ctx context.Context, cpus int, scale float64) ([]AppResult, smp.Config, error) {
-	cfg, err := paperSuiteConfig(cpus, true)
-	if err != nil {
-		return nil, smp.Config{}, err
-	}
-	results, err := r.RunSuite(ctx, cfg, scale)
-	return results, cfg, err
-}
-
-// L2Sensitivity sweeps L2 size and associativity concurrently (see the
-// package-level L2Sensitivity for the experiment's rationale).
-func (r *Runner) L2Sensitivity(ctx context.Context, appName string, scale float64) ([]SensitivityPoint, error) {
-	sp, err := workload.ByName(appName)
-	if err != nil {
-		return nil, err
-	}
-	sp = sp.Scale(scale)
-	best := jetty.MustParse(bestHybridName)
-	tech := energy.Tech180()
-
-	type point struct {
-		size, assoc int
-		cfg         smp.Config
-		job         *engine.Job
-	}
-	var points []point
-	for _, size := range []int{1 << 19, 1 << 20, 2 << 20, 4 << 20} {
-		for _, assoc := range []int{4, 8} {
-			cfg := smp.PaperConfig(4).WithFilters(best)
-			cfg.L2.SizeBytes = size
-			cfg.L2.Assoc = assoc
-			points = append(points, point{size: size, assoc: assoc, cfg: cfg, job: r.Submit(sp, cfg)})
-		}
-	}
-
-	out := make([]SensitivityPoint, 0, len(points))
-	var firstErr error
-	for _, p := range points {
-		if firstErr != nil {
-			p.job.Cancel()
-			continue
-		}
-		res, err := waitResult(ctx, p.job)
-		if err != nil {
-			firstErr = err
-			continue
-		}
-		cov, err := res.CoverageOf(best.Name())
-		if err != nil {
-			firstErr = err
-			continue
-		}
-		red := EnergyReductions(res, p.cfg, tech, energy.SerialTagData)
-		out = append(out, SensitivityPoint{
-			L2Bytes: p.size, Assoc: p.assoc, Coverage: cov, OverAll: red[0].OverAll,
-		})
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// waitResult waits for one job and returns a defensive copy of its
-// AppResult (engine-cached results are shared between submitters). On
-// any error — including an abandoned Wait when ctx expires — it releases
-// the caller's handle: without that, a still-running execution would
-// keep burning a worker with no remaining consumer.
-func waitResult(ctx context.Context, j *engine.Job) (AppResult, error) {
-	v, err := j.Wait(ctx)
-	if err != nil {
-		j.Cancel()
-		return AppResult{}, err
-	}
-	return v.(AppResult).Clone(), nil
-}
-
-// defaultRunner is the process-wide shared runner backing the package's
-// serial-looking entry points (RunSuite, PaperSuite, ...). One engine
-// sized to GOMAXPROCS is enough for any number of callers: it is the
-// concurrency cap.
-var (
-	defaultMu     sync.Mutex
-	defaultRunner *Runner
-)
-
-// DefaultRunner returns the shared runner, creating it on first use.
-// Callers that need their own pool size build one with NewRunner
-// (cmd/paper does, for its -workers flag).
-func DefaultRunner() *Runner {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultRunner == nil {
-		defaultRunner = NewRunner(engine.New(engine.Options{}))
-	}
-	return defaultRunner
 }
 
 // Task kinds: the telemetry label (engine.GroupTask.Kind) each

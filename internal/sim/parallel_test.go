@@ -2,10 +2,8 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -85,50 +83,15 @@ func TestRunAppCtxMatchesRunApp(t *testing.T) {
 	}
 }
 
-// TestParallelSuiteMatchesSerial is the acceptance test: the engine path
-// must return results byte-identical to the serial implementation. Run
-// it under -race to also check the pool's memory discipline.
-func TestParallelSuiteMatchesSerial(t *testing.T) {
-	const scale = 0.02
-	cfg := testConfig(4)
-
-	serial, err := RunSuiteSerial(cfg, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewRunner(engine.New(engine.Options{}))
-	defer r.Engine().Close()
-	parallel, err := r.RunSuite(context.Background(), cfg, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("parallel suite diverged from serial suite")
-	}
-	sb, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := json.Marshal(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(sb) != string(pb) {
-		t.Fatal("parallel suite not byte-identical to serial suite")
-	}
-}
-
 func TestRunnerCancellation(t *testing.T) {
-	r := NewRunner(engine.New(engine.Options{Workers: 1}))
-	defer r.Engine().Close()
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
 
 	// A deliberately long run: cancellation must cut it short at the next
 	// chunk boundary rather than simulating all 50M references.
 	sp := quickSpec(t)
 	sp.Accesses = 50_000_000
-	job := r.Submit(sp, testConfig(4))
+	job := submitOne(eng, Input{Spec: sp}, testConfig(4), SampleOptions{})
 
 	for job.Status().State == engine.Queued {
 		time.Sleep(time.Millisecond)
@@ -146,39 +109,9 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 }
 
-func TestRunAppAbandonedWaitReleasesWorker(t *testing.T) {
-	r := NewRunner(engine.New(engine.Options{Workers: 1}))
-	defer r.Engine().Close()
-
-	long := quickSpec(t)
-	long.Accesses = 50_000_000
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.RunApp(ctx, long, testConfig(4)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-
-	// The abandoned run must have been released (its only handle gone),
-	// freeing the single worker for new work promptly.
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.RunApp(context.Background(), quickSpec(t), testConfig(4))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker still occupied by the abandoned run")
-	}
-}
-
 func TestIdenticalInflightJobsCoalesce(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	defer eng.Close()
-	r := NewRunner(eng)
 
 	// Occupy the only worker so the two identical submissions below are
 	// both pending when the second one arrives.
@@ -196,8 +129,8 @@ func TestIdenticalInflightJobsCoalesce(t *testing.T) {
 
 	sp := quickSpec(t)
 	cfg := testConfig(4)
-	j1 := r.Submit(sp, cfg)
-	j2 := r.Submit(sp, cfg)
+	j1 := submitOne(eng, Input{Spec: sp}, cfg, SampleOptions{})
+	j2 := submitOne(eng, Input{Spec: sp}, cfg, SampleOptions{})
 	close(release)
 
 	res1, err1 := j1.Wait(context.Background())
@@ -216,7 +149,7 @@ func TestIdenticalInflightJobsCoalesce(t *testing.T) {
 	}
 
 	// A third submission after completion is a pure cache hit.
-	j3 := r.Submit(sp, cfg)
+	j3 := submitOne(eng, Input{Spec: sp}, cfg, SampleOptions{})
 	res3, err := j3.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -226,42 +159,5 @@ func TestIdenticalInflightJobsCoalesce(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res1, res3) {
 		t.Error("cached result differs from the computed one")
-	}
-}
-
-func TestRunnerResultsAreIsolated(t *testing.T) {
-	r := NewRunner(engine.New(engine.Options{}))
-	defer r.Engine().Close()
-
-	sp := quickSpec(t)
-	cfg := testConfig(4)
-	a, err := r.RunApp(context.Background(), sp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutating one caller's result must not poison the cache.
-	a.Coverage[0] = -1
-	a.FilterNames[0] = "tampered"
-	b, err := r.RunApp(context.Background(), sp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Coverage[0] == -1 || b.FilterNames[0] == "tampered" {
-		t.Error("cache returned a result aliased to a previous caller's slices")
-	}
-}
-
-func TestRunAppsReportsAppInError(t *testing.T) {
-	r := NewRunner(engine.New(engine.Options{}))
-	defer r.Engine().Close()
-
-	bad := quickSpec(t)
-	bad.Accesses = 0 // fails validation inside the task
-	_, err := r.RunApps(context.Background(), []workload.Spec{bad}, testConfig(4))
-	if err == nil {
-		t.Fatal("invalid spec must fail")
-	}
-	if want := "sim: Lu:"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q should name the app (%q)", err, want)
 	}
 }

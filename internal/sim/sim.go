@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"jetty/internal/bus"
@@ -85,7 +84,8 @@ func (r AppResult) FilterCountsOf(name string) (energy.FilterCounts, error) {
 // requirement or the machine ended incoherent.
 //
 // RunApp is the reference implementation: the engine-backed paths
-// (Runner, RunSuite, cmd/jettyd) must produce bit-identical results.
+// (internal/sweep, cmd/paper, cmd/jettyd) must produce bit-identical
+// results.
 func RunApp(sp workload.Spec, cfg smp.Config) (AppResult, error) {
 	if err := sp.Validate(); err != nil {
 		return AppResult{}, err
@@ -179,19 +179,11 @@ func buildTimeline(sm *metrics.Sampler, cfg smp.Config) *metrics.Timeline {
 	return &metrics.Timeline{Interval: sm.Interval(), FilterNames: names, Windows: wins}
 }
 
-// RunSuite runs every application of the paper's benchmark suite on the
-// given machine, scaling each access budget by scale (1 = the default
-// budgets; benchmarks use smaller values). The apps run concurrently on
-// the shared engine (see DefaultRunner); results are returned in Table 2
-// order and are bit-identical to running each app serially.
-func RunSuite(cfg smp.Config, scale float64) ([]AppResult, error) {
-	return DefaultRunner().RunSuite(context.Background(), cfg, scale)
-}
-
-// RunSuiteSerial is the engine-free reference implementation of
-// RunSuite: every app on the calling goroutine, in order. It exists so
-// tests (and the suite benchmarks) can compare the parallel path against
-// it; prefer RunSuite.
+// RunSuiteSerial is the engine-free reference run of the benchmark
+// suite: every Table 2 application at the given access-budget scale, on
+// the calling goroutine, in order. It exists so tests (and the suite
+// benchmarks) can compare the engine path, a sweep over the same apps,
+// against it.
 func RunSuiteSerial(cfg smp.Config, scale float64) ([]AppResult, error) {
 	var out []AppResult
 	for _, sp := range workload.Specs() {

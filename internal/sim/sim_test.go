@@ -73,21 +73,6 @@ func TestRunAppValidatesInputs(t *testing.T) {
 	}
 }
 
-func TestRunSuiteScales(t *testing.T) {
-	results, err := RunSuite(smp.PaperConfig(4), 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 10 {
-		t.Fatalf("suite size %d", len(results))
-	}
-	for _, r := range results {
-		if r.Refs == 0 {
-			t.Errorf("%s: no references processed", r.Spec.Name)
-		}
-	}
-}
-
 func TestAllFigureConfigsDeduplicated(t *testing.T) {
 	names := AllFigureConfigs()
 	seen := map[string]bool{}
@@ -318,34 +303,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// TestSensitivityMonotone verifies the paper's §1 motivation holds in the
-// model: at fixed associativity, the best hybrid's energy savings grow
-// with L2 size (bigger tags, same filter cost).
-func TestSensitivityMonotone(t *testing.T) {
-	points, err := L2Sensitivity("Ocean", 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 8 {
-		t.Fatalf("want 8 sweep points, got %d", len(points))
-	}
-	prev := map[int]float64{} // assoc -> last overAll
-	for _, p := range points {
-		if last, ok := prev[p.Assoc]; ok && p.OverAll <= last {
-			t.Errorf("savings not growing with L2 size at assoc %d: %.3f after %.3f",
-				p.Assoc, p.OverAll, last)
-		}
-		prev[p.Assoc] = p.OverAll
-	}
-	if out := SensitivityReport(points, "Ocean"); !strings.Contains(out, "4096KB") {
-		t.Error("report missing sweep points")
-	}
-}
-
-func TestL2SensitivityUnknownApp(t *testing.T) {
-	if _, err := L2Sensitivity("quake", 1); err == nil {
-		t.Error("unknown app accepted")
-	}
 }

@@ -54,7 +54,7 @@ const goldenTimelinePath = "testdata/timelines.json"
 // the reference path (no engine, no cache).
 func computeGoldenTimelines(t *testing.T) []goldenTimeline {
 	t.Helper()
-	cfg, err := PaperBankConfig(4, false, goldenConfigs)
+	cfg, err := bankConfig(4, goldenConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jetty/internal/engine"
 	"jetty/internal/metrics"
 	"jetty/internal/trace"
 	"jetty/internal/workload"
@@ -100,7 +101,7 @@ func TestTimelineConservesUnderRandomRuns(t *testing.T) {
 }
 
 func TestTimelineConservesOnLibrary(t *testing.T) {
-	cfg, err := PaperBankConfig(4, false, goldenConfigs)
+	cfg, err := bankConfig(4, goldenConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestTimelineConservesOnLibrary(t *testing.T) {
 // unsampled replay on every aggregate, and its timeline equals the
 // capturing run's (same stream, same machine, same boundaries).
 func TestSampledReplayMatchesDirect(t *testing.T) {
-	cfg, err := PaperBankConfig(4, false, goldenConfigs)
+	cfg, err := bankConfig(4, goldenConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestSampledReplayMatchesDirect(t *testing.T) {
 // submissions share one execution, and cached timelines are deep-cloned
 // to each caller.
 func TestSampledEngineRunsShareAndCloneTimelines(t *testing.T) {
-	cfg, err := PaperBankConfig(4, false, goldenConfigs)
+	cfg, err := bankConfig(4, goldenConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,15 +191,16 @@ func TestSampledEngineRunsShareAndCloneTimelines(t *testing.T) {
 	}
 	sp = sp.Scale(0.02)
 	opt := SampleOptions{Interval: 1024}
-	r := DefaultRunner()
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
 	ctx := context.Background()
 
-	j1 := submitOne(r, Input{Spec: sp}, cfg, opt)
-	j2 := submitOne(r, Input{Spec: sp}, cfg, opt)
+	j1 := submitOne(eng, Input{Spec: sp}, cfg, opt)
+	j2 := submitOne(eng, Input{Spec: sp}, cfg, opt)
 	if j1.Status().Key != j2.Status().Key {
 		t.Fatal("identical sampled runs have different keys")
 	}
-	plainKey := r.Submit(sp, cfg)
+	plainKey := submitOne(eng, Input{Spec: sp}, cfg, SampleOptions{})
 	if plainKey.Status().Key == j1.Status().Key {
 		t.Fatal("sampled and unsampled runs share a cache key")
 	}
@@ -224,7 +226,7 @@ func TestSampledEngineRunsShareAndCloneTimelines(t *testing.T) {
 	assertConserves(t, "engine", a)
 
 	// An invalid interval fails cleanly through the engine.
-	bad := submitOne(r, Input{Spec: sp}, cfg, SampleOptions{Interval: metrics.MinInterval - 1})
+	bad := submitOne(eng, Input{Spec: sp}, cfg, SampleOptions{Interval: metrics.MinInterval - 1})
 	if _, err := bad.Wait(ctx); err == nil {
 		t.Error("sub-minimum interval accepted")
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jetty/internal/engine"
 	"jetty/internal/trace"
 	"jetty/internal/workload"
 )
@@ -27,7 +28,7 @@ func stripLabel(r AppResult) AppResult {
 // in-memory run, for both compression modes, with a full filter bank
 // attached.
 func TestTraceReplayMatchesDirect(t *testing.T) {
-	cfg, err := PaperBankConfig(4, false, []string{"HJ(IJ-10x4x7,EJ-32x4)", "EJ-32x4", "IJ-9x4x7"})
+	cfg, err := bankConfig(4, []string{"HJ(IJ-10x4x7,EJ-32x4)", "EJ-32x4", "IJ-9x4x7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestTraceReplayMatchesDirect(t *testing.T) {
 // TestTraceReplayThroughEngine exercises the engine path: identical
 // replays share one execution and the second submission is a cache hit.
 func TestTraceReplayThroughEngine(t *testing.T) {
-	cfg, err := PaperBankConfig(4, false, []string{"EJ-32x4"})
+	cfg, err := bankConfig(4, []string{"EJ-32x4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +114,13 @@ func TestTraceReplayThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := DefaultRunner()
-	first, err := waitResult(context.Background(), submitOne(r, Input{Trace: &in}, cfg, SampleOptions{}))
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	first, err := waitResult(context.Background(), submitOne(eng, Input{Trace: &in}, cfg, SampleOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := waitResult(context.Background(), submitOne(r, Input{Trace: &in}, cfg, SampleOptions{}))
+	again, err := waitResult(context.Background(), submitOne(eng, Input{Trace: &in}, cfg, SampleOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestTraceReplayThroughEngine(t *testing.T) {
 }
 
 func TestTraceFingerprint(t *testing.T) {
-	cfgA, err := PaperBankConfig(4, false, []string{"EJ-32x4"})
+	cfgA, err := bankConfig(4, []string{"EJ-32x4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestTraceFingerprint(t *testing.T) {
 }
 
 func TestRunTraceRejectsNarrowMachine(t *testing.T) {
-	cfg, err := PaperBankConfig(2, false, []string{"EJ-32x4"})
+	cfg, err := bankConfig(2, []string{"EJ-32x4"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,11 @@ func runBothPaths(t *testing.T, spec Spec, traces TraceResolver) (fused, perCell
 	legacySpec.NoFuse = true
 
 	var err error
-	fused, err = Run(context.Background(), testRunner(t), fusedSpec, traces)
+	fused, err = Run(context.Background(), testEngine(t), fusedSpec, traces)
 	if err != nil {
 		t.Fatalf("fused path: %v", err)
 	}
-	perCell, err = Run(context.Background(), testRunner(t), legacySpec, traces)
+	perCell, err = Run(context.Background(), testEngine(t), legacySpec, traces)
 	if err != nil {
 		t.Fatalf("per-cell path: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestSweepFusedMatchesPerCell(t *testing.T) {
 	}
 
 	// The fused path must actually fuse: one group per library workload.
-	s, err := Submit(testRunner(t), spec, nil, Submission{})
+	s, err := Submit(testEngine(t), spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +183,12 @@ func TestFusedCacheInterop(t *testing.T) {
 	perCellSpec.NoFuse = true
 
 	t.Run("fused-then-per-cell", func(t *testing.T) {
-		r := testRunner(t)
-		if _, err := Run(context.Background(), r, spec, nil); err != nil {
+		eng := testEngine(t)
+		if _, err := Run(context.Background(), eng, spec, nil); err != nil {
 			t.Fatal(err)
 		}
-		executed := r.Engine().Stats().Executed
-		s, err := Submit(r, perCellSpec, nil, Submission{})
+		executed := eng.Stats().Executed
+		s, err := Submit(eng, perCellSpec, nil, Submission{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,18 +198,18 @@ func TestFusedCacheInterop(t *testing.T) {
 		if st := s.Status(false); st.CacheHits != st.Cells {
 			t.Errorf("per-cell rerun after fused: %d/%d cache hits", st.CacheHits, st.Cells)
 		}
-		if after := r.Engine().Stats().Executed; after != executed {
+		if after := eng.Stats().Executed; after != executed {
 			t.Errorf("per-cell rerun recomputed %d cells after a fused sweep", after-executed)
 		}
 	})
 
 	t.Run("per-cell-then-fused", func(t *testing.T) {
-		r := testRunner(t)
-		if _, err := Run(context.Background(), r, perCellSpec, nil); err != nil {
+		eng := testEngine(t)
+		if _, err := Run(context.Background(), eng, perCellSpec, nil); err != nil {
 			t.Fatal(err)
 		}
-		executed := r.Engine().Stats().Executed
-		s, err := Submit(r, spec, nil, Submission{})
+		executed := eng.Stats().Executed
+		s, err := Submit(eng, spec, nil, Submission{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,22 +219,22 @@ func TestFusedCacheInterop(t *testing.T) {
 		if st := s.Status(false); st.CacheHits != st.Cells {
 			t.Errorf("fused rerun after per-cell: %d/%d cache hits", st.CacheHits, st.Cells)
 		}
-		if after := r.Engine().Stats().Executed; after != executed {
+		if after := eng.Stats().Executed; after != executed {
 			t.Errorf("fused rerun recomputed %d cells after a per-cell sweep", after-executed)
 		}
 	})
 
 	t.Run("partial-cache", func(t *testing.T) {
-		r := testRunner(t)
+		eng := testEngine(t)
 		// Warm two of the four filter variants through the per-cell path.
 		warm := perCellSpec
 		warm.Filters = fusedAxis()[:2]
-		if _, err := Run(context.Background(), r, warm, nil); err != nil {
+		if _, err := Run(context.Background(), eng, warm, nil); err != nil {
 			t.Fatal(err)
 		}
-		executed := r.Engine().Stats().Executed
+		executed := eng.Stats().Executed
 
-		s, err := Submit(r, spec, nil, Submission{})
+		s, err := Submit(eng, spec, nil, Submission{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +247,11 @@ func TestFusedCacheInterop(t *testing.T) {
 			t.Errorf("partially cached fused sweep: %d cache hits, want 2", st.CacheHits)
 		}
 		// The two cold banks ride one fused pass: exactly 2 new executions.
-		if after := r.Engine().Stats().Executed; after != executed+2 {
+		if after := eng.Stats().Executed; after != executed+2 {
 			t.Errorf("fused sweep over a half-warm cache executed %d new tasks, want 2", after-executed)
 		}
 		// And the mixed-provenance result still matches an all-cold run.
-		cold, err := Run(context.Background(), testRunner(t), spec, nil)
+		cold, err := Run(context.Background(), testEngine(t), spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,6 @@ func TestFusedCancelAndLoss(t *testing.T) {
 	col := &fusedRetireCollector{}
 	eng := engine.New(engine.Options{OnRetire: col.hook})
 	t.Cleanup(eng.Close)
-	r := sim.NewRunner(eng)
 
 	// A big budget keeps the fused pass running until we cancel it.
 	spec := Spec{
@@ -300,7 +299,7 @@ func TestFusedCancelAndLoss(t *testing.T) {
 		FilterMode: ModeEach,
 		Scale:      100,
 	}
-	s, err := Submit(r, spec, nil, Submission{Origin: "req-cancel-1"})
+	s, err := Submit(eng, spec, nil, Submission{Origin: "req-cancel-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,14 +365,14 @@ func TestFusedCancelAndLoss(t *testing.T) {
 // move monotonically and never exceed its Total, and the aggregate
 // fraction must stay in [0, 1].
 func TestFusedProgressMonotone(t *testing.T) {
-	r := testRunner(t)
+	eng := testEngine(t)
 	spec := Spec{
 		Workloads:  []string{"Barnes"},
 		Filters:    fusedAxis(),
 		FilterMode: ModeEach,
 		Scale:      2,
 	}
-	s, err := Submit(r, spec, nil, Submission{})
+	s, err := Submit(eng, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}

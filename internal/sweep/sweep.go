@@ -42,23 +42,22 @@ type Submission struct {
 	OnWindow func(cell int, w *metrics.Window)
 }
 
-// Submit expands the spec and schedules every cell on the runner's
-// engine. Submission never blocks on the work itself; identical cells
+// Submit expands the spec and schedules every cell on the engine. Submission never blocks on the work itself; identical cells
 // (within this sweep, across sweeps, or against past runs) are
 // deduplicated by the engine's in-flight coalescing and result cache.
-func Submit(r *sim.Runner, spec Spec, traces TraceResolver, sub Submission) (*Sweep, error) {
+func Submit(eng *engine.Engine, spec Spec, traces TraceResolver, sub Submission) (*Sweep, error) {
 	cells, err := spec.Expand(traces)
 	if err != nil {
 		return nil, err
 	}
 	norm := spec.normalize()
-	return &Sweep{CellSet: schedule(r, norm, cells, sub), spec: norm, tenant: sub.Tenant}, nil
+	return &Sweep{CellSet: schedule(eng, norm, cells, sub), spec: norm, tenant: sub.Tenant}, nil
 }
 
 // schedule submits cells on the engine, one group task per planned
 // group. Each group shares one reference stream (the planGroups
 // contract).
-func schedule(r *sim.Runner, spec Spec, cells []Cell, sub Submission) CellSet {
+func schedule(eng *engine.Engine, spec Spec, cells []Cell, sub Submission) CellSet {
 	cs := CellSet{cells: cells, jobs: make([]*engine.Job, len(cells))}
 	kind := sub.Kind
 	if kind == "" {
@@ -87,7 +86,7 @@ func schedule(r *sim.Runner, spec Spec, cells []Cell, sub Submission) CellSet {
 		}
 		g.Origin = sub.Origin
 		g.Tenant = sub.Tenant
-		for k, j := range r.Engine().SubmitGroup(g) {
+		for k, j := range eng.SubmitGroup(g) {
 			cs.jobs[group[k]] = j
 		}
 	}
@@ -121,7 +120,7 @@ type CellSet struct {
 // (the coordinator dispatches planned units, which are ascending by
 // construction). Identical cells dedup against the engine's cache and
 // in-flight work exactly like whole-sweep submission.
-func SubmitCells(r *sim.Runner, spec Spec, traces TraceResolver, origin, tenant string, indices []int) (*CellSet, error) {
+func SubmitCells(eng *engine.Engine, spec Spec, traces TraceResolver, origin, tenant string, indices []int) (*CellSet, error) {
 	all, err := spec.Expand(traces)
 	if err != nil {
 		return nil, err
@@ -139,7 +138,7 @@ func SubmitCells(r *sim.Runner, spec Spec, traces TraceResolver, origin, tenant 
 		}
 		subset[k] = all[i]
 	}
-	cs := schedule(r, spec.normalize(), subset, Submission{Origin: origin, Tenant: tenant})
+	cs := schedule(eng, spec.normalize(), subset, Submission{Origin: origin, Tenant: tenant})
 	return &cs, nil
 }
 
@@ -342,8 +341,8 @@ func (s *Sweep) Wait(ctx context.Context) (*Result, error) {
 
 // Run is Submit + Wait: the synchronous entry point (the simplest way
 // to run a study from Go).
-func Run(ctx context.Context, r *sim.Runner, spec Spec, traces TraceResolver) (*Result, error) {
-	s, err := Submit(r, spec, traces, Submission{})
+func Run(ctx context.Context, eng *engine.Engine, spec Spec, traces TraceResolver) (*Result, error) {
+	s, err := Submit(eng, spec, traces, Submission{})
 	if err != nil {
 		return nil, err
 	}

@@ -16,12 +16,12 @@ import (
 	"jetty/internal/workload"
 )
 
-// testRunner returns a runner on a private engine, closed with the test.
-func testRunner(t *testing.T) *sim.Runner {
+// testEngine returns a private engine, closed with the test.
+func testEngine(t *testing.T) *engine.Engine {
 	t.Helper()
 	eng := engine.New(engine.Options{})
 	t.Cleanup(eng.Close)
-	return sim.NewRunner(eng)
+	return eng
 }
 
 // acceptanceSpec is the ISSUE's acceptance shape: 2 workloads × 2
@@ -62,7 +62,7 @@ func metricMap(t *testing.T, ms []Metric) map[string]Metric {
 // individually through the serial reference path.
 func TestSweepMatchesIndividualRuns(t *testing.T) {
 	spec := acceptanceSpec()
-	res, err := Run(context.Background(), testRunner(t), spec, nil)
+	res, err := Run(context.Background(), testEngine(t), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,14 @@ func TestSweepMatchesIndividualRuns(t *testing.T) {
 // TestSweepRerunHitsCache: an identical resubmission recomputes nothing —
 // every cell is served from the engine's content-addressed cache.
 func TestSweepRerunHitsCache(t *testing.T) {
-	r := testRunner(t)
+	eng := testEngine(t)
 	spec := acceptanceSpec()
-	if _, err := Run(context.Background(), r, spec, nil); err != nil {
+	if _, err := Run(context.Background(), eng, spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	executedBefore := r.Engine().Stats().Executed
+	executedBefore := eng.Stats().Executed
 
-	s, err := Submit(r, spec, nil, Submission{})
+	s, err := Submit(eng, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSweepRerunHitsCache(t *testing.T) {
 			t.Errorf("cell %d (%s on %s) recomputed", c.Index, c.Workload, c.Machine)
 		}
 	}
-	if after := r.Engine().Stats().Executed; after != executedBefore {
+	if after := eng.Stats().Executed; after != executedBefore {
 		t.Errorf("rerun executed %d new tasks", after-executedBefore)
 	}
 }
@@ -153,16 +153,16 @@ func TestSweepRerunHitsCache(t *testing.T) {
 // knob — per-filter numbers are identical whether the filters share one
 // pass or each get their own.
 func TestBankMatchesEach(t *testing.T) {
-	r := testRunner(t)
+	eng := testEngine(t)
 	bank := acceptanceSpec()
 	each := bank
 	each.FilterMode = ModeEach
 
-	bres, err := Run(context.Background(), r, bank, nil)
+	bres, err := Run(context.Background(), eng, bank, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := Run(context.Background(), r, each, nil)
+	eres, err := Run(context.Background(), eng, each, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestTraceCells(t *testing.T) {
 		t.Fatalf("expansion: %d trace cells (want 1), %d generator cells (want 3)", traceCells, genCells)
 	}
 
-	res, err := Run(context.Background(), testRunner(t), spec, resolver)
+	res, err := Run(context.Background(), testEngine(t), spec, resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRepeatSeeds(t *testing.T) {
 		t.Fatalf("repetitions share keys: %d distinct of 3", len(keys))
 	}
 
-	res, err := Run(context.Background(), testRunner(t), spec, nil)
+	res, err := Run(context.Background(), testEngine(t), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestSpecValidation(t *testing.T) {
 // unsampled sweep, cell results are stripped of timelines, and the
 // retention policy keeps exactly the advertised set.
 func TestSweepTimelines(t *testing.T) {
-	r := testRunner(t)
+	eng := testEngine(t)
 	base := Spec{
 		Name:      "timelines",
 		Workloads: []string{"Lu", "ch"},
@@ -349,7 +349,7 @@ func TestSweepTimelines(t *testing.T) {
 
 	plain := base
 	plain.Interval, plain.Timelines = 0, ""
-	plainRes, err := Run(context.Background(), r, plain, nil)
+	plainRes, err := Run(context.Background(), eng, plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestSweepTimelines(t *testing.T) {
 	for _, policy := range []string{TimelinesNone, TimelinesFirst, TimelinesAll} {
 		spec := base
 		spec.Timelines = policy
-		res, err := Run(context.Background(), r, spec, nil)
+		res, err := Run(context.Background(), eng, spec, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
@@ -412,7 +412,7 @@ func TestSweepTimelines(t *testing.T) {
 // sampled rerun recomputes nothing, and sampled cells never collide
 // with the unsampled cells of the same cross-product.
 func TestSampledSweepRerunHitsCache(t *testing.T) {
-	r := testRunner(t)
+	eng := testEngine(t)
 	spec := Spec{
 		Workloads: []string{"Lu"},
 		Filters:   []string{"EJ-16x2"},
@@ -420,10 +420,10 @@ func TestSampledSweepRerunHitsCache(t *testing.T) {
 		Interval:  1024,
 		Timelines: TimelinesAll,
 	}
-	if _, err := Run(context.Background(), r, spec, nil); err != nil {
+	if _, err := Run(context.Background(), eng, spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Submit(r, spec, nil, Submission{})
+	s, err := Submit(eng, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSampledSweepRerunHitsCache(t *testing.T) {
 	// The unsampled variant must not be served the sampled cell.
 	plain := spec
 	plain.Interval, plain.Timelines = 0, ""
-	ps, err := Submit(r, plain, nil, Submission{})
+	ps, err := Submit(eng, plain, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,9 +454,9 @@ func TestSampledSweepRerunHitsCache(t *testing.T) {
 }
 
 func TestSweepCancel(t *testing.T) {
-	r := testRunner(t)
+	eng := testEngine(t)
 	spec := Spec{Workloads: []string{"Fmm"}, Filters: []string{"EJ-8x2"}, Scale: 100}
-	s, err := Submit(r, spec, nil, Submission{})
+	s, err := Submit(eng, spec, nil, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestSweepCancel(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	res, err := Run(context.Background(), testRunner(t), Spec{
+	res, err := Run(context.Background(), testEngine(t), Spec{
 		Workloads: []string{"Lu", "ch"},
 		Filters:   []string{"EJ-32x4", "EJ-16x2"},
 		Scale:     0.02,
