@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -447,7 +448,10 @@ func BenchmarkSweepFused(b *testing.B) {
 var freshSeed int64
 
 // BenchmarkFilterProbe measures raw probe throughput of each variant —
-// the operation on every snoop's critical path.
+// the operation on every snoop's critical path. The miss-* subs time the
+// whole per-snoop filter work instead: a probe, then SnoopMiss when the
+// snoop was not filtered, over a snoop stream far wider than the filter,
+// so exclude-JETTY allocation and replacement run on most snoops.
 func BenchmarkFilterProbe(b *testing.B) {
 	for _, name := range []string{"EJ-32x4", "IJ-10x4x7", "HJ(IJ-10x4x7,EJ-32x4)"} {
 		b.Run(name, func(b *testing.B) {
@@ -461,6 +465,59 @@ func BenchmarkFilterProbe(b *testing.B) {
 				f.Probe(u, u/2)
 			}
 		})
+	}
+	type snoop struct {
+		unit   uint64
+		absent bool
+	}
+	r := rand.New(rand.NewSource(1))
+	stream := make([]snoop, 1<<12)
+	for i := range stream {
+		stream[i] = snoop{unit: uint64(r.Intn(1 << 14)), absent: r.Intn(4) != 0}
+	}
+	for _, name := range []string{"EJ-32x4", "VEJ-32x4-8", "IJ-10x4x7", "HJ(IJ-10x4x7,EJ-32x4)"} {
+		b.Run("miss-"+name, func(b *testing.B) {
+			f := jetty.MustParse(name).New(2)
+			for i := 0; i < 1024; i++ {
+				f.BlockAllocated(uint64(i * 3))
+			}
+			var filtered int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sn := stream[i&(len(stream)-1)]
+				if f.Probe(sn.unit, sn.unit/2) {
+					filtered++
+				} else {
+					f.SnoopMiss(sn.unit, sn.unit/2, sn.absent)
+				}
+			}
+			b.ReportMetric(float64(filtered)/float64(b.N)*100, "filtered%")
+		})
+	}
+}
+
+// BenchmarkFilterSafetyAudit times the end-of-run filter audit alone:
+// CheckFilterSafety over the fused benchmark's 16-filter bank after one
+// Lu pass at BenchmarkSweepFused's scale.
+func BenchmarkFilterSafetyAudit(b *testing.B) {
+	filters, err := jetty.ParseAll(sim.AllFigureConfigs()[:16])
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := workload.ByName("Lu")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp = sp.Scale(benchScale * 0.5)
+	sys := smp.New(smp.PaperConfig(4).WithFilters(filters...))
+	defer sys.Close()
+	sys.Run(sp.Source(4), sp.Accesses)
+	sys.DrainWriteBuffers()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.CheckFilterSafety(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package jetty
 
 import (
 	"fmt"
+	"math/bits"
 
 	"jetty/internal/energy"
 )
@@ -70,37 +71,43 @@ func (c ExcludeConfig) EnergyOrg(unitAddrBits int) energy.ExcludeOrg {
 // the vector bit; the next log2(S) bits the set; the rest is the tag. A
 // plain EJ indexes sets with *block*-address bits. The two therefore use
 // different PA bits for the set index — the effect §4.3.2 observes.
+//
+// Every snoop costs one scan of one set: the scan that looks for the tag
+// also picks the way a miss would replace, and the SnoopMiss that follows
+// an unfiltered probe reuses both answers.
 type Exclude struct {
 	cfg           ExcludeConfig
 	unitsPerBlock int
 
 	// Precomputed address-split geometry (shifts and masks derived once
 	// from the configuration, so every probe is pure bit arithmetic).
-	vecBits  uint
-	vecMask  uint64
-	setBits  uint
-	setMask  uint64
-	tagShift uint
+	vecBits   uint
+	vecMask   uint64
+	setBits   uint
+	setMask   uint64
+	tagShift  uint
+	blockBits uint64 // a whole block's present bits, at vector offset 0
 
-	// Entries are array-of-struct: one probe's find walks a set's tag and
-	// present-vector pairs on a single cache line (4 ways == 64 bytes)
-	// instead of gathering from parallel arrays.
+	// Entries are array-of-struct: a lookup reads each way's tag,
+	// present-vector and recency stamp from one place.
 	ents []ejEntry // sets*ways
 
-	// Recency is tracked with per-entry timestamps: a touch is one store
-	// (stamp = clock++) instead of a rank-shuffling loop, and the victim
-	// scan takes the minimum stamp. Stamps within a set are always
-	// distinct, so the selected victim is identical to rank-based LRU.
-	stamp []uint64
+	// Recency is a per-entry timestamp: a touch is one store (stamp =
+	// clock++) and the victim is the way with the minimum stamp. Valid
+	// entries are stamped from clock, which starts at Ways; an invalid
+	// entry holds its way index instead. So the minimum is the first
+	// invalid way if there is one, else the least recently touched —
+	// exactly rank-based LRU, since all stamps in a set are distinct.
 	clock uint64
 
-	// One-shot probe memo: Probe records the (key, find result) it just
-	// computed so the SnoopMiss that immediately follows an unfiltered
-	// snoop skips the second split+find. Every mutating entry point
-	// consumes or invalidates it, so it never survives past the next
-	// call of any kind.
+	// One-shot probe memo: Probe records the key it just looked up, the
+	// matching way (or -1) and the way a miss would replace, so the
+	// SnoopMiss that immediately follows an unfiltered snoop skips the
+	// second scan. Every mutating entry point consumes or invalidates it,
+	// so it never survives past the next call of any kind.
 	memoKey uint64
 	memoW   int32
+	memoV   int32
 	memoOK  bool
 
 	count energy.FilterCounts
@@ -108,8 +115,9 @@ type Exclude struct {
 
 // ejEntry is one exclude-JETTY entry. pv == 0 marks an invalid entry.
 type ejEntry struct {
-	tag uint64
-	pv  uint64 // present-vector bitmask
+	tag   uint64
+	pv    uint64 // present-vector bitmask
+	stamp uint64 // recency: clock at the last touch, or the way index while invalid
 }
 
 // NewExclude builds an EJ/VEJ for a machine whose L2 blocks hold
@@ -138,8 +146,8 @@ func NewExclude(cfg ExcludeConfig, unitsPerBlock int) *Exclude {
 		setBits:       setBits,
 		setMask:       mask(int(setBits)),
 		tagShift:      vecBits + setBits,
+		blockBits:     mask(unitsPerBlock),
 		ents:          make([]ejEntry, n),
-		stamp:         make([]uint64, n),
 	}
 	e.Reset()
 	return e
@@ -168,37 +176,29 @@ func (e *Exclude) split(key uint64) (set int, tag uint64, bit uint64) {
 	return set, tag, bit
 }
 
-// find returns the way holding tag in set, or -1.
-func (e *Exclude) find(set int, tag uint64) int {
+// find scans set for tag. It returns the matching way, or -1 together
+// with the way a miss should replace: the minimum stamp, which is the
+// first invalid way if any, else the least recently touched one.
+func (e *Exclude) find(set int, tag uint64) (w, victim int) {
 	base := set * e.cfg.Ways
-	for w, ent := range e.ents[base : base+e.cfg.Ways] {
-		if ent.pv != 0 && ent.tag == tag {
-			return w
+	ways := e.ents[base : base+e.cfg.Ways]
+	oldest := ^uint64(0)
+	for i := range ways {
+		ent := &ways[i]
+		if ent.tag == tag && ent.pv != 0 {
+			return i, -1
+		}
+		if ent.stamp < oldest {
+			victim, oldest = i, ent.stamp
 		}
 	}
-	return -1
+	return -1, victim
 }
 
 // touch promotes way w of set to most-recently-used.
 func (e *Exclude) touch(set, w int) {
-	e.stamp[set*e.cfg.Ways+w] = e.clock
+	e.ents[set*e.cfg.Ways+w].stamp = e.clock
 	e.clock++
-}
-
-// victim returns the way to replace in set: an invalid way if one exists,
-// else the least-recently-touched way (minimum stamp).
-func (e *Exclude) victim(set int) int {
-	base := set * e.cfg.Ways
-	v, oldest := 0, e.stamp[base]
-	for w := 0; w < e.cfg.Ways; w++ {
-		if e.ents[base+w].pv == 0 {
-			return w
-		}
-		if e.stamp[base+w] < oldest {
-			v, oldest = w, e.stamp[base+w]
-		}
-	}
-	return v
 }
 
 // Probe implements Filter: a snoop is filtered iff a matching entry has
@@ -217,8 +217,8 @@ func (e *Exclude) Probe(unit, block uint64) bool {
 func (e *Exclude) probe(unit, block uint64) bool {
 	key := e.key(unit, block)
 	set, tag, bit := e.split(key)
-	w := e.find(set, tag)
-	e.memoKey, e.memoW, e.memoOK = key, int32(w), true
+	w, v := e.find(set, tag)
+	e.memoKey, e.memoW, e.memoV, e.memoOK = key, int32(w), int32(v), true
 	if w >= 0 && e.ents[set*e.cfg.Ways+w].pv&bit != 0 {
 		e.touch(set, w)
 		return true
@@ -229,7 +229,7 @@ func (e *Exclude) probe(unit, block uint64) bool {
 // Peek implements Filter: a side-effect-free Probe.
 func (e *Exclude) Peek(unit, block uint64) bool {
 	set, tag, bit := e.split(e.key(unit, block))
-	w := e.find(set, tag)
+	w, _ := e.find(set, tag)
 	return w >= 0 && e.ents[set*e.cfg.Ways+w].pv&bit != 0
 }
 
@@ -247,45 +247,37 @@ func (e *Exclude) SnoopMiss(unit, block uint64, blockAbsent bool) {
 		return
 	}
 	if blockAbsent {
-		// All units of the block share this entry (Vector >= units/block):
-		// set the whole block's bit group.
+		// All units of the block share this entry (Vector >= units/block)
+		// as one run of bits starting at the block's first unit.
 		first := block * uint64(e.unitsPerBlock)
-		groupBits := uint64(0)
-		for i := 0; i < e.unitsPerBlock; i++ {
-			_, _, b := e.split(first + uint64(i))
-			groupBits |= b
-		}
-		e.recordKeyBits(unit, groupBits)
+		e.recordKeyBits(unit, e.blockBits<<(first&e.vecMask))
 		return
 	}
 	_, _, bit := e.split(unit)
 	e.recordKeyBits(unit, bit)
 }
 
-// recordKeyBits sets present bits in the entry tracking key, allocating
-// (with LRU replacement) if needed.
-func (e *Exclude) recordKeyBits(key uint64, bits uint64) {
+// recordKeyBits sets the present bits pv in the entry tracking key,
+// allocating (with LRU replacement) if needed.
+func (e *Exclude) recordKeyBits(key uint64, pv uint64) {
 	set, tag, _ := e.split(key)
-	base := set * e.cfg.Ways
-	w := -1
+	var w, v int
 	if e.memoOK && e.memoKey == key {
-		w = int(e.memoW)
+		w, v = int(e.memoW), int(e.memoV)
 	} else {
-		w = e.find(set, tag)
+		w, v = e.find(set, tag)
 	}
 	e.memoOK = false
-	if w >= 0 {
-		if e.ents[base+w].pv&bits != bits {
-			e.ents[base+w].pv |= bits
-			e.count.EJWrites++
-		}
-		e.touch(set, w)
-		return
+	if w < 0 {
+		w = v
+		e.ents[set*e.cfg.Ways+w] = ejEntry{tag: tag}
 	}
-	w = e.victim(set)
-	e.ents[base+w] = ejEntry{tag: tag, pv: bits}
+	ent := &e.ents[set*e.cfg.Ways+w]
+	if ent.pv&pv != pv {
+		ent.pv |= pv
+		e.count.EJWrites++
+	}
 	e.touch(set, w)
-	e.count.EJWrites++
 }
 
 // Fill implements Filter: the local L2 gained unit, so any matching
@@ -295,10 +287,47 @@ func (e *Exclude) recordKeyBits(key uint64, bits uint64) {
 func (e *Exclude) Fill(unit, block uint64) {
 	e.memoOK = false
 	set, tag, bit := e.split(e.key(unit, block))
-	base := set * e.cfg.Ways
-	if w := e.find(set, tag); w >= 0 && e.ents[base+w].pv&bit != 0 {
-		e.ents[base+w].pv &^= bit
-		e.count.EJWrites++
+	w, _ := e.find(set, tag)
+	if w < 0 {
+		return
+	}
+	ent := &e.ents[set*e.cfg.Ways+w]
+	if ent.pv&bit == 0 {
+		return
+	}
+	ent.pv &^= bit
+	e.count.EJWrites++
+	if ent.pv == 0 {
+		ent.stamp = uint64(w) // invalid: ahead of every valid way as a victim
+	}
+}
+
+// Claims calls fn with every coherence unit the filter claims absent,
+// until fn returns false. It walks the valid entries: a plain EJ entry
+// claims every unit of its block, a VEJ entry the units whose present
+// bits are set. It has no side effects, so safety audits can enumerate
+// the filter's claims from its few entries instead of peeking at every
+// cached unit.
+func (e *Exclude) Claims(fn func(unit uint64) bool) {
+	upb := uint64(e.unitsPerBlock)
+	for i, ent := range e.ents {
+		if ent.pv == 0 {
+			continue
+		}
+		key := ent.tag<<e.tagShift | uint64(i/e.cfg.Ways)<<e.vecBits
+		if e.cfg.Vector == 1 {
+			for u := key * upb; u < (key+1)*upb; u++ {
+				if !fn(u) {
+					return
+				}
+			}
+			continue
+		}
+		for pv := ent.pv; pv != 0; pv &= pv - 1 {
+			if !fn(key | uint64(bits.TrailingZeros64(pv))) {
+				return
+			}
+		}
 	}
 }
 
@@ -320,9 +349,7 @@ func (e *Exclude) Reset() {
 	e.memoOK = false
 	ways := e.cfg.Ways
 	for i := range e.ents {
-		e.ents[i] = ejEntry{}
-		// Distinct initial recency within each set: way 0 most recent.
-		e.stamp[i] = uint64(ways - 1 - i%ways)
+		e.ents[i] = ejEntry{stamp: uint64(i % ways)}
 	}
 	e.clock = uint64(ways)
 	e.count = energy.FilterCounts{}

@@ -2,10 +2,11 @@ package smp
 
 import (
 	"fmt"
-	"jetty/internal/cache"
 
 	"jetty/internal/bus"
+	"jetty/internal/cache"
 	"jetty/internal/energy"
+	"jetty/internal/jetty"
 )
 
 // EnergyCounts returns the aggregated L2 event counts of all CPUs.
@@ -71,10 +72,14 @@ func (s *System) Coverage(idx int) float64 {
 
 // CheckFilterSafety returns an error if any filter ever filtered a snoop
 // to a cached unit (the paper's requirement 3, which must never happen).
-// Beyond the per-snoop audit trail, it sweeps every valid unit of every
-// CPU's L2 against that CPU's filters with side-effect-free peeks: a
-// filter claiming any resident unit absent is a safety violation even if
-// no snoop happened to expose it.
+// Beyond the per-snoop audit trail, it audits every CPU's filter state
+// against that CPU's L2 with side-effect-free reads: a filter claiming
+// any resident unit absent is a safety violation even if no snoop
+// happened to expose it. Each filter kind is audited from its cheaper
+// side: every unit an exclude-JETTY claims absent is looked up in the
+// L2; an include-JETTY is peeked once per resident block, since its
+// answer depends on the block alone; any other filter is peeked at
+// every resident unit. Hybrids are audited as their two halves.
 func (s *System) CheckFilterSafety() error {
 	for i := range s.cfg.Filters {
 		if c := s.FilterCounts(i); c.FilteredHits != 0 {
@@ -83,26 +88,75 @@ func (s *System) CheckFilterSafety() error {
 		}
 	}
 	for i := range s.nodes {
-		n := &s.nodes[i]
-		var err error
-		n.l2.ForEachValidUnit(func(unit uint64, _ cache.State) {
-			if err != nil {
-				return
-			}
-			block := s.geom.BlockOfUnit(unit)
-			for i, f := range s.pipes[n.id].bank.filters {
-				if f.Peek(unit, block) {
-					err = fmt.Errorf("smp: cpu%d filter %s claims resident unit %#x absent",
-						n.id, s.cfg.Filters[i].Name(), unit)
-					return
-				}
-			}
-		})
-		if err != nil {
+		if err := s.auditNode(&s.nodes[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// auditNode audits node n's filter bank against its L2 contents.
+func (s *System) auditNode(n *node) error {
+	b := &s.pipes[n.id].bank
+	claimsResident := func(idx int, ej *jetty.Exclude) error {
+		var err error
+		ej.Claims(func(unit uint64) bool {
+			if n.l2.UnitState(unit) != cache.Invalid {
+				err = s.unsafeErr(n, idx, unit)
+			}
+			return err == nil
+		})
+		return err
+	}
+	ijs := append([]*jetty.Include(nil), b.ijs...)
+	ijIdx := append([]int(nil), b.ijIdx...)
+	for k, ej := range b.ejs {
+		if err := claimsResident(b.ejIdx[k], ej); err != nil {
+			return err
+		}
+	}
+	for k, hj := range b.hjs {
+		if err := claimsResident(b.hjIdx[k], hj.Exclude()); err != nil {
+			return err
+		}
+		ijs = append(ijs, hj.Include())
+		ijIdx = append(ijIdx, b.hjIdx[k])
+	}
+	if len(ijs) == 0 && len(b.gen) == 0 {
+		return nil
+	}
+	var err error
+	last := ^uint64(0)
+	n.l2.ForEachValidUnit(func(unit uint64, _ cache.State) {
+		if err != nil {
+			return
+		}
+		block := s.geom.BlockOfUnit(unit)
+		// The L2 yields a block's units together, so this peeks each
+		// block once; any other order would only peek some blocks twice.
+		if block != last {
+			last = block
+			for k, ij := range ijs {
+				if ij.Peek(unit, block) {
+					err = s.unsafeErr(n, ijIdx[k], unit)
+					return
+				}
+			}
+		}
+		for k, f := range b.gen {
+			if f.Peek(unit, block) {
+				err = s.unsafeErr(n, b.genIdx[k], unit)
+				return
+			}
+		}
+	})
+	return err
+}
+
+// unsafeErr reports that filter idx of node n claims a resident unit absent.
+func (s *System) unsafeErr(n *node, idx int, unit uint64) error {
+	return fmt.Errorf("smp: cpu%d filter %s claims resident unit %#x absent",
+		n.id, s.cfg.Filters[idx].Name(), unit)
 }
 
 // L1HitRate returns the aggregate L1 hit rate over core-side L1 probes.
