@@ -59,7 +59,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	for _, addr := range workerAddrs {
 		workers = append(workers, start("-role", "worker", "-addr", addr, "-workers", "2"))
 	}
-	start("-role", "coordinator", "-addr", coordAddr, "-workers", "1",
+	start("-role", "coordinator", "-addr", coordAddr,
 		"-cluster-workers", "http://"+workerAddrs[0]+",http://"+workerAddrs[1],
 		"-cluster-probe-interval", "100ms")
 
@@ -224,23 +224,25 @@ func TestClusterEndToEnd(t *testing.T) {
 func TestBuildClusterFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		role, workers string
+		engine        int // -workers
 		wantErr       bool
 	}{
-		{"single", "", false},
-		{"worker", "", false},
-		{"coordinator", "http://localhost:1,http://localhost:2", false},
-		{"coordinator", "", true},              // coordinator needs workers
-		{"single", "http://localhost:1", true}, // workers need the role
-		{"worker", "http://localhost:1", true}, // a worker must not fan out
-		{"conductor", "", true},                // unknown role
-		{"coordinator", "::not-a-url::", true}, // undialable worker
+		{"single", "", 0, false},
+		{"worker", "", 0, false},
+		{"coordinator", "http://localhost:1,http://localhost:2", 0, false},
+		{"coordinator", "", 0, true},                   // coordinator needs workers
+		{"single", "http://localhost:1", 0, true},      // workers need the role
+		{"worker", "http://localhost:1", 0, true},      // a worker must not fan out
+		{"conductor", "", 0, true},                     // unknown role
+		{"coordinator", "::not-a-url::", 0, true},      // undialable worker
+		{"coordinator", "http://localhost:1", 2, true}, // its engine size is the slot count
 	} {
-		co, err := buildCluster(tc.role, tc.workers, 0, 0, nil, nil)
+		co, err := buildCluster(tc.role, tc.workers, tc.engine, 0, 0, nil)
 		if co != nil {
 			co.Close()
 		}
 		if gotErr := err != nil; gotErr != tc.wantErr {
-			t.Errorf("buildCluster(%q, %q): err %v, want error %v", tc.role, tc.workers, err, tc.wantErr)
+			t.Errorf("buildCluster(%q, %q, -workers %d): err %v, want error %v", tc.role, tc.workers, tc.engine, err, tc.wantErr)
 		}
 		if err == nil && tc.role == "coordinator" && co == nil {
 			t.Errorf("buildCluster(%q, %q) returned no coordinator", tc.role, tc.workers)

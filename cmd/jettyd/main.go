@@ -47,6 +47,9 @@
 // sweeps and experiments exactly as before — but cells run on the
 // workers, lost workers are detected and their cells rescheduled, and
 // GET /v1/cluster/status reports the worker table and cluster counters.
+// Its -cache, -data-dir and -tenant-weights apply to its own engine,
+// which is sized to the workers' dispatch slots, so it takes no
+// -workers.
 package main
 
 import (
@@ -64,16 +67,14 @@ import (
 	"time"
 
 	"jetty/internal/cluster"
-	"jetty/internal/engine"
 	"jetty/internal/obs"
 	"jetty/internal/service"
-	"jetty/internal/sim"
 	"jetty/internal/store"
 )
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS; not with -role coordinator)")
 	cache := flag.Int("cache", 0, "result-cache entries (0 = default, negative disables)")
 	maxUnfinished := flag.Int("max-unfinished", 0, "max queued+running jobs across all tenants (0 = default)")
 	maxTenantJobs := flag.Int("max-unfinished-per-tenant", 0, "max queued+running jobs per tenant (0 = default)")
@@ -116,7 +117,7 @@ func main() {
 		log.Info("durable store open", "dir", st.Dir(),
 			"results", stats.Results, "traces", stats.Traces, "pending_jobs", stats.PendingJobs)
 	}
-	coord, err := buildCluster(*role, *clusterWorkers, *probeInterval, *requestTimeout, st, log)
+	coord, err := buildCluster(*role, *clusterWorkers, *workers, *probeInterval, *requestTimeout, log)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jettyd:", err)
 		os.Exit(2)
@@ -147,10 +148,10 @@ func main() {
 // buildCluster validates the role/worker flag combination and, for the
 // coordinator role, dials the worker set. Workers and single-role
 // daemons must not name workers — a worker fanning out to other workers
-// would silently double-schedule cells. A durable store (non-nil st)
-// additionally backs the coordinator's digest→result memo, so resolved
-// cells survive coordinator restarts.
-func buildCluster(role, workersCSV string, probe, reqTimeout time.Duration, st *store.Store, log *slog.Logger) (*cluster.Coordinator, error) {
+// would silently double-schedule cells. A coordinator takes no
+// -workers (engineWorkers): its engine is sized to the cluster's
+// dispatch slots, so the flag would be ignored.
+func buildCluster(role, workersCSV string, engineWorkers int, probe, reqTimeout time.Duration, log *slog.Logger) (*cluster.Coordinator, error) {
 	switch role {
 	case "single", "worker":
 		if workersCSV != "" {
@@ -164,6 +165,9 @@ func buildCluster(role, workersCSV string, probe, reqTimeout time.Duration, st *
 	if workersCSV == "" {
 		return nil, fmt.Errorf("-role coordinator requires -cluster-workers")
 	}
+	if engineWorkers != 0 {
+		return nil, fmt.Errorf("-workers does not apply to -role coordinator: its engine runs one dispatch per worker slot")
+	}
 	var clients []*cluster.Client
 	for _, raw := range strings.Split(workersCSV, ",") {
 		c, err := cluster.NewClient(strings.TrimSpace(raw))
@@ -172,16 +176,11 @@ func buildCluster(role, workersCSV string, probe, reqTimeout time.Duration, st *
 		}
 		clients = append(clients, c)
 	}
-	var resultStore engine.ResultStore
-	if st != nil {
-		resultStore = sim.NewDiskCache(st)
-	}
 	return cluster.New(cluster.Options{
 		Workers:        clients,
 		ProbeInterval:  probe,
 		RequestTimeout: reqTimeout,
 		Logger:         log,
-		Store:          resultStore,
 	})
 }
 

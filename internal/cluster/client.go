@@ -19,6 +19,14 @@ import (
 // worker's fair-share queue and quotas see the true identity.
 const tenantHeader = "X-Jetty-Tenant"
 
+// requestIDHeader carries a dispatch's request ID, so one sweep's
+// requests can be found in every daemon's access log; maxRequestID
+// mirrors the service's bound on it (a longer ID would be replaced).
+const (
+	requestIDHeader = "X-Request-Id"
+	maxRequestID    = 64
+)
+
 // StatusError is a worker's non-2xx HTTP reply. It distinguishes the
 // retry classes: 5xx is transient (the worker is alive but overloaded
 // or draining — retry elsewhere or later), 4xx is permanent (the
@@ -102,27 +110,16 @@ func (c *Client) Probe(ctx context.Context) (Health, error) {
 // at most maxReply bytes of the reply, so a broken or hostile worker
 // cannot grow the coordinator's memory without bound; a caller passes
 // the unit's replyBound, which no honest reply exceeds.
-func (c *Client) RunCells(ctx context.Context, tenant string, creq CellsRequest, maxReply int64) (CellsResponse, error) {
+func (c *Client) RunCells(ctx context.Context, tenant, id string, creq CellsRequest, maxReply int64) (CellsResponse, error) {
 	body, err := json.Marshal(creq)
 	if err != nil {
 		return CellsResponse{}, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+CellsPath, bytes.NewReader(body))
-	if err != nil {
-		return CellsResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set(tenantHeader, tenant)
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.post(ctx, CellsPath, "application/json", tenant, id, body)
 	if err != nil {
 		return CellsResponse{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return CellsResponse{}, &StatusError{Code: resp.StatusCode, Msg: errorBody(resp.Body)}
-	}
 	reply := &io.LimitedReader{R: resp.Body, N: maxReply}
 	var out CellsResponse
 	if err := json.NewDecoder(reply).Decode(&out); err != nil {
@@ -138,25 +135,40 @@ func (c *Client) RunCells(ctx context.Context, tenant string, creq CellsRequest,
 // so "trace:<digest>" spec entries resolve there. Content addressing
 // makes the push idempotent: the worker stores it under the same digest
 // the coordinator resolved.
-func (c *Client) UploadTrace(ctx context.Context, tenant string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/traces", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if tenant != "" {
-		req.Header.Set(tenantHeader, tenant)
-	}
-	resp, err := c.http.Do(req)
+func (c *Client) UploadTrace(ctx context.Context, tenant, id string, data []byte) error {
+	resp, err := c.post(ctx, "/v1/traces", "application/octet-stream", tenant, id, data)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &StatusError{Code: resp.StatusCode, Msg: errorBody(resp.Body)}
-	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
+}
+
+// post sends body to the worker under the submitting tenant and, when
+// id is not empty, the request ID the worker logs it under. A non-2xx
+// reply comes back as *StatusError.
+func (c *Client) post(ctx context.Context, path, contentType, tenant, id string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	if tenant != "" {
+		req.Header.Set(tenantHeader, tenant)
+	}
+	if id != "" {
+		req.Header.Set(requestIDHeader, id)
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, &StatusError{Code: resp.StatusCode, Msg: errorBody(resp.Body)}
+	}
+	return resp, nil
 }
 
 // errorBody extracts the service's {"error": ...} message, falling back

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"jetty/internal/cluster"
+	"jetty/internal/engine"
 	"jetty/internal/service"
 	"jetty/internal/sim"
 	"jetty/internal/sweep"
@@ -19,7 +21,7 @@ import (
 )
 
 // waitSweep waits for the distributed sweep and fails the test on error.
-func waitSweep(t *testing.T, s *cluster.Sweep) *sweep.Result {
+func waitSweep(t *testing.T, s *sweep.Sweep) *sweep.Result {
 	t.Helper()
 	res, err := s.Wait(t.Context())
 	if err != nil {
@@ -75,6 +77,7 @@ func randomSpec(r *rand.Rand) sweep.Spec {
 func TestClusterMatchesSingleProcess(t *testing.T) {
 	_, clients := startWorkers(t, 3, service.Options{Workers: 2})
 	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
 
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -84,10 +87,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 			}
 			want := runLocal(t, spec, nil)
 
-			s, err := co.Submit(spec, nil, "test", "")
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"})
 			got := waitSweep(t, s)
 			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
 				t.Errorf("metrics diverge from single-process run:\nlocal   %+v\ncluster %+v", want.Metrics, got.Metrics)
@@ -112,6 +112,7 @@ func TestClusterSurvivesWorkerLoss(t *testing.T) {
 	co := newCoordinator(t, clients, func(o *cluster.Options) {
 		o.MaxInflightPerWorker = 2
 	})
+	eng := newEngine(t, co, engine.Options{})
 
 	// Worker 0 crashes the moment its first unit arrives, and comes back
 	// 150ms later as a fresh process that remembers nothing.
@@ -140,10 +141,7 @@ func TestClusterSurvivesWorkerLoss(t *testing.T) {
 	}
 	want := runLocal(t, spec, nil)
 
-	s, err := co.Submit(spec, nil, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"})
 	got := waitSweep(t, s)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("result diverges from single-process run after worker loss")
@@ -155,12 +153,14 @@ func TestClusterSurvivesWorkerLoss(t *testing.T) {
 	}
 	// Exactly-once retirement, observed through the counters: every
 	// distinct digest was resolved by exactly one non-redundant delivery
-	// (computed, L1 cache hit, or L2 memo hit). Lost twins that delivered
-	// anyway are accounted separately as redundant completions.
-	retired := st.CellsComputed + st.WorkerCacheHits + st.MemoHits
+	// (computed, worker L1 cache hit, or coordinator engine cache hit).
+	// Lost twins that delivered anyway are accounted separately as
+	// redundant completions.
+	hits := eng.Stats().CacheHits
+	retired := st.CellsComputed + st.WorkerCacheHits + hits
 	if want := uint64(distinctKeys(s.Cells())); retired != want {
-		t.Errorf("retired %d distinct cells (computed %d + L1 %d + L2 %d), want exactly %d",
-			retired, st.CellsComputed, st.WorkerCacheHits, st.MemoHits, want)
+		t.Errorf("retired %d distinct cells (computed %d + L1 %d + engine cache %d), want exactly %d",
+			retired, st.CellsComputed, st.WorkerCacheHits, hits, want)
 	}
 	if workers[0].cellRequests() == 0 {
 		t.Error("worker 0 never saw a unit — crash path untested")
@@ -176,6 +176,7 @@ func TestClusterBoundsOversizedReply(t *testing.T) {
 	workers, clients := startWorkers(t, 2, service.Options{Workers: 2})
 	workers[0].bloatNext = 1
 	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
 
 	spec := sweep.Spec{
 		Name:       "oversized-reply",
@@ -185,10 +186,7 @@ func TestClusterBoundsOversizedReply(t *testing.T) {
 		Scale:      0.02,
 	}
 	want := runLocal(t, spec, nil)
-	s, err := co.Submit(spec, nil, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"})
 	if got := waitSweep(t, s); !reflect.DeepEqual(want, got) {
 		t.Fatal("result diverges from single-process run after an oversized reply")
 	}
@@ -212,6 +210,7 @@ func TestClusterSurvivesSlowLoris(t *testing.T) {
 	co := newCoordinator(t, clients, func(o *cluster.Options) {
 		o.RequestTimeout = 250 * time.Millisecond
 	})
+	eng := newEngine(t, co, engine.Options{})
 
 	// Worker 0 stalls its first unit well past the 250ms dispatch
 	// deadline, then behaves.
@@ -226,10 +225,7 @@ func TestClusterSurvivesSlowLoris(t *testing.T) {
 		Scale:     0.02,
 	}
 	want := runLocal(t, spec, nil)
-	s, err := co.Submit(spec, nil, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"})
 	got := waitSweep(t, s)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("result diverges from single-process run after slow-loris stall")
@@ -252,13 +248,15 @@ func TestClusterSurvivesSlowLoris(t *testing.T) {
 }
 
 // TestClusterRerunHitsBothCacheTiers pins the two-tier cache contract:
-// a rerun on the same coordinator resolves every cell from the L2 memo
-// with zero dispatches, and a cold coordinator over warm workers
-// resolves every cell from the workers' L1 engine caches with zero
-// recompute. The happy path records no redundant completions.
+// a rerun on the same coordinator resolves every cell from the
+// coordinator's engine cache with zero dispatches, and a cold
+// coordinator over warm workers resolves every cell from the workers'
+// L1 engine caches with zero recompute. The happy path records no
+// redundant completions.
 func TestClusterRerunHitsBothCacheTiers(t *testing.T) {
 	workers, clients := startWorkers(t, 1, service.Options{Workers: 2})
 	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
 
 	spec := sweep.Spec{
 		Name:       "rerun",
@@ -267,48 +265,40 @@ func TestClusterRerunHitsBothCacheTiers(t *testing.T) {
 		FilterMode: sweep.ModeEach,
 		Scale:      0.02,
 	}
-	s1, err := co.Submit(spec, nil, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"})
 	first := waitSweep(t, s1)
 	keys := uint64(distinctKeys(s1.Cells()))
 
-	st1 := co.Stats()
-	if st1.MemoHits != 0 || st1.CellsComputed == 0 {
-		t.Fatalf("cold run: memo hits %d (want 0), computed %d (want >0)", st1.MemoHits, st1.CellsComputed)
+	st1, hits1 := co.Stats(), eng.Stats().CacheHits
+	if hits1 != 0 || st1.CellsComputed == 0 {
+		t.Fatalf("cold run: engine cache hits %d (want 0), computed %d (want >0)", hits1, st1.CellsComputed)
 	}
 
-	// Rerun on the same coordinator: the L2 memo answers everything at
-	// submit time — zero cells dispatched cluster-wide.
-	s2, err := co.Submit(spec, nil, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Rerun on the same coordinator: its engine cache answers everything
+	// at submit time — zero cells dispatched cluster-wide.
+	s2 := submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"})
 	second := waitSweep(t, s2)
 	st2 := co.Stats()
-	if got := st2.MemoHits - st1.MemoHits; got != keys {
-		t.Errorf("L2 rerun: %d memo hits, want %d", got, keys)
+	if got := eng.Stats().CacheHits - hits1; got != keys {
+		t.Errorf("engine cache rerun: %d cache hits, want %d", got, keys)
 	}
 	if st2.CellsDispatched != st1.CellsDispatched {
-		t.Errorf("L2 rerun dispatched %d cells, want 0", st2.CellsDispatched-st1.CellsDispatched)
+		t.Errorf("engine cache rerun dispatched %d cells, want 0", st2.CellsDispatched-st1.CellsDispatched)
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Error("memo-served rerun diverges from the computed run")
+		t.Error("cache-served rerun diverges from the computed run")
 	}
 
-	// A cold coordinator (empty memo) over the same warm worker: every
-	// cell dispatches, and the worker answers all of them from its L1
-	// engine cache — zero recompute.
+	// A cold coordinator (empty engine cache) over the same warm worker:
+	// every cell dispatches, and the worker answers all of them from its
+	// L1 engine cache — zero recompute.
 	c2, err := cluster.NewClient(workers[0].url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := newCoordinator(t, []*cluster.Client{c2}, nil)
-	s3, err := cold.Submit(spec, nil, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	coldEng := newEngine(t, cold, engine.Options{})
+	s3 := submit(t, coldEng, cold, spec, nil, sweep.Submission{Origin: "test"})
 	third := waitSweep(t, s3)
 	st3 := cold.Stats()
 	if st3.CellsComputed != 0 {
@@ -334,6 +324,7 @@ func TestClusterRerunHitsBothCacheTiers(t *testing.T) {
 func TestClusterReuploadsTracesAfterRestart(t *testing.T) {
 	workers, clients := startWorkers(t, 1, service.Options{Workers: 2})
 	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
 
 	sp, err := workload.Lookup("WebServer")
 	if err != nil {
@@ -373,10 +364,7 @@ func TestClusterReuploadsTracesAfterRestart(t *testing.T) {
 		}
 	}
 
-	s, err := co.Submit(spec, resolver, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, eng, co, spec, resolver, sweep.Submission{Origin: "test"})
 	got := waitSweep(t, s)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("trace sweep diverges from single-process run after restart")
@@ -384,14 +372,23 @@ func TestClusterReuploadsTracesAfterRestart(t *testing.T) {
 	if ups := workers[0].traceUploads(); ups < 2 {
 		t.Errorf("worker saw %d trace uploads, want >= 2 (one per incarnation)", ups)
 	}
+	for _, id := range workers[0].traceUploadIDs() {
+		if !strings.HasPrefix(id, "test.a") {
+			t.Errorf("trace upload carried request ID %q, want the sweep's origin and an attempt suffix", id)
+		}
+	}
 }
 
 // TestClusterTenantPropagation: the coordinator stamps every fan-out
 // request — cell dispatches and trace uploads — with the submitting
-// tenant, so worker-side quotas and fair-share see the real principal.
+// tenant, so worker-side quotas and fair-share see the real principal,
+// and with a request ID made of the sweep's origin and the attempt, so
+// one sweep can be followed through every daemon's log.
 func TestClusterTenantPropagation(t *testing.T) {
 	workers, clients := startWorkers(t, 2, service.Options{Workers: 2})
+	workers[0].failNext = 1 // one unit is retried
 	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
 
 	spec := sweep.Spec{
 		Name:      "tenants",
@@ -400,12 +397,11 @@ func TestClusterTenantPropagation(t *testing.T) {
 		Repeat:    2,
 		Scale:     0.02,
 	}
-	s, err := co.Submit(spec, nil, "test", "team-a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const origin = "req-0001"
+	s := submit(t, eng, co, spec, nil, sweep.Submission{Origin: origin, Tenant: "team-a"})
 	waitSweep(t, s)
 	saw := false
+	ids := map[string][]string{} // unit (its indices) → request IDs
 	for _, w := range workers {
 		if w.cellRequests() > 0 {
 			if !w.sawTenant("team-a") {
@@ -413,9 +409,49 @@ func TestClusterTenantPropagation(t *testing.T) {
 			}
 			saw = true
 		}
+		for _, u := range w.unitRequests() {
+			unit := fmt.Sprint(u.indices)
+			ids[unit] = append(ids[unit], u.id)
+		}
 	}
 	if !saw {
 		t.Fatal("no worker handled any cells")
+	}
+	retried := false
+	for unit, got := range ids {
+		seen := map[string]bool{}
+		for _, id := range got {
+			if !strings.HasPrefix(id, origin+".a") {
+				t.Errorf("unit %s dispatched with request ID %q, want the origin %q and an attempt suffix", unit, id, origin)
+			}
+			if seen[id] {
+				t.Errorf("unit %s: two attempts share request ID %q", unit, id)
+			}
+			seen[id] = true
+		}
+		retried = retried || len(got) > 1
+	}
+	if !retried {
+		t.Error("no unit was retried — the 503 never landed")
+	}
+}
+
+// TestClusterRequestIDFitsWorkerBound: an origin too long to fit the
+// worker's 64-byte request-ID bound with its attempt suffix is cut, so
+// the worker keeps the ID instead of replacing it.
+func TestClusterRequestIDFitsWorkerBound(t *testing.T) {
+	workers, clients := startWorkers(t, 1, service.Options{Workers: 2})
+	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
+	origin := strings.Repeat("o", 80)
+	spec := sweep.Spec{Name: "long-origin", Workloads: []string{"Lu"}, Filters: []string{"EJ-16x2"}, Scale: 0.02}
+	waitSweep(t, submit(t, eng, co, spec, nil, sweep.Submission{Origin: origin}))
+	units := workers[0].unitRequests()
+	if len(units) != 1 {
+		t.Fatalf("worker saw %d units, want 1", len(units))
+	}
+	if id := units[0].id; len(id) != 64 || id != origin[:61]+".a1" {
+		t.Errorf("request ID %q (%d bytes), want the origin cut to fit 64 bytes with \".a1\"", id, len(id))
 	}
 }
 
@@ -427,6 +463,7 @@ func TestClusterTenantPropagation(t *testing.T) {
 func TestClusterStatsMonotoneUnderFaults(t *testing.T) {
 	workers, clients := startWorkers(t, 3, service.Options{Workers: 2})
 	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
 
 	workers[0].onCells = func(n int) {
 		if n == 1 {
@@ -462,7 +499,6 @@ func TestClusterStatsMonotoneUnderFaults(t *testing.T) {
 				if st.CellsDispatched < prev.CellsDispatched ||
 					st.CellsRescheduled < prev.CellsRescheduled ||
 					st.RedundantCompletions < prev.RedundantCompletions ||
-					st.MemoHits < prev.MemoHits ||
 					st.WorkerCacheHits < prev.WorkerCacheHits ||
 					st.CellsComputed < prev.CellsComputed {
 					t.Errorf("counters went backwards: %+v then %+v", prev, st)
@@ -480,10 +516,7 @@ func TestClusterStatsMonotoneUnderFaults(t *testing.T) {
 		Repeat:     2,
 		Scale:      0.02,
 	}
-	s, err := co.Submit(spec, nil, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"})
 	waitSweep(t, s)
 	close(stop)
 	wg.Wait()
@@ -495,6 +528,7 @@ func TestClusterStatsMonotoneUnderFaults(t *testing.T) {
 func TestClusterPermanentErrorFailsSweep(t *testing.T) {
 	_, clients := startWorkers(t, 1, service.Options{Workers: 1})
 	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
 
 	// The coordinator can resolve the reference, but the referenced data
 	// hashes to a different digest, so the worker's store lookup fails
@@ -511,10 +545,7 @@ func TestClusterPermanentErrorFailsSweep(t *testing.T) {
 		Workloads: []string{sweep.TracePrefix + "deadbeef"},
 		Filters:   []string{"EJ-16x2"},
 	}
-	s, err := co.Submit(spec, bogus, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := submit(t, eng, co, spec, bogus, sweep.Submission{Origin: "test"})
 	ctx, cancel := context.WithTimeout(t.Context(), 20*time.Second)
 	defer cancel()
 	if _, err := s.Wait(ctx); err == nil {

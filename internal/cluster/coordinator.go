@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"jetty/internal/engine"
-	"jetty/internal/lru"
 	"jetty/internal/sim"
 )
 
@@ -19,7 +18,6 @@ const (
 	DefaultMaxAttempts          = 8
 	DefaultRetryBackoff         = 100 * time.Millisecond
 	DefaultMaxInflightPerWorker = 4
-	DefaultMemoEntries          = 4096
 )
 
 // maxRetryBackoff caps the exponential retry backoff.
@@ -31,15 +29,15 @@ type Options struct {
 	// Required, at least one.
 	Workers []*Client
 	// ProbeInterval is the health-probe period (0 = 2s). A worker whose
-	// probe fails transport, or reports draining, is marked dead: its
-	// in-flight units are hedged onto survivors immediately and it gets
-	// no new work until a probe succeeds again.
+	// probe fails transport, or reports draining, is marked dead: each
+	// unit in flight on it starts a second attempt on a survivor at once,
+	// and it gets no new work until a probe succeeds again.
 	ProbeInterval time.Duration
 	// RequestTimeout bounds one cell-unit dispatch (0 = 5m). A timed-out
 	// dispatch counts as a transport failure.
 	RequestTimeout time.Duration
-	// MaxAttempts bounds dispatches per cell unit before the sweep fails
-	// (0 = 8).
+	// MaxAttempts bounds dispatches per cell unit before the unit, and
+	// so its sweep, fails (0 = 8).
 	MaxAttempts int
 	// RetryBackoff is the base delay before redispatching a unit after a
 	// transient (5xx/429) worker reply; it doubles per attempt up to 2s
@@ -48,16 +46,6 @@ type Options struct {
 	// MaxInflightPerWorker bounds concurrently dispatched units per
 	// worker (0 = 4).
 	MaxInflightPerWorker int
-	// MemoEntries is the L2 digest→result memo capacity (0 = 4096,
-	// negative disables memoization — the same contract as the -cache
-	// flag).
-	MemoEntries int
-	// Store, when non-nil, persists the memo's results: every delivered
-	// cell result is written through, and cells the in-memory memo
-	// cannot resolve are probed here before any dispatch. Backed by the
-	// same crash-safe result directory as the local engine's L3, it
-	// makes the digest→result memo survive coordinator restarts.
-	Store engine.ResultStore
 	// Logger receives reschedule and worker-transition records (nil
 	// discards).
 	Logger *slog.Logger
@@ -79,9 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxInflightPerWorker <= 0 {
 		o.MaxInflightPerWorker = DefaultMaxInflightPerWorker
-	}
-	if o.MemoEntries == 0 {
-		o.MemoEntries = DefaultMemoEntries
 	}
 	return o
 }
@@ -126,12 +111,13 @@ type counters struct {
 	CellsDispatched      uint64 `json:"cells_dispatched"`
 	CellsRescheduled     uint64 `json:"cells_rescheduled"`
 	RedundantCompletions uint64 `json:"redundant_completions"`
-	MemoHits             uint64 `json:"memo_hits"`
 	WorkerCacheHits      uint64 `json:"worker_cache_hits"`
 	CellsComputed        uint64 `json:"cells_computed"`
 }
 
-// Coordinator shards sweeps across remote jettyd workers.
+// Coordinator is the worker table behind remote unit runs: it picks a
+// worker for each attempt, tracks the attempts in flight so a worker's
+// death reaches them, and keeps the cluster counters.
 type Coordinator struct {
 	opts Options
 	log  *slog.Logger
@@ -142,14 +128,13 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers []*worker
-	// memo is the digest→result L2 of the cluster's two-tier result
-	// cache (each worker's engine cache is an L1): a rerun of an
-	// identical spec resolves every cell here without a dispatch.
-	// Values are cloned on both sides; MemoEntries < 0 stores nothing.
-	memo     *lru.LRU[sim.AppResult]
-	sweeps   map[*Sweep]struct{}
+	// attempts are the dispatches in flight, by identity.
+	attempts map[*attempt]struct{}
+	// freed is closed, and replaced, whenever a dispatch slot may have
+	// opened (a release or a revival); runs waiting for a worker wait
+	// on it.
+	freed    chan struct{}
 	counters counters
-	closed   bool
 }
 
 // New starts a coordinator over the given workers (all assumed alive
@@ -171,8 +156,8 @@ func New(opts Options) (*Coordinator, error) {
 		ctx:       ctx,
 		cancel:    cancel,
 		probeDone: make(chan struct{}),
-		memo:      newMemo(opts.MemoEntries),
-		sweeps:    make(map[*Sweep]struct{}),
+		attempts:  make(map[*attempt]struct{}),
+		freed:     make(chan struct{}),
 	}
 	for _, c := range opts.Workers {
 		co.workers = append(co.workers, &worker{client: c, alive: true, uploaded: make(map[string]bool)})
@@ -181,21 +166,15 @@ func New(opts Options) (*Coordinator, error) {
 	return co, nil
 }
 
-// newMemo builds the L2 memo: an LRU of capacity results that clones
-// them on both sides. A capacity ≤ 0 stores nothing.
-func newMemo(capacity int) *lru.LRU[sim.AppResult] {
-	return lru.New(capacity, sim.AppResult.Clone)
+// Slots is how many units the coordinator can have dispatched at once:
+// workers × MaxInflightPerWorker. A coordinator daemon sizes its engine
+// to it, so every engine worker can hold one dispatch.
+func (co *Coordinator) Slots() int {
+	return len(co.workers) * co.opts.MaxInflightPerWorker
 }
 
-// Close stops the prober and fails every active sweep.
+// Close stops the prober and fails every unit run still dispatching.
 func (co *Coordinator) Close() {
-	co.mu.Lock()
-	if co.closed {
-		co.mu.Unlock()
-		return
-	}
-	co.closed = true
-	co.mu.Unlock()
 	co.cancel()
 	<-co.probeDone
 }
@@ -234,22 +213,18 @@ func (co *Coordinator) probeAll() {
 	}
 	wg.Wait()
 
-	var died []*worker
+	var downs []func()
 	revived := false
 	co.mu.Lock()
 	for i, w := range co.workers {
 		switch {
 		case errs[i] != nil:
 			if w.alive {
-				w.alive = false
-				w.lastErr = errs[i].Error()
-				died = append(died, w)
+				downs = append(downs, co.downLocked(w, errs[i].Error()))
 			}
 		case !healths[i].OK:
 			if w.alive {
-				w.alive = false
-				w.lastErr = "draining (" + healths[i].State + ")"
-				died = append(died, w)
+				downs = append(downs, co.downLocked(w, "draining ("+healths[i].State+")"))
 			}
 		default:
 			if !w.alive {
@@ -263,22 +238,12 @@ func (co *Coordinator) probeAll() {
 			w.probed = healths[i].Stats
 		}
 	}
-	sweeps := make([]*Sweep, 0, len(co.sweeps))
-	for s := range co.sweeps {
-		sweeps = append(sweeps, s)
+	if revived {
+		co.wakeLocked()
 	}
 	co.mu.Unlock()
-
-	for _, w := range died {
-		co.log.Warn("cluster worker down", "worker", w.client.Name(), "error", w.lastErr)
-		for _, s := range sweeps {
-			s.workerDown(w)
-		}
-	}
-	if revived {
-		for _, s := range sweeps {
-			s.kickScheduler()
-		}
+	for _, down := range downs {
+		down()
 	}
 }
 
@@ -290,22 +255,47 @@ func (co *Coordinator) markDead(w *worker, err error) {
 		co.mu.Unlock()
 		return
 	}
-	w.alive = false
-	w.lastErr = err.Error()
-	sweeps := make([]*Sweep, 0, len(co.sweeps))
-	for s := range co.sweeps {
-		sweeps = append(sweeps, s)
-	}
+	down := co.downLocked(w, err.Error())
 	co.mu.Unlock()
-	co.log.Warn("cluster worker down", "worker", w.client.Name(), "error", err)
-	for _, s := range sweeps {
-		s.workerDown(w)
+	down()
+}
+
+// downLocked marks w dead and hedges every attempt in flight on it, in
+// one critical section, so no attempt outlives its worker unhedged: a
+// hedged attempt's run starts another attempt on a survivor at once,
+// without waiting for (or canceling) this one, and the unit's cells
+// count as rescheduled. If the lost attempt delivers anyway, the first
+// success wins. It returns what must run once co.mu is released: the
+// log records and the hedge signals.
+func (co *Coordinator) downLocked(w *worker, reason string) func() {
+	w.alive = false
+	w.lastErr = reason
+	var hedged []*attempt
+	cells := 0
+	for a := range co.attempts {
+		if a.w == w && !a.hedged && a.run.ctx.Err() == nil {
+			a.hedged = true
+			hedged = append(hedged, a)
+			cells += len(a.run.unit)
+		}
+	}
+	co.counters.CellsRescheduled += uint64(cells)
+	return func() {
+		co.log.Warn("cluster worker down", "worker", w.client.Name(), "error", reason)
+		for _, a := range hedged {
+			a.run.events <- attemptEvent{a: a, hedge: true}
+		}
+		if cells > 0 {
+			co.log.Info("cluster cells rescheduled", "worker", w.client.Name(), "cells", cells)
+		}
 	}
 }
 
-// acquire picks the least-loaded alive worker with dispatch headroom,
-// reserving one in-flight slot. Returns nil when no worker qualifies.
-func (co *Coordinator) acquire() *worker {
+// acquire starts attempt a on the least-loaded alive worker with
+// dispatch headroom: it reserves one in-flight slot there and tracks a.
+// When no worker qualifies it returns false and a channel that is
+// closed once a slot may have opened.
+func (co *Coordinator) acquire(a *attempt) (<-chan struct{}, bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	var best *worker
@@ -317,38 +307,55 @@ func (co *Coordinator) acquire() *worker {
 			best = w
 		}
 	}
-	if best != nil {
-		best.inflight++
-		best.dispatched++
+	if best == nil {
+		return co.freed, false
 	}
-	return best
+	best.inflight++
+	best.dispatched++
+	a.w = best
+	co.attempts[a] = struct{}{}
+	co.counters.CellsDispatched += uint64(len(a.run.unit))
+	return nil, true
 }
 
-// release returns a worker's in-flight slot. perCell, when positive,
-// folds into the worker's per-cell latency EWMA.
-func (co *Coordinator) release(w *worker, ok bool, perCell time.Duration) {
+// release ends attempt a: it returns the worker's in-flight slot, stops
+// tracking a and reports whether a was hedged. perCell, when positive,
+// marks a success and folds into the worker's per-cell latency EWMA;
+// failed marks a failure (an attempt canceled because another won is
+// neither).
+func (co *Coordinator) release(a *attempt, failed bool, perCell time.Duration) (hedged bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	delete(co.attempts, a)
+	w := a.w
 	w.inflight--
-	if ok {
+	switch {
+	case perCell > 0:
 		w.completed++
-		if perCell > 0 {
-			sample := perCell.Seconds()
-			if !w.hasEWMA {
-				w.ewmaSec, w.hasEWMA = sample, true
-			} else {
-				w.ewmaSec = ewmaWeight*sample + (1-ewmaWeight)*w.ewmaSec
-			}
+		sample := perCell.Seconds()
+		if !w.hasEWMA {
+			w.ewmaSec, w.hasEWMA = sample, true
+		} else {
+			w.ewmaSec = ewmaWeight*sample + (1-ewmaWeight)*w.ewmaSec
 		}
-	} else {
+	case failed:
 		w.failed++
 	}
+	co.wakeLocked()
+	return a.hedged
+}
+
+// wakeLocked wakes every run waiting for a dispatch slot. Caller holds
+// co.mu.
+func (co *Coordinator) wakeLocked() {
+	close(co.freed)
+	co.freed = make(chan struct{})
 }
 
 // ensureTraces pushes any referenced trace the worker has not been sent
 // yet. Content addressing makes double-pushes harmless, so the uploaded
 // set is an optimization, not a correctness requirement.
-func (co *Coordinator) ensureTraces(ctx context.Context, w *worker, tenant string, traces []sim.TraceInput) error {
+func (co *Coordinator) ensureTraces(ctx context.Context, w *worker, tenant, id string, traces []sim.TraceInput) error {
 	for _, in := range traces {
 		co.mu.Lock()
 		have := w.uploaded[in.Digest]
@@ -356,7 +363,7 @@ func (co *Coordinator) ensureTraces(ctx context.Context, w *worker, tenant strin
 		if have {
 			continue
 		}
-		if err := w.client.UploadTrace(ctx, tenant, in.Data); err != nil {
+		if err := w.client.UploadTrace(ctx, tenant, id, in.Data); err != nil {
 			return err
 		}
 		co.mu.Lock()
@@ -364,20 +371,6 @@ func (co *Coordinator) ensureTraces(ctx context.Context, w *worker, tenant strin
 		co.mu.Unlock()
 	}
 	return nil
-}
-
-// register adds an active sweep (so worker-death hedging reaches it).
-func (co *Coordinator) register(s *Sweep) {
-	co.mu.Lock()
-	co.sweeps[s] = struct{}{}
-	co.mu.Unlock()
-}
-
-// unregister removes a finished sweep.
-func (co *Coordinator) unregister(s *Sweep) {
-	co.mu.Lock()
-	delete(co.sweeps, s)
-	co.mu.Unlock()
 }
 
 // WorkerStats is one worker's row in a Stats snapshot.
@@ -402,8 +395,6 @@ type WorkerStats struct {
 type Stats struct {
 	WorkersConfigured int `json:"workers_configured"`
 	WorkersAlive      int `json:"workers_alive"`
-	ActiveSweeps      int `json:"active_sweeps"`
-	MemoEntries       int `json:"memo_entries"`
 	counters
 	Workers []WorkerStats `json:"workers"`
 }
@@ -414,8 +405,6 @@ func (co *Coordinator) Stats() Stats {
 	defer co.mu.Unlock()
 	st := Stats{
 		WorkersConfigured: len(co.workers),
-		ActiveSweeps:      len(co.sweeps),
-		MemoEntries:       co.memo.Len(),
 		counters:          co.counters,
 	}
 	for _, w := range co.workers {

@@ -11,6 +11,8 @@ package cluster_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -22,6 +24,12 @@ import (
 	"jetty/internal/service"
 	"jetty/internal/sweep"
 )
+
+// unitRequest is one /v1/cells request as the worker saw it.
+type unitRequest struct {
+	id      string // X-Request-Id
+	indices []int
+}
 
 // faultyWorker is one worker daemon plus its fault switchboard.
 type faultyWorker struct {
@@ -40,7 +48,9 @@ type faultyWorker struct {
 	cellReqs  int           // /v1/cells requests seen (lifetime)
 	traceUps  int           // /v1/traces uploads seen (lifetime)
 	tenants   map[string]bool
-	onCells   func(n int) // called with the 1-based count before serving
+	units     []unitRequest // every /v1/cells request, in arrival order
+	uploadIDs []string      // X-Request-Id of every /v1/traces upload
+	onCells   func(n int)   // called with the 1-based count before serving
 }
 
 func newFaultyWorker(t *testing.T, opts service.Options) *faultyWorker {
@@ -62,9 +72,19 @@ func newFaultyWorker(t *testing.T, opts service.Options) *faultyWorker {
 func (w *faultyWorker) serve(rw http.ResponseWriter, r *http.Request) {
 	isCells := r.Method == http.MethodPost && r.URL.Path == "/v1/cells"
 
+	var unit unitRequest
+	if isCells {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req cluster.CellsRequest
+		json.Unmarshal(body, &req)
+		unit = unitRequest{id: r.Header.Get("X-Request-Id"), indices: req.Indices}
+	}
+
 	w.mu.Lock()
 	if isCells {
 		w.cellReqs++
+		w.units = append(w.units, unit)
 		if tn := r.Header.Get("X-Jetty-Tenant"); tn != "" {
 			w.tenants[tn] = true
 		}
@@ -79,6 +99,7 @@ func (w *faultyWorker) serve(rw http.ResponseWriter, r *http.Request) {
 	}
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/traces" {
 		w.traceUps++
+		w.uploadIDs = append(w.uploadIDs, r.Header.Get("X-Request-Id"))
 	}
 	if w.crashed {
 		w.mu.Unlock()
@@ -187,6 +208,20 @@ func (w *faultyWorker) traceUploads() int {
 	return w.traceUps
 }
 
+// unitRequests returns every /v1/cells request the worker saw.
+func (w *faultyWorker) unitRequests() []unitRequest {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]unitRequest(nil), w.units...)
+}
+
+// traceUploadIDs returns the request ID of every trace upload.
+func (w *faultyWorker) traceUploadIDs() []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]string(nil), w.uploadIDs...)
+}
+
 func (w *faultyWorker) sawTenant(name string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -229,6 +264,33 @@ func newCoordinator(t *testing.T, clients []*cluster.Client, mod func(*cluster.O
 	}
 	t.Cleanup(co.Close)
 	return co
+}
+
+// newEngine builds the engine a coordinator's sweeps run on, sized to
+// its dispatch slots as jettyd sizes a coordinator's engine, and closed
+// with the test (before the coordinator).
+func newEngine(t *testing.T, co *cluster.Coordinator, opts engine.Options) *engine.Engine {
+	t.Helper()
+	opts.Workers = co.Slots()
+	eng := engine.New(opts)
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// submit starts spec on eng with every unit dispatched through co, as a
+// coordinator daemon submits a sweep.
+func submit(t *testing.T, eng *engine.Engine, co *cluster.Coordinator, spec sweep.Spec, traces sweep.TraceResolver, sub sweep.Submission) *sweep.Sweep {
+	t.Helper()
+	remote, err := co.Remote(spec, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Remote = remote
+	s, err := sweep.Submit(eng, spec, traces, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // runLocal runs the spec on a private single-process engine — the

@@ -1,61 +1,77 @@
-package cluster
+package cluster_test
 
 import (
 	"fmt"
 	"testing"
 
-	"jetty/internal/sim"
+	"jetty/internal/engine"
+	"jetty/internal/service"
+	"jetty/internal/sweep"
 )
 
-func memoResult(refs uint64) sim.AppResult {
-	return sim.AppResult{Refs: refs, RemoteHitFrac: []float64{0.5}}
+// The coordinator's in-memory result tier is the engine its sweeps run
+// on: a cell its cache holds resolves without a dispatch.
+
+// cacheRig runs one-cell sweeps through a coordinator over one worker,
+// on an engine with the given cache capacity.
+type cacheRig struct {
+	eng *engine.Engine
+	run func(app string) (dispatched bool)
 }
 
-// TestMemoNonpositiveCapacityIsNoop pins the -cache-style "negative
-// disables" contract: a memo with cap <= 0 stores nothing.
+func newCacheRig(t *testing.T, capacity int) cacheRig {
+	_, clients := startWorkers(t, 1, service.Options{Workers: 2})
+	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{CacheEntries: capacity})
+	return cacheRig{eng: eng, run: func(app string) bool {
+		before := co.Stats().CellsDispatched
+		spec := sweep.Spec{Name: app, Workloads: []string{app}, Filters: []string{"EJ-16x2"}, Scale: 0.02}
+		waitSweep(t, submit(t, eng, co, spec, nil, sweep.Submission{}))
+		return co.Stats().CellsDispatched != before
+	}}
+}
+
+// TestMemoNonpositiveCapacityIsNoop pins the -cache "negative disables"
+// contract on the coordinator: a disabled cache holds nothing, so every
+// rerun dispatches again.
 func TestMemoNonpositiveCapacityIsNoop(t *testing.T) {
-	for _, capacity := range []int{0, -1, -4096} {
+	for _, capacity := range []int{-1, -4096} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
-			m := newMemo(capacity)
-			for i := 0; i < 4; i++ {
-				m.Put(fmt.Sprintf("k%d", i), memoResult(uint64(i)))
+			rig := newCacheRig(t, capacity)
+			for i := 0; i < 2; i++ {
+				if !rig.run("Lu") {
+					t.Fatalf("run %d resolved without a dispatch on a disabled cache", i+1)
+				}
 			}
-			if m.Len() != 0 {
-				t.Fatalf("Len = %d; want 0 (disabled memo must hold nothing)", m.Len())
-			}
-			if _, ok := m.Get("k0"); ok {
-				t.Fatalf("Get hit on a disabled memo")
+			if n := rig.eng.Stats().CacheEntries; n != 0 {
+				t.Fatalf("CacheEntries = %d; want 0 (disabled cache must hold nothing)", n)
 			}
 		})
 	}
 }
 
 func TestMemoLRUEviction(t *testing.T) {
-	m := newMemo(2)
-	m.Put("a", memoResult(1))
-	m.Put("b", memoResult(2))
-	if _, ok := m.Get("a"); !ok { // refresh a: b is now the eviction victim
-		t.Fatal("a missing")
-	}
-	m.Put("c", memoResult(3))
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d; want 2", m.Len())
-	}
-	if _, ok := m.Get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := m.Get(k); !ok {
-			t.Fatalf("%s missing", k)
+	rig := newCacheRig(t, 2)
+	for _, app := range []string{"Lu", "ch"} {
+		if !rig.run(app) {
+			t.Fatalf("cold %s resolved without a dispatch", app)
 		}
 	}
-
-	// Overwrite refreshes in place, no growth.
-	m.Put("a", memoResult(9))
-	if m.Len() != 2 {
-		t.Fatalf("Len after overwrite = %d; want 2", m.Len())
+	if rig.run("Lu") { // refresh Lu: ch is now the eviction victim
+		t.Fatal("Lu missing")
 	}
-	if res, ok := m.Get("a"); !ok || res.Refs != 9 {
-		t.Fatalf("overwrite lost: %+v, %v", res, ok)
+	if !rig.run("Fmm") {
+		t.Fatal("cold Fmm resolved without a dispatch")
+	}
+	if n := rig.eng.Stats().CacheEntries; n != 2 {
+		t.Fatalf("CacheEntries = %d; want 2", n)
+	}
+	for _, app := range []string{"Lu", "Fmm"} {
+		if rig.run(app) {
+			t.Fatalf("%s missing", app)
+		}
+	}
+	if !rig.run("ch") {
+		t.Fatal("ch should have been evicted")
 	}
 }

@@ -1,16 +1,17 @@
 // Package cluster implements jettyd's coordinator/worker mode: a
-// coordinator expands a sweep spec, shards its content-addressed cells
-// across remote jettyd workers over the ordinary HTTP/JSON API, streams
-// partial aggregates back, and tolerates worker loss by health-checking
-// and rescheduling unfinished cells.
+// coordinator runs every sweep on its own engine like a single daemon,
+// except that each planned unit's run posts the unit to a remote jettyd
+// worker over the ordinary HTTP/JSON API instead of simulating it. The
+// coordinator keeps the worker table: health probes, load scoring,
+// trace uploads, retries, and hedging a unit onto a survivor when its
+// worker dies.
 //
 // The cell digest makes all of this safe: a cell's key is a content
 // address of everything that determines its result, so results are
-// location-independent (any worker computes the same bytes), dedupable
-// (a rescheduled cell that raced its lost twin coalesces in the result
-// set by key), and cacheable in two tiers — every worker's engine cache
-// is an L1, and the coordinator keeps a digest→result memo as the L2,
-// so a cluster-wide rerun of an identical spec recomputes zero cells.
+// location-independent (any worker computes the same bytes) and
+// cacheable at every hop — the coordinator's engine cache and store
+// answer a rerun without any dispatch, and each worker's engine cache
+// answers a unit a cold coordinator sends again.
 package cluster
 
 import (
@@ -34,9 +35,9 @@ type CellsRequest struct {
 	// Spec is the full sweep specification.
 	Spec sweep.Spec `json:"spec"`
 	// Indices selects the cells to run, by expansion index, strictly
-	// ascending. A coordinator dispatches whole planned units
-	// (sweep.PlanUnits), so cells that fuse onto one simulation pass
-	// still fuse on the worker.
+	// ascending. A coordinator dispatches whole planned units (the live
+	// cells of one engine group), so cells that fuse onto one simulation
+	// pass still fuse on the worker.
 	Indices []int `json:"indices"`
 }
 
@@ -44,8 +45,8 @@ type CellsRequest struct {
 type CellOutcome struct {
 	// Index is the cell's expansion index (mirrors the request).
 	Index int `json:"index"`
-	// Key is the cell's content address, echoed so the coordinator can
-	// resolve by digest without trusting index bookkeeping.
+	// Key is the cell's content address, echoed so the coordinator
+	// matches results by digest without trusting index bookkeeping.
 	Key string `json:"key"`
 	// Disposition is the worker engine's verdict: "executed" for a fresh
 	// computation, "cache_hit" for an L1 hit, "coalesced" for a ride on
@@ -86,14 +87,13 @@ const (
 )
 
 // replyBound bounds the bytes of an honest reply to a request for the
-// cells at indices, sampled every interval references (0: unsampled). A
+// unit's cells, sampled every interval references (0: unsampled). A
 // cell's result grows with its CPUs, its filters and, sampled, its
 // windows; its spec and filter names are counted as encoded. (Both are
 // plain data, so encoding them cannot fail.)
-func replyBound(cells []sweep.Cell, indices []int, interval uint64) int64 {
+func replyBound(unit []sweep.Cell, interval uint64) int64 {
 	n := int64(replyBytes)
-	for _, i := range indices {
-		c := cells[i]
+	for _, c := range unit {
 		cfg := c.Config()
 		spec, _ := json.Marshal(c.Label())
 		names := make([]string, len(cfg.Filters))

@@ -104,7 +104,7 @@ func TestReplyBoundCoversWidestReply(t *testing.T) {
 				windows := int(cells[i].Total()/spec.Interval) + 2
 				resp.Cells = append(resp.Cells, widestOutcome(cells[i], windows))
 			}
-			got, bound := encodedLen(t, resp), replyBound(cells, unit, spec.Interval)
+			got, bound := encodedLen(t, resp), replyBound(unitCells(cells, unit), spec.Interval)
 			if got > bound {
 				t.Errorf("%s unit %v: widest reply is %d bytes, bound %d", spec.Workloads[0], unit, got, bound)
 			}
@@ -154,7 +154,16 @@ func TestReplyBoundAdmitsLargeSampledUnit(t *testing.T) {
 	if widest <= 256<<20 {
 		t.Fatalf("the widest reply is only %d bytes; the test wants one over 256 MiB", widest)
 	}
-	if bound := replyBound(cells, unit, interval); widest > bound {
+	if bound := replyBound(unitCells(cells, unit), interval); widest > bound {
 		t.Fatalf("widest reply to a %d-cell unit at the window cap is %d bytes, bound %d", len(unit), widest, bound)
 	}
+}
+
+// unitCells picks a planned unit's cells.
+func unitCells(cells []sweep.Cell, unit []int) []sweep.Cell {
+	out := make([]sweep.Cell, len(unit))
+	for k, i := range unit {
+		out[k] = cells[i]
+	}
+	return out
 }

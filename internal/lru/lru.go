@@ -1,7 +1,6 @@
 // Package lru is the content-addressed least-recently-used map behind
-// the system's memo tiers: the engine's in-memory result cache, the
-// cluster coordinator's digest→result L2 memo and the simulator's
-// byte-bounded stream memo.
+// the system's memo tiers: the engine's in-memory result cache and the
+// simulator's byte-bounded stream memo.
 package lru
 
 import "container/list"

@@ -172,7 +172,7 @@ func TestClusterMetricsLintAndMonotone(t *testing.T) {
 		"jettyd_cluster_workers_alive",
 		"jettyd_cluster_cells_dispatched_total",
 		"jettyd_cluster_cells_rescheduled_total",
-		"jettyd_cluster_memo_hits_total",
+		"jettyd_engine_cache_hits_total",
 		"jettyd_cluster_worker_cache_hits_total",
 		"jettyd_cluster_cells_computed_total",
 		`jettyd_cluster_worker_alive{worker="`,

@@ -104,12 +104,9 @@ func (s *Server) snapshotGauges() {
 		cst := s.cluster.Stats()
 		t.clusterWorkersConfigured.Set(float64(cst.WorkersConfigured))
 		t.clusterWorkersAlive.Set(float64(cst.WorkersAlive))
-		t.clusterActiveSweeps.Set(float64(cst.ActiveSweeps))
-		t.clusterMemoEntries.Set(float64(cst.MemoEntries))
 		t.clusterCellsDispatched.Set(cst.CellsDispatched)
 		t.clusterCellsRescheduled.Set(cst.CellsRescheduled)
 		t.clusterRedundant.Set(cst.RedundantCompletions)
-		t.clusterMemoHits.Set(cst.MemoHits)
 		t.clusterWorkerCacheHits.Set(cst.WorkerCacheHits)
 		t.clusterCellsComputed.Set(cst.CellsComputed)
 		for _, ws := range cst.Workers {

@@ -123,10 +123,12 @@ type Options struct {
 	// part of the public API surface.
 	Pprof bool
 	// Cluster, when set, makes this daemon a coordinator: sweeps and
-	// experiments shard their cells across the coordinator's workers
-	// instead of the local engine, and GET /v1/cluster/status reports the
-	// cluster. Direct cell units (POST /v1/cells) still run locally. The
-	// server takes ownership: Close closes the coordinator.
+	// experiments run on the engine as everywhere, but each unit's run
+	// posts the unit to one of the coordinator's workers, and GET
+	// /v1/cluster/status reports the cluster. The engine is then sized to
+	// the coordinator's dispatch slots and Workers is ignored. Direct
+	// cell units (POST /v1/cells) still run locally. The server takes
+	// ownership: Close closes the coordinator.
 	Cluster *cluster.Coordinator
 	// Role names the daemon's cluster role in /healthz ("single",
 	// "worker", "coordinator"; empty = "single"). Informational.
@@ -223,8 +225,12 @@ func New(opts Options) *Server {
 	if opts.Store != nil {
 		resultStore = sim.NewDiskCache(opts.Store)
 	}
+	workers := opts.Workers
+	if opts.Cluster != nil {
+		workers = opts.Cluster.Slots()
+	}
 	eng := engine.New(engine.Options{
-		Workers:       opts.Workers,
+		Workers:       workers,
 		CacheEntries:  opts.CacheEntries,
 		OnRetire:      tel.onRetire,
 		TenantWeights: opts.TenantWeights,

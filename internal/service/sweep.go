@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -18,24 +17,10 @@ import (
 // under one eviction bound; each endpoint family serves only its own
 // IDs (exp-NNNNNN and swp-NNNNNN from one sequence).
 
-// sweepHandle is what the registry needs from a submitted sweep. Both
-// execution paths satisfy it: *sweep.Sweep (cells on the local engine)
-// and *cluster.Sweep (cells sharded across remote workers), so every
-// job endpoint serves either transparently.
-type sweepHandle interface {
-	Tenant() string
-	Cells() []sweep.Cell
-	Status(detailed bool) sweep.Status
-	Unfinished() bool
-	UnfinishedCells() int
-	Cancel()
-	Wait(ctx context.Context) (*sweep.Result, error)
-}
-
 // job is one submitted sweep in the registry.
 type job struct {
 	id string
-	sw sweepHandle
+	sw *sweep.Sweep
 	// req is the request of a job submitted as an experiment (nil for a
 	// sweep); the experiment endpoints render from it.
 	req *SubmitRequest
@@ -133,11 +118,12 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, spec sweep.Spec,
 	return j
 }
 
-// startLocked submits spec — sharded across the cluster's workers in
-// coordinator role, else on the local engine — and registers the job
-// under id, or under the next exp-/swp-NNNNNN when id is "" (restore
-// passes the journaled ID). cells is spec's expansion. Caller holds
-// s.mu, so a canceling client never observes a job without its cells.
+// startLocked submits spec on the engine — each unit posted to a
+// cluster worker in coordinator role, else simulated here — and
+// registers the job under id, or under the next exp-/swp-NNNNNN when id
+// is "" (restore passes the journaled ID). cells is spec's expansion.
+// Caller holds s.mu, so a canceling client never observes a job without
+// its cells.
 func (s *Server) startLocked(id string, spec sweep.Spec, req *SubmitRequest, cells []sweep.Cell, origin, tenant string) (*job, error) {
 	j := &job{req: req}
 	sub := sweep.Submission{Origin: origin, Tenant: tenant}
@@ -154,11 +140,11 @@ func (s *Server) startLocked(id string, spec sweep.Spec, req *SubmitRequest, cel
 	}
 	var err error
 	if s.cluster != nil {
-		j.sw, err = s.cluster.Submit(spec, s.traceLocked, origin, tenant)
-	} else {
-		j.sw, err = sweep.Submit(s.eng, spec, s.traceLocked, sub)
+		if sub.Remote, err = s.cluster.Remote(spec, s.traceLocked); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
+	if j.sw, err = sweep.Submit(s.eng, spec, s.traceLocked, sub); err != nil {
 		return nil, err
 	}
 	if id == "" {

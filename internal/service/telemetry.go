@@ -86,12 +86,9 @@ type telemetry struct {
 	// otherwise); set from one cluster.Stats() snapshot per scrape.
 	clusterWorkersConfigured *obs.Gauge
 	clusterWorkersAlive      *obs.Gauge
-	clusterActiveSweeps      *obs.Gauge
-	clusterMemoEntries       *obs.Gauge
 	clusterCellsDispatched   *obs.Counter
 	clusterCellsRescheduled  *obs.Counter
 	clusterRedundant         *obs.Counter
-	clusterMemoHits          *obs.Counter
 	clusterWorkerCacheHits   *obs.Counter
 	clusterCellsComputed     *obs.Counter
 	clusterWorkerAlive       *obs.GaugeFamily // worker
@@ -222,18 +219,12 @@ func newTelemetry(log *slog.Logger, slowJob time.Duration, clustered, persistent
 			"Remote workers this coordinator is configured with.")
 		t.clusterWorkersAlive = reg.NewGauge("jettyd_cluster_workers_alive",
 			"Remote workers currently considered alive.")
-		t.clusterActiveSweeps = reg.NewGauge("jettyd_cluster_active_sweeps",
-			"Distributed sweeps currently scheduling or awaiting deliveries.")
-		t.clusterMemoEntries = reg.NewGauge("jettyd_cluster_memo_entries",
-			"Results resident in the coordinator's L2 digest-to-result memo.")
 		t.clusterCellsDispatched = reg.NewCounter("jettyd_cluster_cells_dispatched_total",
 			"Cells sent to workers (every dispatch of every attempt).")
 		t.clusterCellsRescheduled = reg.NewCounter("jettyd_cluster_cells_rescheduled_total",
-			"Cells requeued because their worker was declared dead mid-unit.")
+			"Cells dispatched again because their worker was declared dead mid-unit.")
 		t.clusterRedundant = reg.NewCounter("jettyd_cluster_redundant_completions_total",
-			"Cell results delivered for an already-resolved digest (a rescheduled cell's lost twin finishing anyway).")
-		t.clusterMemoHits = reg.NewCounter("jettyd_cluster_memo_hits_total",
-			"Cells resolved from the coordinator's L2 memo without a dispatch.")
+			"Cell results delivered after another attempt at their unit had already won.")
 		t.clusterWorkerCacheHits = reg.NewCounter("jettyd_cluster_worker_cache_hits_total",
 			"Dispatched cells a worker served from its L1 engine cache (or coalesced onto in-flight work).")
 		t.clusterCellsComputed = reg.NewCounter("jettyd_cluster_cells_computed_total",

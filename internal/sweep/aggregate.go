@@ -60,16 +60,8 @@ type Result struct {
 	Timelines []CellTimeline `json:"timelines,omitempty"`
 }
 
-// Fold derives the metric set from finished cells and applies the
-// timeline retention policy. results must align with cells by index.
-// It is the folding step of Sweep.Wait, exported for coordinators that
-// collect cell results remotely (internal/cluster) and fold locally.
-func Fold(spec Spec, cells []Cell, results []sim.AppResult) *Result {
-	return fold(spec.normalize(), cells, results)
-}
-
 // fold derives the metric set from finished cells and applies the
-// timeline retention policy.
+// timeline retention policy. results must align with cells by index.
 func fold(spec Spec, cells []Cell, results []sim.AppResult) *Result {
 	out := &Result{Spec: spec}
 	tech := energy.Tech180()

@@ -18,10 +18,11 @@ import (
 // when they agree on everything but the filter bank — which is exactly
 // when one stream serves both.
 
-// PlanUnits partitions cells into fusable groups — the engine's (and a
-// cluster coordinator's) indivisible scheduling units. Each group is a
-// list of ascending cell indices sharing one reference stream; shipping
-// a whole group to one worker preserves the fusion win remotely.
+// PlanUnits partitions cells into fusable groups — the engine's
+// indivisible scheduling units, and so a coordinator's dispatch units.
+// Each group is a list of ascending cell indices sharing one reference
+// stream; shipping a whole group to one worker preserves the fusion win
+// remotely.
 func PlanUnits(spec Spec, cells []Cell) [][]int {
 	return planGroups(spec.normalize(), cells)
 }

@@ -40,6 +40,14 @@ type Submission struct {
 	// arrive exactly as the cell's retained timeline will hold them. The
 	// pointer is borrowed: copy or encode it before returning.
 	OnWindow func(cell int, w *metrics.Window)
+	// Remote, if set, runs each planned unit somewhere else instead of
+	// simulating it here: a unit's engine run calls Remote with the cells
+	// the engine did not satisfy from its cache, store or in-flight work,
+	// in ascending Index order, and expects one result per cell in that
+	// order. The engine admits, caches, coalesces and schedules the unit
+	// exactly as it would a local one. A cluster coordinator sets it to
+	// dispatch units to its workers.
+	Remote func(ctx context.Context, unit []Cell) ([]sim.AppResult, error)
 }
 
 // Submit expands the spec and schedules every cell on the engine. Submission never blocks on the work itself; identical cells
@@ -79,6 +87,9 @@ func schedule(eng *engine.Engine, spec Spec, cells []Cell, sub Submission) CellS
 			opt.OnWindow = cellWindows(cells[group[0]], sub.OnWindow)
 		}
 		g := sim.GroupTask(cells[group[0]].in, members, opt)
+		if sub.Remote != nil {
+			g.Run = remoteRun(sub.Remote, cells, group)
+		}
 		if len(group) == 1 {
 			g.Kind = kind
 		} else {
@@ -91,6 +102,26 @@ func schedule(eng *engine.Engine, spec Spec, cells []Cell, sub Submission) CellS
 		}
 	}
 	return cs
+}
+
+// remoteRun is a group's engine run that hands the group's live cells
+// to remote instead of simulating them.
+func remoteRun(remote func(context.Context, []Cell) ([]sim.AppResult, error), cells []Cell, group []int) func(context.Context, []int, func(uint64)) ([]any, error) {
+	return func(ctx context.Context, live []int, _ func(uint64)) ([]any, error) {
+		unit := make([]Cell, len(live))
+		for k, i := range live {
+			unit[k] = cells[group[i]]
+		}
+		results, err := remote(ctx, unit)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]any, len(results))
+		for k, r := range results {
+			out[k] = r
+		}
+		return out, nil
+	}
 }
 
 // cellWindows adapts a per-cell window hook to one cell's sampler. It
@@ -259,15 +290,15 @@ type Status struct {
 	Fraction  float64      `json:"fraction"`
 	Cell      []CellStatus `json:"cell_status,omitempty"`
 	// PartialMetrics are per-filter metrics folded over only the cells
-	// finished so far — the streaming partial aggregate a cluster
-	// coordinator exposes while a distributed sweep runs. Empty on
-	// single-process sweeps (the full Result lands atomically there).
+	// done so far: the streaming partial aggregate of a running sweep.
+	// Detailed snapshots only; empty before the first cell and once
+	// every cell is done (the full Result carries them then).
 	PartialMetrics []Metric `json:"partial_metrics,omitempty"`
 }
 
 // Status snapshots every cell and aggregates. detailed includes the
-// per-cell slice; false keeps the snapshot allocation-light for hot
-// polling loops.
+// per-cell slice and the partial metrics; false keeps the snapshot
+// allocation-light for hot polling loops.
 func (s *Sweep) Status(detailed bool) Status {
 	out := Status{Name: s.spec.Name, Tenant: s.tenant, Cells: len(s.cells)}
 	counts := map[engine.State]int{}
@@ -321,7 +352,25 @@ func (s *Sweep) Status(detailed bool) Status {
 	if out.State == "done" {
 		out.Fraction = 1
 	}
+	if done := counts[engine.Done]; detailed && done > 0 && done < len(s.cells) {
+		out.PartialMetrics = s.partialMetrics()
+	}
 	return out
+}
+
+// partialMetrics folds the cells done so far.
+func (s *Sweep) partialMetrics() []Metric {
+	var cells []Cell
+	var results []sim.AppResult
+	for i, j := range s.jobs {
+		if j.State() == engine.Done {
+			// A done job's result is final, and fold only reads it.
+			res, _ := j.Wait(context.Background())
+			cells = append(cells, s.cells[i])
+			results = append(results, res.(sim.AppResult))
+		}
+	}
+	return fold(s.spec, cells, results).Metrics
 }
 
 // durationMS renders a duration as fractional milliseconds for JSON.
