@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -266,7 +267,20 @@ func TestSSESurvivesIdleTimeout(t *testing.T) {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
 
-	live, err := client.Get(base + "/v1/experiments/" + st.ID + "/live")
+	// The stream lasts as long as the run, which the race detector
+	// stretches many times over, so /live is read with no overall client
+	// timeout (client's would sever the stream itself). A deadline on
+	// each Read still fails a stream that stalls.
+	const stall = 30 * time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stalled := time.AfterFunc(stall, cancel)
+	defer stalled.Stop()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/experiments/"+st.ID+"/live", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +291,11 @@ func TestSSESurvivesIdleTimeout(t *testing.T) {
 	var events []byte
 	started := time.Now()
 	for {
+		stalled.Reset(stall)
 		n, err := live.Body.Read(buf)
+		if !stalled.Stop() {
+			t.Fatalf("SSE stream stalled for %v after %v", stall, time.Since(started))
+		}
 		events = append(events, buf[:n]...)
 		if err == io.EOF {
 			break

@@ -247,6 +247,104 @@ func TestClusterSurvivesSlowLoris(t *testing.T) {
 	}
 }
 
+// TestClusterToleratesLateHealthz: a healthy worker whose /healthz
+// answers 1.5 probe periods late, as one under CPU load may, misses one
+// probe deadline at a time and stays alive. Nothing is hedged, so a
+// sweep over such workers records no rescheduled cells and no redundant
+// completions.
+func TestClusterToleratesLateHealthz(t *testing.T) {
+	// Long enough that the half period left after a 1.5-period delay
+	// covers the probe's own HTTP round trip under the race detector.
+	const interval = 200 * time.Millisecond
+	workers, clients := startWorkers(t, 2, service.Options{Workers: 2})
+	co := newCoordinator(t, clients, func(o *cluster.Options) { o.ProbeInterval = interval })
+	eng := newEngine(t, co, engine.Options{})
+	for _, w := range workers {
+		w.delayHealth(interval * 3 / 2)
+	}
+
+	// Watch for a down transition for as long as the workers are probed.
+	stop := make(chan struct{})
+	downs := make(chan string, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				close(downs)
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if st := co.Stats(); st.WorkersAlive != st.WorkersConfigured {
+				for _, w := range st.Workers {
+					if !w.Alive {
+						downs <- w.Name + ": " + w.LastError
+						close(downs)
+						return
+					}
+				}
+			}
+		}
+	}()
+
+	spec := sweep.Spec{
+		Name:      "late-healthz",
+		Workloads: []string{"Lu", "ch"},
+		Filters:   []string{"EJ-32x4", "EJ-16x2"},
+		Repeat:    2,
+		Scale:     0.02,
+	}
+	want := runLocal(t, spec, nil)
+	got := waitSweep(t, submit(t, eng, co, spec, nil, sweep.Submission{Origin: "test"}))
+	// Keep probing until every worker has answered several probes late.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, w := range workers {
+		for n, _ := w.delayedProbes(); n < 4; n, _ = w.delayedProbes() {
+			if time.Now().After(deadline) {
+				t.Fatalf("a worker saw only %d late probes", n)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	close(stop)
+	if down, ok := <-downs; ok {
+		t.Fatalf("a late /healthz downed worker %s", down)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("result diverges from the single-process run")
+	}
+	if st := co.Stats(); st.CellsRescheduled != 0 || st.RedundantCompletions != 0 {
+		t.Errorf("late probes rescheduled %d cells, %d redundant completions; want 0, 0",
+			st.CellsRescheduled, st.RedundantCompletions)
+	}
+}
+
+// TestClusterDownsUnansweringWorker: a worker whose /healthz stops
+// answering is still downed: not at its probe's first deadline, but
+// once the probe has gone unanswered for two probe periods (give or take
+// scheduling slack).
+func TestClusterDownsUnansweringWorker(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	workers, clients := startWorkers(t, 2, service.Options{Workers: 1})
+	co := newCoordinator(t, clients, func(o *cluster.Options) { o.ProbeInterval = interval })
+	workers[0].delayHealth(time.Hour)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for co.Stats().Workers[0].Alive {
+		if time.Now().After(deadline) {
+			t.Fatal("a worker that stopped answering /healthz was never downed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	downed := time.Now()
+	_, first := workers[0].delayedProbes()
+	if took := downed.Sub(first); took <= 3*interval/2 || took > 3*interval {
+		t.Errorf("downed %v after the first unanswered probe arrived, want within (%v, %v]", took, 3*interval/2, 3*interval)
+	}
+	if st := co.Stats(); !st.Workers[1].Alive {
+		t.Errorf("the answering worker went down too: %s", st.Workers[1].LastError)
+	}
+}
+
 // TestClusterRerunHitsBothCacheTiers pins the two-tier cache contract:
 // a rerun on the same coordinator resolves every cell from the
 // coordinator's engine cache with zero dispatches, and a cold

@@ -29,9 +29,10 @@ type Options struct {
 	// Required, at least one.
 	Workers []*Client
 	// ProbeInterval is the health-probe period (0 = 2s). A worker whose
-	// probe fails transport, or reports draining, is marked dead: each
-	// unit in flight on it starts a second attempt on a survivor at once,
-	// and it gets no new work until a probe succeeds again.
+	// probe fails transport, reports draining, or goes unanswered for two
+	// consecutive periods is marked dead: each unit in flight on it
+	// starts a second attempt on a survivor at once, and it gets no new
+	// work until a probe succeeds again.
 	ProbeInterval time.Duration
 	// RequestTimeout bounds one cell-unit dispatch (0 = 5m). A timed-out
 	// dispatch counts as a transport failure.
@@ -198,8 +199,15 @@ func (co *Coordinator) probeLoop() {
 // transitions: dead→alive resumes scheduling (and forgets uploaded
 // traces — a restart may have lost them), alive→dead hedges the
 // worker's in-flight units onto survivors.
+//
+// A probe that outlives its period has only missed one deadline: a
+// healthy worker under CPU load may answer /healthz late, and downing
+// it would hedge every unit it is computing. So a probe runs on into
+// the next period, and only one still unanswered at that second
+// consecutive deadline downs the worker. Transport errors and draining
+// down it at once.
 func (co *Coordinator) probeAll() {
-	ctx, cancel := context.WithTimeout(co.ctx, co.opts.ProbeInterval)
+	ctx, cancel := context.WithTimeout(co.ctx, 2*co.opts.ProbeInterval)
 	defer cancel()
 	healths := make([]Health, len(co.workers))
 	errs := make([]error, len(co.workers))

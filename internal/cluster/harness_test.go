@@ -4,7 +4,8 @@ package cluster_test
 // jettyd service wrapped in a proxy handler that can misbehave on
 // demand — drop the connection after computing (the reply lost in
 // flight), answer 503 bursts (overload), stall past the coordinator's
-// dispatch deadline (slow-loris), or crash outright and later restart
+// dispatch deadline (slow-loris), answer /healthz late or never, or
+// crash outright and later restart
 // as a fresh process that lost every byte of in-memory state (engine
 // cache, trace store). The coordinator under test talks to it over a
 // real HTTP listener, exactly as it would to a remote daemon.
@@ -44,13 +45,18 @@ type faultyWorker struct {
 	stallNext int           // next N /v1/cells requests stall by stall
 	stall     time.Duration // slow-loris delay for stalled requests
 	bloatNext int           // next N /v1/cells requests stream an endless reply
-	bloated   int64         // bytes of endless replies the client accepted
-	cellReqs  int           // /v1/cells requests seen (lifetime)
-	traceUps  int           // /v1/traces uploads seen (lifetime)
-	tenants   map[string]bool
-	units     []unitRequest // every /v1/cells request, in arrival order
-	uploadIDs []string      // X-Request-Id of every /v1/traces upload
-	onCells   func(n int)   // called with the 1-based count before serving
+	// healthDelay delays every /healthz answer; the client hanging up
+	// ends the wait.
+	healthDelay time.Duration
+	lateProbes  int       // /healthz requests delayed so far
+	firstLate   time.Time // arrival of the first delayed /healthz request
+	bloated     int64     // bytes of endless replies the client accepted
+	cellReqs    int       // /v1/cells requests seen (lifetime)
+	traceUps    int       // /v1/traces uploads seen (lifetime)
+	tenants     map[string]bool
+	units       []unitRequest // every /v1/cells request, in arrival order
+	uploadIDs   []string      // X-Request-Id of every /v1/traces upload
+	onCells     func(n int)   // called with the 1-based count before serving
 }
 
 func newFaultyWorker(t *testing.T, opts service.Options) *faultyWorker {
@@ -104,6 +110,18 @@ func (w *faultyWorker) serve(rw http.ResponseWriter, r *http.Request) {
 	if w.crashed {
 		w.mu.Unlock()
 		panic(http.ErrAbortHandler) // connection drops, no reply
+	}
+	if delay := w.healthDelay; delay > 0 && r.URL.Path == "/healthz" {
+		if w.lateProbes++; w.lateProbes == 1 {
+			w.firstLate = time.Now()
+		}
+		w.mu.Unlock()
+		select {
+		case <-time.After(delay):
+		case <-r.Context().Done():
+			return
+		}
+		w.mu.Lock()
 	}
 	svc := w.svc
 	var drop bool
@@ -194,6 +212,21 @@ func (w *faultyWorker) restart() {
 	w.crashed = false
 	w.mu.Unlock()
 	old.Close()
+}
+
+// delayHealth delays every later /healthz answer by d.
+func (w *faultyWorker) delayHealth(d time.Duration) {
+	w.mu.Lock()
+	w.healthDelay = d
+	w.mu.Unlock()
+}
+
+// delayedProbes returns how many /healthz requests were delayed and when
+// the first of them arrived.
+func (w *faultyWorker) delayedProbes() (int, time.Time) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.lateProbes, w.firstLate
 }
 
 func (w *faultyWorker) cellRequests() int {

@@ -126,7 +126,7 @@ func New(opts Options) *Engine {
 		onRetire:   opts.OnRetire,
 		store:      opts.Store,
 		inflight:   make(map[string]*execution),
-		cache:      lru.New[any](cacheEntries, nil),
+		cache:      lru.New[any](cacheEntries),
 		queue:      newQueue(opts.TenantWeights),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -204,16 +204,14 @@ func (e *Engine) Close() {
 
 // worker is one pool goroutine: pop, run, repeat. After close the queue
 // keeps handing out remaining items (their contexts are canceled, so
-// they finish immediately) and reports done when empty. Each worker owns
-// one Scratch that successive jobs share (see ScratchFrom).
+// they finish immediately) and reports done when empty.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	scratch := new(Scratch)
 	for {
 		ex, ok := e.queue.pop()
 		if !ok {
 			return
 		}
-		e.runGroup(ex.run, scratch)
+		e.runGroup(ex.run)
 	}
 }

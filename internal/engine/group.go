@@ -275,7 +275,7 @@ func (g *groupRun) memberOrder() []int {
 // runGroup executes (or cancels) one fused group run and retires every
 // owned member: one worker, one Run call, but per-member finish, cache
 // fill, store write-through, stats and retire traces.
-func (e *Engine) runGroup(gr *groupRun, scratch *Scratch) {
+func (e *Engine) runGroup(gr *groupRun) {
 	idxs := gr.memberOrder()
 
 	var (
@@ -306,7 +306,7 @@ func (e *Engine) runGroup(gr *groupRun, scratch *Scratch) {
 			ex.state.Store(int32(Running))
 		}
 		e.running.Add(1)
-		ctx := withScratch(gr.ctx, scratch)
+		ctx := gr.ctx
 		if gr.task.Origin != "" {
 			ctx = context.WithValue(ctx, originKey{}, gr.task.Origin)
 		}

@@ -15,7 +15,6 @@ import "container/list"
 // mutex.
 type LRU[V any] struct {
 	cap    int
-	clone  func(V) V
 	weigh  func(V) int              // nil: every entry weighs 1
 	weight int                      // total weight of the stored entries
 	order  *list.List               // front = most recently used
@@ -28,14 +27,11 @@ type entry[V any] struct {
 	weight int
 }
 
-// New returns an empty LRU holding at most capacity entries. clone, when
-// non-nil, copies every value on the way in and on the way out, so
-// neither the putter nor a getter can mutate a stored value; nil stores
-// values as-is (callers must then treat them as immutable).
-func New[V any](capacity int, clone func(V) V) *LRU[V] {
+// New returns an empty LRU holding at most capacity entries. Values are
+// stored as they are: callers treat them as immutable.
+func New[V any](capacity int) *LRU[V] {
 	return &LRU[V]{
 		cap:   capacity,
-		clone: clone,
 		order: list.New(),
 		byKey: make(map[string]*list.Element),
 	}
@@ -43,9 +39,9 @@ func New[V any](capacity int, clone func(V) V) *LRU[V] {
 
 // NewWeighted returns an empty LRU whose entries weigh weigh(v) each and
 // together at most budget. A value heavier than the whole budget is not
-// stored. Values are stored as-is: callers treat them as immutable.
+// stored.
 func NewWeighted[V any](budget int, weigh func(V) int) *LRU[V] {
-	c := New[V](budget, nil)
+	c := New[V](budget)
 	c.weigh = weigh
 	return c
 }
@@ -58,7 +54,7 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return c.copy(el.Value.(*entry[V]).val), true
+	return el.Value.(*entry[V]).val, true
 }
 
 // Put inserts or replaces a value, evicting least recently used entries
@@ -71,7 +67,6 @@ func (c *LRU[V]) Put(key string, val V) {
 	if c.cap <= 0 || w > c.cap {
 		return
 	}
-	val = c.copy(val)
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*entry[V])
 		c.weight += w - e.weight
@@ -95,10 +90,3 @@ func (c *LRU[V]) Len() int { return c.order.Len() }
 
 // Weight returns the total weight of the stored entries.
 func (c *LRU[V]) Weight() int { return c.weight }
-
-func (c *LRU[V]) copy(v V) V {
-	if c.clone == nil {
-		return v
-	}
-	return c.clone(v)
-}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBasics(t *testing.T) {
-	c := New[int](2, nil)
+	c := New[int](2)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -21,7 +21,7 @@ func TestBasics(t *testing.T) {
 }
 
 func TestEviction(t *testing.T) {
-	c := New[int](2, nil)
+	c := New[int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Get("a")    // refresh a: b is now the LRU entry
@@ -40,7 +40,7 @@ func TestEviction(t *testing.T) {
 }
 
 func TestRefreshExisting(t *testing.T) {
-	c := New[int](2, nil)
+	c := New[int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("a", 10) // refresh in place, no growth, no eviction
@@ -58,13 +58,11 @@ func TestRefreshExisting(t *testing.T) {
 
 // TestNonpositiveCapacityStoresNothing pins the "negative disables"
 // contract of the -cache and memo capacities: an LRU with capacity ≤ 0
-// stores nothing, and must not even clone a value only to evict it
-// again within the same Put.
+// stores nothing.
 func TestNonpositiveCapacityStoresNothing(t *testing.T) {
 	for _, capacity := range []int{0, -1, -4096} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
-			clones := 0
-			c := New(capacity, func(v int) int { clones++; return v })
+			c := New[int](capacity)
 			for i := 0; i < 4; i++ {
 				c.Put(fmt.Sprintf("k%d", i), i)
 			}
@@ -74,29 +72,7 @@ func TestNonpositiveCapacityStoresNothing(t *testing.T) {
 			if _, ok := c.Get("k0"); ok {
 				t.Fatal("Get hit on a disabled LRU")
 			}
-			if clones != 0 {
-				t.Fatalf("disabled LRU cloned %d values", clones)
-			}
 		})
-	}
-}
-
-// TestClonesOnBothSides: with a clone function, mutating a caller's
-// value after Put, or a value returned by Get, must not leak into the
-// stored entry.
-func TestClonesOnBothSides(t *testing.T) {
-	c := New(4, func(s []float64) []float64 { return append([]float64(nil), s...) })
-	in := []float64{0.5}
-	c.Put("k", in)
-	in[0] = 99
-
-	out, ok := c.Get("k")
-	if !ok || out[0] != 0.5 {
-		t.Fatalf("Put did not clone: %v", out)
-	}
-	out[0] = 42
-	if again, _ := c.Get("k"); again[0] != 0.5 {
-		t.Fatalf("Get did not clone: %v", again)
 	}
 }
 

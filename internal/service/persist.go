@@ -55,8 +55,12 @@ func (s *Server) persistJob(j jobJournal) {
 // rather than calling Wait: sweep.Sweep.Wait cancels the remaining cells
 // on first error, and a watcher must never cancel work. Canceled and
 // failed jobs keep their journal entry, so a job interrupted by shutdown
-// (its cells die Canceled) is resubmitted at next boot.
+// (its cells die Canceled) is resubmitted at next boot. It sleeps before
+// its first check, so even a job that finished before it was journaled
+// keeps its entry for one poll: a restart in that window resumes the job
+// under its ID, from the stored cells, instead of forgetting the ID.
 func (s *Server) watch(j *job) {
+	time.Sleep(watchPoll)
 	for j.sw.Unfinished() {
 		time.Sleep(watchPoll)
 	}

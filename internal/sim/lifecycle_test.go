@@ -16,7 +16,7 @@ import (
 // call returns.
 func TestCanceledRunReleasesCompanion(t *testing.T) {
 	sp := quickSpec(t)
-	sp.Accesses = 4 * progressChunk
+	sp.Accesses = 4 * batchRecords
 	base := smp.PaperConfig(4)
 	runs := map[string]func(ctx context.Context, report func(uint64)) error{
 		"plain": func(ctx context.Context, report func(uint64)) error {

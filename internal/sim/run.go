@@ -8,9 +8,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"jetty/internal/engine"
 	"jetty/internal/jetty"
+	"jetty/internal/metrics"
 	"jetty/internal/smp"
 	"jetty/internal/trace"
 	"jetty/internal/workload"
@@ -132,39 +134,47 @@ func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var rd *trace.Reader
+	var sm *metrics.Sampler
+	if plan.Sample.enabled() {
+		var err error
+		if sm, err = plan.Sample.newSampler(cfg, in.Total()); err != nil {
+			return nil, err
+		}
+	}
+	buf := batchPool.Get().(*[batchRecords]trace.Rec)
+	defer batchPool.Put(buf)
+	var next func() ([]trace.Rec, error)
 	if in.Trace != nil {
 		if plan.Capture != nil {
 			return nil, errors.New("sim: only generator inputs can be captured")
 		}
-		var err error
-		if rd, err = trace.NewReader(bytes.NewReader(in.Trace.Data)); err != nil {
+		rd, err := trace.NewReader(bytes.NewReader(in.Trace.Data))
+		if err != nil {
 			return nil, err
 		}
 		if rd.CPUs() > cfg.CPUs {
 			return nil, fmt.Errorf("sim: trace has %d cpus but the machine only %d", rd.CPUs(), cfg.CPUs)
 		}
-	} else if err := in.Spec.Validate(); err != nil {
-		return nil, err
+		next = decoded(rd, buf[:])
+	} else {
+		if err := in.Spec.Validate(); err != nil {
+			return nil, err
+		}
+		st := m.open(in.Spec, cfg.CPUs, plan.Capture, buf[:])
+		defer st.close()
+		next = st.next
 	}
 
 	sys := smp.New(cfg)
 	defer sys.Close()
-	if plan.Sample.enabled() {
-		sm, err := plan.Sample.newSampler(cfg, in.Total())
-		if err != nil {
-			return nil, err
-		}
+	if sm != nil {
 		sys.SetSampler(sm)
 	}
-	var err error
-	if rd != nil {
-		err = replay(ctx, sys, rd, in.Trace.Records, report)
-	} else {
-		err = m.generate(ctx, sys, in.Spec, plan.Capture, report)
-	}
-	if err != nil {
+	if err := stepBatches(ctx, sys, next, report); err != nil {
 		return nil, err
+	}
+	if in.Trace != nil && sys.Refs() != in.Trace.Records {
+		return nil, fmt.Errorf("sim: replayed %d of the trace's %d records", sys.Refs(), in.Trace.Records)
 	}
 	full, err := finishRun(sys, in.Label(), cfg)
 	if err != nil {
@@ -174,6 +184,41 @@ func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 		return []AppResult{full}, nil
 	}
 	return projectAll(full, plan.Banks), nil
+}
+
+// batchRecords is the number of references in one batch: the unit a run
+// is produced, stepped, checked for cancellation and reported in. A
+// pooled batch (16 bytes a record) stays cache-resident between the
+// producer that fills it and the machine that steps it.
+const batchRecords = 1 << 13
+
+// batchPool holds the batch buffers of trace decoding and of generator
+// misses that do not record.
+var batchPool = sync.Pool{New: func() any { return new([batchRecords]trace.Rec) }}
+
+// stepBatches steps sys through the batches next produces until it
+// produces an empty one, checking ctx before each batch and reporting
+// the references stepped so far after it. It is the only StepBatch
+// caller: memo hits, generator misses and trace replays all feed it.
+func stepBatches(ctx context.Context, sys *smp.System, next func() ([]trace.Rec, error), report func(done uint64)) error {
+	var done uint64
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		recs, err := next()
+		if err != nil {
+			return err
+		}
+		if len(recs) == 0 {
+			return nil
+		}
+		sys.StepBatch(recs)
+		done += uint64(len(recs))
+		if report != nil {
+			report(done)
+		}
+	}
 }
 
 // Member is one result of a group task: its content address (Key over

@@ -101,7 +101,7 @@ func RunApp(sp workload.Spec, cfg smp.Config) (AppResult, error) {
 }
 
 // finishRun drains, checks and measures a completed simulation pass. It
-// is shared by the serial (RunApp) and chunked (Run) paths. A
+// is shared by the serial (RunApp) and batched (Run) paths. A
 // sampler attached to the machine is flushed after the drain — the tail
 // window must include the drained stores or the timeline would not
 // conserve the end-of-run totals — and its timeline rides on the result.

@@ -1,16 +1,13 @@
 package sim
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"sync"
 	"unsafe"
 
-	"jetty/internal/addr"
 	"jetty/internal/lru"
-	"jetty/internal/smp"
 	"jetty/internal/trace"
 	"jetty/internal/workload"
 )
@@ -20,10 +17,10 @@ import (
 // generator input is the same kind of fixed stream, a pure function of
 // its spec and the machine's CPU count. So generated streams are kept in
 // one process-wide memo bounded in bytes, and a run whose stream is
-// memoized steps it through System.StepBatch instead of running the
-// generator again. A miss runs the generator as before, records the
-// stream as the machine consumes it and stores it once the pass
-// completes.
+// memoized steps slices of it instead of running the generator again. A
+// miss generates the stream batch by batch straight into a buffer of its
+// full length, which the memo keeps once the generator has produced all
+// of it.
 //
 // A stationary mixture's stream does not depend on Accesses (Spec.Scale
 // changes nothing else): a shorter run consumes a prefix of a longer
@@ -39,8 +36,8 @@ const streamBudget = 64 << 20
 const recBytes = int(unsafe.Sizeof(trace.Rec{}))
 
 // streamMemo is a byte-bounded LRU of streams, each held as the records
-// System.StepBatch reads. A stored stream is never modified, so a run
-// keeps stepping it after it is evicted.
+// System.StepBatch reads, in the order it steps them. A stored stream is
+// never modified, so a run keeps stepping it after it is evicted.
 type streamMemo struct {
 	budget  int
 	mu      sync.Mutex
@@ -134,83 +131,84 @@ func streamKey(sp workload.Spec, cpus int) string {
 	return string(sum[:])
 }
 
-// generate drives sys over sp's generated stream: from the memo when
-// it holds the stream, else from the generator, optionally teeing every
-// consumed reference into tw. A memoized stream holds the records in the
-// order System.Run's round-robin consumed them (generator streams never
-// run dry), so stepping them in order is bit-identical to RunApp. A
-// captured run always runs the generator, so the trace holds exactly
-// what it produced.
-//
-// A miss runs the generator through Run, not in batches through
-// StepBatch: StepBatch joins the companions at the end of every batch,
-// so generating a batch ahead of stepping it would leave them idle for
-// the whole generation.
-func (m *streamMemo) generate(ctx context.Context, sys *smp.System, sp workload.Spec, tw *trace.Writer, report func(done uint64)) error {
-	cpus := sys.Config().CPUs
-	var src trace.Source = sp.Source(cpus)
-	var cp *trace.Capture
-	var rec *recorder
-	if tw != nil {
-		cp = trace.NewCapture(src, tw)
-		src = cp
-	} else {
-		key := streamKey(sp, cpus)
-		s, record := m.lookup(key, sp.Accesses)
-		if s != nil {
-			return stepStream(ctx, sys, s, report)
-		}
-		if record {
-			rec = &recorder{src: src, recs: make([]trace.Rec, 0, sp.Accesses)}
-			src = rec
-			defer func() { m.finish(key, sp.Accesses, rec.recs) }()
-		}
-	}
-	err := runChunked(ctx, sys, src, sp.Accesses, report)
-	if err == nil && cp != nil {
-		if err = cp.Err(); err != nil {
-			err = fmt.Errorf("sim: recording trace: %w", err)
-		}
-	}
-	if err != nil && rec != nil {
-		rec.recs = nil
-	}
-	return err
+// stream produces a generator input's batches. On a memo hit they are
+// consecutive slices of the memoized stream, with no copy. On a miss the
+// generator writes each batch straight into the stream being recorded,
+// or into the pooled buffer buf when the run does not record, taking
+// references in System.Run's round-robin order across batches, so
+// stepping the batches in order is bit-identical to RunApp. A capture
+// tees each generated reference into tw; a captured run always runs the
+// generator, so the trace holds exactly what it produced.
+type stream struct {
+	src  trace.Source // nil on a hit
+	cpus int
+	cpu  int // the CPU the next generated reference belongs to
+	tw   *trace.Writer
+	recs []trace.Rec // the memoized stream, or the one being recorded
+	buf  []trace.Rec
+	done uint64
+	n    uint64
+
+	m      *streamMemo
+	key    string
+	record bool
 }
 
-// recorder tees a generator into a stream, in the order the machine
-// consumes its references, with the address masked the way the machine
-// reads it. Its slice is allocated at the stream's full length up
-// front, so the memo weighs exactly the memory it holds.
-type recorder struct {
-	src  trace.Source
-	recs []trace.Rec
-}
-
-// CPUs implements trace.Source.
-func (r *recorder) CPUs() int { return r.src.CPUs() }
-
-// Next implements trace.Source.
-func (r *recorder) Next(cpu int) (trace.Ref, bool) {
-	ref, ok := r.src.Next(cpu)
-	r.recs = append(r.recs, trace.Rec{Addr: ref.Addr & addr.PhysMask, CPU: int32(cpu), Op: ref.Op})
-	return ref, ok
-}
-
-// stepStream steps a memoized stream through sys in batches of
-// progressChunk references, checking for cancellation and reporting
-// progress between batches as runChunked does.
-func stepStream(ctx context.Context, sys *smp.System, s []trace.Rec, report func(done uint64)) error {
-	for done := 0; done < len(s); {
-		if err := ctx.Err(); err != nil {
-			return err
+// open returns the producer of sp's stream on a cpus-CPU machine,
+// capturing into tw when it is non-nil. The caller must close it.
+func (m *streamMemo) open(sp workload.Spec, cpus int, tw *trace.Writer, buf []trace.Rec) *stream {
+	st := &stream{cpus: cpus, tw: tw, buf: buf, n: sp.Accesses, m: m}
+	if tw == nil {
+		st.key = streamKey(sp, cpus)
+		st.recs, st.record = m.lookup(st.key, sp.Accesses)
+		if st.recs != nil {
+			return st
 		}
-		n := min(progressChunk, len(s)-done)
-		sys.StepBatch(s[done : done+n])
-		done += n
-		if report != nil {
-			report(uint64(done))
+		if st.record {
+			st.recs = make([]trace.Rec, sp.Accesses)
 		}
 	}
-	return nil
+	st.src = sp.Source(cpus)
+	return st
+}
+
+// next returns the next batch, or an empty one at the end of the stream.
+func (st *stream) next() ([]trace.Rec, error) {
+	k := min(batchRecords, st.n-st.done)
+	b := st.buf[:k]
+	if st.recs != nil {
+		b = st.recs[st.done : st.done+k]
+	}
+	if st.src != nil {
+		for i := range b {
+			ref, ok := st.src.Next(st.cpu)
+			if !ok {
+				return nil, fmt.Errorf("sim: the generator ran dry on cpu %d after %d references", st.cpu, st.done+uint64(i))
+			}
+			if st.tw != nil {
+				if err := st.tw.Write(st.cpu, ref); err != nil {
+					return nil, fmt.Errorf("sim: recording trace: %w", err)
+				}
+			}
+			b[i] = trace.Rec{Addr: ref.Addr, CPU: int32(st.cpu), Op: ref.Op}
+			if st.cpu++; st.cpu == st.cpus {
+				st.cpu = 0
+			}
+		}
+	}
+	st.done += k
+	return b, nil
+}
+
+// close ends a recording: the memo keeps the stream only if the
+// generator produced all of it.
+func (st *stream) close() {
+	if !st.record {
+		return
+	}
+	s := st.recs
+	if st.done < st.n {
+		s = nil
+	}
+	st.m.finish(st.key, st.n, s)
 }

@@ -261,7 +261,7 @@ func TestStreamMemoBudget(t *testing.T) {
 func TestCanceledMissStoresNothing(t *testing.T) {
 	cfg := memoTestConfig()
 	sp := quickSpec(t)
-	sp.Accesses = 3 * progressChunk
+	sp.Accesses = 3 * batchRecords
 	m := newStreamMemo(streamBudget)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -316,5 +316,15 @@ func TestStreamMemoRecordsOnce(t *testing.T) {
 	m.finish("k", n, make([]trace.Rec, n))
 	if s, record := m.lookup("k", n-1); len(s) != n-1 || record {
 		t.Fatalf("prefix lookup: %d records, record %v; want %d, false", len(s), record, n-1)
+	}
+}
+
+// TestGeneratorRunningDryIsAnError: a generator stream never runs dry,
+// so one that does is a fault to report, not a silent end of the run.
+func TestGeneratorRunningDryIsAnError(t *testing.T) {
+	refs := []trace.Ref{{Addr: 64}, {Addr: 128}}
+	st := &stream{src: trace.NewSliceSource(refs, refs[:1]), cpus: 2, n: 4, buf: make([]trace.Rec, batchRecords)}
+	if b, err := st.next(); err == nil {
+		t.Fatalf("a generator that ran dry after 3 of 4 references produced a batch of %d", len(b))
 	}
 }

@@ -2,12 +2,9 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 
-	"jetty/internal/engine"
-	"jetty/internal/smp"
 	"jetty/internal/trace"
 	"jetty/internal/workload"
 )
@@ -73,67 +70,18 @@ func (in TraceInput) pseudoSpec() workload.Spec {
 	return workload.Spec{Name: in.Name, Accesses: in.Records}
 }
 
-// replayBatchRecords is the record-buffer size of the batched replay
-// loop: large enough to amortize decode framing, small enough to stay
-// cache-resident and keep cancellation latency low.
-const replayBatchRecords = 8192
-
-// replayBufKey keys the reusable replay record buffer in an engine
-// worker's Scratch.
-type replayBufKey struct{}
-
-// replayBuf returns a replay record buffer, reusing the per-worker one
-// when the run executes on an engine worker (engine.ScratchFrom).
-func replayBuf(ctx context.Context) []trace.Rec {
-	sc := engine.ScratchFrom(ctx)
-	if sc == nil {
-		return make([]trace.Rec, replayBatchRecords)
-	}
-	if buf, ok := sc.Get(replayBufKey{}).([]trace.Rec); ok {
-		return buf
-	}
-	buf := make([]trace.Rec, replayBatchRecords)
-	sc.Put(replayBufKey{}, buf)
-	return buf
-}
-
-// replay steps a stored trace through sys in recorded order, with the
-// same cooperative cancellation and progress reporting as generated
-// runs. Replaying a trace captured from a run on the same configuration
-// reproduces that run's statistics exactly (TestTraceReplayMatchesDirect
-// enforces it).
-//
-// The loop is batched: each JTRC chunk is decoded directly into a
-// reusable record buffer (per engine worker when running on the engine)
-// and stepped through the machine in recorded order, with no per-record
-// Source indirection. Stepping in recorded order is exactly what the
-// Source-driven round-robin path does for a round-robin recording, so
-// the batching is invisible in the results.
-func replay(ctx context.Context, sys *smp.System, rd *trace.Reader, records uint64, report func(done uint64)) error {
-	buf := replayBuf(ctx)
-	var done uint64
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+// decoded returns the producer of a stored trace's batches: each
+// decodes the next records into buf in recorded order, with no
+// per-record Source indirection. Stepping records in recorded order is
+// exactly what the round-robin Run does for a round-robin recording, so
+// a trace captured from a run replays it bit for bit
+// (TestTraceReplayMatchesDirect).
+func decoded(rd *trace.Reader, buf []trace.Rec) func() ([]trace.Rec, error) {
+	return func() ([]trace.Rec, error) {
 		n, err := rd.ReadBatch(buf)
-		sys.StepBatch(buf[:n])
-		done += uint64(n)
-		if report != nil && n > 0 {
-			report(done)
-		}
 		if err == io.EOF {
-			break
+			err = nil
 		}
-		if err != nil {
-			return err
-		}
+		return buf[:n], err
 	}
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if got := sys.Refs(); got != records {
-		return fmt.Errorf("sim: replayed %d of the trace's %d records", got, records)
-	}
-	return nil
 }

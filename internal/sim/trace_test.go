@@ -185,3 +185,42 @@ func TestLoadTraceRejectsGarbage(t *testing.T) {
 		t.Error("empty trace accepted")
 	}
 }
+
+// TestCaptureDigestGolden pins the exact bytes Plan.Capture writes for a
+// short fixed run: a 3-CPU machine, so the round-robin order crosses
+// batch boundaries mid-round, and a length that ends mid-round. The
+// digest was taken from the Source-driven capture path; any change to
+// the order, masking or count of captured references changes it.
+func TestCaptureDigestGolden(t *testing.T) {
+	const want = "ca63b0b99646ad54406c03347df5db8d61cdabb18aa38c622b250b3173f2ede8"
+	cfg, err := bankConfig(3, []string{"EJ-32x4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := workload.ByName("Lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Accesses = 20_000
+	var file bytes.Buffer
+	tw, err := trace.NewWriter(&file, cfg.CPUs, trace.WriterOptions{ChunkRecords: 1000, Meta: trace.Meta{App: sp.Name}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tw.Records() != sp.Accesses {
+		t.Fatalf("captured %d records, want %d", tw.Records(), sp.Accesses)
+	}
+	got, err := trace.Digest(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("capture digest = %s, want %s", got, want)
+	}
+}

@@ -16,13 +16,17 @@ import (
 // sees exactly the event sequence it would have seen had it been called
 // inline, whatever order the nodes' logs are applied in.
 //
-// Inside Run and StepBatch full chunks of a node's log go to that node's
-// companion goroutine, one per node, which drives the node's bank while
-// the machine steps on; no companion ever reads another node's events.
-// Everything that reads filter state waits for all of them first (join):
-// the end of Run, StepBatch and DrainWriteBuffers, every sampler window,
-// SetSampler and Close. Step and DrainWriteBuffers apply their events
-// inline on the caller's goroutine.
+// From StepBatch or Run on, full chunks of a node's log go to that
+// node's companion goroutine, one per node, which drives the node's bank
+// while the machine steps on; no companion ever reads another node's
+// events. StepBatch leaves the pipeline on when it returns, so the
+// companions keep draining while the caller produces the next batch;
+// only what reads filter state waits for all of them (join): Run's end,
+// Step, DrainWriteBuffers, FilterCounts (and so Coverage and
+// CheckFilterSafety), every sampler window, SetSampler and Close. Step,
+// DrainWriteBuffers and Close also end the pipeline (endPipeline), so
+// Step and DrainWriteBuffers apply their events inline on the caller's
+// goroutine.
 
 // Event word layout: kind in bits 0-1, the snoop's present and
 // blockAbsent flags in bits 2-3, and the unit (snoop, fill) or block
@@ -224,8 +228,8 @@ func (s *System) emit(n *node, ev uint64) {
 	}
 }
 
-// spill empties node n's full log: to its companion inside Run and
-// StepBatch, inline everywhere else.
+// spill empties node n's full log: to its companion while the pipeline
+// is on, inline otherwise.
 func (s *System) spill(n *node) {
 	l, p := &n.log, &s.pipes[n.id]
 	if !s.pipelined {
@@ -264,8 +268,8 @@ func (s *System) startCompanions() {
 	s.cleanup = runtime.AddCleanup(s, stopCompanions, s.pipes)
 }
 
-// beginPipeline routes full chunks to the companions until join. A
-// machine without filters, or a closed one, keeps applying inline.
+// beginPipeline routes full chunks to the companions until endPipeline.
+// A machine without filters, or a closed one, keeps applying inline.
 func (s *System) beginPipeline() {
 	s.pipelined = !s.closed && len(s.cfg.Filters) > 0
 }
@@ -298,7 +302,7 @@ func (s *System) endPipeline() {
 // Close is idempotent. A machine dropped without Close releases its
 // goroutines when it is garbage collected.
 func (s *System) Close() {
-	s.join()
+	s.endPipeline()
 	if s.pipes[0].full != nil && !s.closed {
 		s.cleanup.Stop()
 		for i := range s.pipes {

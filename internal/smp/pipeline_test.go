@@ -212,3 +212,63 @@ func TestEventLogSpillsInline(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// inFlight returns how many chunks the machine has handed to companions
+// and not taken back.
+func inFlight(s *System) int {
+	n := 0
+	for i := range s.nodes {
+		n += s.nodes[i].log.inFlight
+	}
+	return n
+}
+
+// TestFilterReadsBetweenBatchesMatchStep pins the join rule: StepBatch
+// leaves the pipeline on when it returns, so everything that reads
+// filter state joins the companions first. Between batches, with no
+// DrainWriteBuffers, FilterCounts, Coverage and CheckFilterSafety must
+// see exactly what they see on a machine driven by inline Step, and a
+// Step after a StepBatch must leave no chunk in flight.
+func TestFilterReadsBetweenBatchesMatchStep(t *testing.T) {
+	cfg := hotPathConfig()
+	recs := hotPathRecs(1 << 15)
+	batched, inline := New(cfg), New(cfg)
+	defer batched.Close()
+	defer inline.Close()
+	const batches = 4
+	size := len(recs) / batches
+	for b := 0; b < batches; b++ {
+		part := recs[b*size : (b+1)*size]
+		batched.StepBatch(part)
+		drivers[0].drive(inline, part)
+		if inFlight(batched) == 0 {
+			t.Fatalf("batch %d: no chunk in flight after StepBatch; the test is vacuous", b)
+		}
+		for i := range cfg.Filters {
+			if got, want := batched.FilterCounts(i), inline.FilterCounts(i); got != want {
+				t.Fatalf("batch %d, filter %d: FilterCounts = %+v, inline Step has %+v", b, i, got, want)
+			}
+			if got, want := batched.Coverage(i), inline.Coverage(i); got != want {
+				t.Fatalf("batch %d, filter %d: Coverage = %v, inline Step has %v", b, i, got, want)
+			}
+		}
+		if n := inFlight(batched); n != 0 {
+			t.Fatalf("batch %d: %d chunks still in flight after FilterCounts", b, n)
+		}
+		if err := batched.CheckFilterSafety(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	batched.StepBatch(recs[:size])
+	r := recs[size]
+	batched.Step(int(r.CPU), trace.Ref{Op: r.Op, Addr: r.Addr})
+	if n := inFlight(batched); n != 0 || batched.pipelined {
+		t.Fatalf("Step after StepBatch left %d chunks in flight (pipeline on: %v)", n, batched.pipelined)
+	}
+	for i := range batched.nodes {
+		if n := batched.nodes[i].log.n; n != 0 {
+			t.Fatalf("Step after StepBatch left %d events in cpu%d's log", n, i)
+		}
+	}
+}

@@ -47,8 +47,10 @@ func (s *System) FilterNames() []string {
 
 // FilterCounts returns filter idx's event counts aggregated over all CPUs,
 // including any safety violations observed by the system (FilteredHits,
-// which must be zero for a correct filter).
+// which must be zero for a correct filter). It joins the companions
+// first, so the counts cover every reference stepped so far.
 func (s *System) FilterCounts(idx int) energy.FilterCounts {
+	s.join()
 	var c energy.FilterCounts
 	for i := range s.pipes {
 		b := &s.pipes[i].bank
@@ -81,6 +83,7 @@ func (s *System) Coverage(idx int) float64 {
 // answer depends on the block alone; any other filter is peeked at
 // every resident unit. Hybrids are audited as their two halves.
 func (s *System) CheckFilterSafety() error {
+	s.join()
 	for i := range s.cfg.Filters {
 		if c := s.FilterCounts(i); c.FilteredHits != 0 {
 			return fmt.Errorf("smp: filter %s filtered %d snoops to cached units",

@@ -140,8 +140,10 @@ func (s *System) Geometry() addr.Geometry { return s.geom }
 func (s *System) Refs() uint64 { return s.refs }
 
 // Step processes one memory reference from the given CPU, applying its
-// filter events before it returns.
+// filter events inline before it returns. It first ends a pipeline a
+// preceding StepBatch left on.
 func (s *System) Step(cpu int, ref trace.Ref) {
+	s.endPipeline()
 	s.step(cpu, ref)
 	s.join()
 }
@@ -256,18 +258,20 @@ func (s *System) Run(src trace.Source, maxRefs uint64) uint64 {
 	return s.refs - start
 }
 
-// StepBatch processes decoded trace records in recorded order. It is the
-// allocation-free replay inner loop: the sim layer decodes a JTRC chunk
-// into a reusable record buffer and hands whole batches here, with no
-// per-record Source round trip. Stepping records in recorded order is
-// exactly the decomposition Run's round-robin performs when replaying a
-// round-robin recording, so results are bit-identical.
+// StepBatch processes records in order. It is the allocation-free inner
+// loop of every engine-backed run: the sim layer hands it whole batches
+// of memoized, generated or decoded records, with no per-record Source
+// round trip. Stepping records in order is exactly the decomposition
+// Run's round-robin performs on a round-robin stream, so results are
+// bit-identical.
 //
 // The dispatch is a manual inline of step: the per-record call was the
-// single largest fixed cost of the replay loop. Any change here must
+// single largest fixed cost of the batched loop. Any change here must
 // mirror step exactly — TestStepBatchMatchesStep and the replay/golden
 // suites enforce the equivalence. Like Run, StepBatch drives the filter
-// banks on the companion goroutines and joins them before it returns.
+// banks on the companion goroutines, but it does not join them when it
+// returns: the pipeline stays on across batches until something reads
+// filter state (see pipeline.go).
 func (s *System) StepBatch(recs []trace.Rec) {
 	s.beginPipeline()
 	for i := range recs {
@@ -301,12 +305,12 @@ func (s *System) StepBatch(recs []trace.Rec) {
 			s.sampleWindow()
 		}
 	}
-	s.endPipeline()
 }
 
 // DrainWriteBuffers performs all pending stores (end-of-run cleanup so
 // that store counts reconcile), applying their filter events inline.
 func (s *System) DrainWriteBuffers() {
+	s.endPipeline()
 	for i := range s.nodes {
 		n := &s.nodes[i]
 		for _, line := range n.wb.drainAll() {

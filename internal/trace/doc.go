@@ -28,9 +28,6 @@
 //   - Writer/Reader encode and decode streams chunk by chunk; Reader is
 //     itself a Source, so a stored trace replays through the simulator
 //     bit-identically (internal/sim Run).
-//   - Capture tees any Source to a Writer in exactly the order the
-//     consumer pulls references — the capture hook that lets any
-//     simulation emit its reference stream to disk as it runs.
 //   - Record drains a Source round-robin into a Writer (the bulk
 //     exporter behind `tracecat record`).
 //   - Append re-encodes one trace into another Writer (conversion and

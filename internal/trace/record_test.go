@@ -220,54 +220,6 @@ func TestSequentialStreamCompressesWell(t *testing.T) {
 	}
 }
 
-func TestCapture(t *testing.T) {
-	// A capture must store exactly the pull sequence, so that replaying
-	// it yields the same references in the same order.
-	streams := randomStreams(7, 3, 100)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 3, WriterOptions{ChunkRecords: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := NewCapture(NewSliceSource(streams...), w)
-
-	// Pull in an uneven order: cpu2 twice as often as the others.
-	var pulled []Ref
-	var pulledCPU []int
-	for i := 0; ; i++ {
-		cpu := []int{0, 2, 1, 2}[i%4]
-		r, ok := cp.Next(cpu)
-		if !ok {
-			break
-		}
-		pulled = append(pulled, r)
-		pulledCPU = append(pulledCPU, cpu)
-	}
-	if err := cp.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range pulled {
-		cpu, got, err := rd.Read()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if cpu != pulledCPU[i] || got != want {
-			t.Fatalf("record %d: cpu%d %v, want cpu%d %v", i, cpu, got, pulledCPU[i], want)
-		}
-	}
-	if _, _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("after last record: %v, want EOF", err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	streams := randomStreams(11, 4, 250)
 	for _, compress := range []bool{false, true} {

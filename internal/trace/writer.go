@@ -196,40 +196,6 @@ func (t *Writer) Close() error {
 	return nil
 }
 
-// Capture tees a Source: every reference the consumer pulls through it
-// is also written to w, in exactly the pull order. Wrapping a
-// simulation's source in a Capture is the capture hook — the recorded
-// trace replays through the same machine bit-identically, because the
-// file holds precisely the sequence of references the machine stepped.
-type Capture struct {
-	src Source
-	w   *Writer
-	err error
-}
-
-// NewCapture returns src teed to w. The caller keeps ownership of w
-// (and must Close it after the run).
-func NewCapture(src Source, w *Writer) *Capture {
-	return &Capture{src: src, w: w}
-}
-
-// CPUs implements Source.
-func (c *Capture) CPUs() int { return c.src.CPUs() }
-
-// Next implements Source, recording every delivered reference.
-func (c *Capture) Next(cpu int) (Ref, bool) {
-	r, ok := c.src.Next(cpu)
-	if ok && c.err == nil {
-		c.err = c.w.Write(cpu, r)
-	}
-	return r, ok
-}
-
-// Err returns the first recording error, if any. A capture whose writes
-// fail keeps delivering references (the simulation is not disturbed);
-// the caller checks Err before trusting the file.
-func (c *Capture) Err() error { return c.err }
-
 // Record drains src in round-robin order (up to maxPerCPU references
 // per CPU; 0 = until exhaustion) into a new trace written to w. It
 // returns the number of records written.
