@@ -511,7 +511,9 @@ func BenchmarkFilterSafetyAudit(b *testing.B) {
 	sp = sp.Scale(benchScale * 0.5)
 	sys := smp.New(smp.PaperConfig(4).WithFilters(filters...))
 	defer sys.Close()
-	sys.Run(sp.Source(4), sp.Accesses)
+	recs := make([]trace.Rec, sp.Accesses)
+	trace.NewRoundRobin(sp.Source(4)).Fill(recs)
+	sys.StepBatch(recs)
 	sys.DrainWriteBuffers()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -523,14 +525,15 @@ func BenchmarkFilterSafetyAudit(b *testing.B) {
 
 // BenchmarkAccessHotPath measures the per-access cost of the simulation
 // hot path on the paper's machine with its headline filter (the best
-// hybrid), driving a pre-generated 256K-reference Ocean stream through
-// StepBatch — exactly how the batched replay loop feeds the machine.
-// Two modes, both tracked in PERFORMANCE.md:
+// hybrid), driving a pre-generated 256K-reference Ocean stream, in the
+// round-robin interleaver's order, through StepBatch — exactly how the
+// batched replay loop feeds the machine. Three modes, all tracked in
+// PERFORMANCE.md:
 //
 //   - run: one complete experiment per iteration (machine construction
 //     plus the cold-to-warm replay with all its misses, snoop broadcasts
 //     and evictions) — the cost every suite, sweep cell and trace replay
-//     actually pays. This is the headline ≥2x-vs-pre-PR number.
+//     actually pays.
 //   - steady: the same machine replaying the stream repeatedly after a
 //     warm-up pass — the sustained inner loop, which must stay at
 //     0 allocs/op (TestStepSteadyStateAllocs asserts the same property).
@@ -544,12 +547,8 @@ func BenchmarkAccessHotPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := sp.Source(4)
 	recs := make([]trace.Rec, 1<<18)
-	for i := range recs {
-		r, _ := src.Next(i % 4)
-		recs[i] = trace.Rec{Addr: r.Addr, CPU: int32(i % 4), Op: r.Op}
-	}
+	trace.NewRoundRobin(sp.Source(4)).Fill(recs)
 	perAccess := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/access")
 	}
@@ -642,14 +641,11 @@ func BenchmarkSystemStep(b *testing.B) {
 	cfg := smp.PaperConfig(4).WithFilters(filters...)
 	sys := smp.New(cfg)
 	sp, _ := workload.ByName("Ocean")
-	src := sp.Source(4)
-	refs := make([]trace.Ref, 0, 1<<16)
-	for i := 0; i < 1<<16; i++ {
-		r, _ := src.Next(i % 4)
-		refs = append(refs, r)
-	}
+	recs := make([]trace.Rec, 1<<16)
+	trace.NewRoundRobin(sp.Source(4)).Fill(recs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Step(i%4, refs[i%len(refs)])
+		r := recs[i%len(recs)]
+		sys.Step(int(r.CPU), trace.Ref{Op: r.Op, Addr: r.Addr})
 	}
 }

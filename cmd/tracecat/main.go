@@ -126,6 +126,13 @@ func cmdRecord(args []string) error {
 	if *app == "" {
 		return usagef("-app is required (try: tracecat record -app Ocean)")
 	}
+	// Every library generator is infinite, so -n bounds the file.
+	if *n < 1 {
+		return usagef("-n must be at least 1")
+	}
+	if *cpus < 1 || *cpus > trace.MaxCPUs {
+		return usagef("-cpus %d out of range 1..%d", *cpus, trace.MaxCPUs)
+	}
 	sp, err := workload.Lookup(*app)
 	if err != nil {
 		return usageError{err}

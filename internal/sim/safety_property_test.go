@@ -57,13 +57,14 @@ func randMachine(r *rand.Rand, filters []jetty.Config) (smp.Config, error) {
 // after the end-of-run drain.
 func auditChunks(t *testing.T, sys *smp.System, src trace.Source, total, auditEvery uint64) {
 	t.Helper()
+	rr := trace.NewRoundRobin(src)
 	var done uint64
 	for done < total {
 		n := auditEvery
 		if rem := total - done; rem < n {
 			n = rem
 		}
-		ran := sys.Run(src, n)
+		ran := stepRecords(sys, rr, n)
 		done += ran
 		if err := sys.CheckFilterSafety(); err != nil {
 			t.Fatalf("after %d refs: %v", done, err)

@@ -12,6 +12,7 @@ import (
 	"jetty/internal/jetty"
 	"jetty/internal/metrics"
 	"jetty/internal/smp"
+	"jetty/internal/trace"
 	"jetty/internal/workload"
 )
 
@@ -95,9 +96,27 @@ func RunApp(sp workload.Spec, cfg smp.Config) (AppResult, error) {
 	}
 	sys := smp.New(cfg)
 	defer sys.Close()
-	src := sp.Source(cfg.CPUs)
-	sys.Run(src, sp.Accesses)
+	stepRecords(sys, trace.NewRoundRobin(sp.Source(cfg.CPUs)), sp.Accesses)
 	return finishRun(sys, sp, cfg)
+}
+
+// stepRecords steps sys through the next n records of rr in batches
+// and returns how many it stepped: fewer than n only once every stream
+// is exhausted.
+func stepRecords(sys *smp.System, rr *trace.RoundRobin, n uint64) uint64 {
+	buf := batchPool.Get().(*[batchRecords]trace.Rec)
+	defer batchPool.Put(buf)
+	var done uint64
+	for done < n {
+		k := min(batchRecords, n-done)
+		got := rr.Fill(buf[:k])
+		sys.StepBatch(buf[:got])
+		done += uint64(got)
+		if uint64(got) < k {
+			break
+		}
+	}
+	return done
 }
 
 // finishRun drains, checks and measures a completed simulation pass. It

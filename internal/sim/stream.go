@@ -133,16 +133,13 @@ func streamKey(sp workload.Spec, cpus int) string {
 
 // stream produces a generator input's batches. On a memo hit they are
 // consecutive slices of the memoized stream, with no copy. On a miss the
-// generator writes each batch straight into the stream being recorded,
-// or into the pooled buffer buf when the run does not record, taking
-// references in System.Run's round-robin order across batches, so
-// stepping the batches in order is bit-identical to RunApp. A capture
-// tees each generated reference into tw; a captured run always runs the
-// generator, so the trace holds exactly what it produced.
+// round-robin interleaver fills each batch straight into the stream
+// being recorded, or into the pooled buffer buf when the run does not
+// record, so stepping the batches in order is bit-identical to RunApp. A
+// capture writes each generated batch to tw; a captured run always runs
+// the generator, so the trace holds exactly what it produced.
 type stream struct {
-	src  trace.Source // nil on a hit
-	cpus int
-	cpu  int // the CPU the next generated reference belongs to
+	rr   *trace.RoundRobin // nil on a hit
 	tw   *trace.Writer
 	recs []trace.Rec // the memoized stream, or the one being recorded
 	buf  []trace.Rec
@@ -157,7 +154,7 @@ type stream struct {
 // open returns the producer of sp's stream on a cpus-CPU machine,
 // capturing into tw when it is non-nil. The caller must close it.
 func (m *streamMemo) open(sp workload.Spec, cpus int, tw *trace.Writer, buf []trace.Rec) *stream {
-	st := &stream{cpus: cpus, tw: tw, buf: buf, n: sp.Accesses, m: m}
+	st := &stream{tw: tw, buf: buf, n: sp.Accesses, m: m}
 	if tw == nil {
 		st.key = streamKey(sp, cpus)
 		st.recs, st.record = m.lookup(st.key, sp.Accesses)
@@ -168,7 +165,7 @@ func (m *streamMemo) open(sp workload.Spec, cpus int, tw *trace.Writer, buf []tr
 			st.recs = make([]trace.Rec, sp.Accesses)
 		}
 	}
-	st.src = sp.Source(cpus)
+	st.rr = trace.NewRoundRobin(sp.Source(cpus))
 	return st
 }
 
@@ -179,20 +176,15 @@ func (st *stream) next() ([]trace.Rec, error) {
 	if st.recs != nil {
 		b = st.recs[st.done : st.done+k]
 	}
-	if st.src != nil {
-		for i := range b {
-			ref, ok := st.src.Next(st.cpu)
-			if !ok {
-				return nil, fmt.Errorf("sim: the generator ran dry on cpu %d after %d references", st.cpu, st.done+uint64(i))
-			}
-			if st.tw != nil {
-				if err := st.tw.Write(st.cpu, ref); err != nil {
+	if st.rr != nil {
+		if got := st.rr.Fill(b); uint64(got) < k {
+			return nil, fmt.Errorf("sim: the generator ran dry after %d references", st.done+uint64(got))
+		}
+		if st.tw != nil {
+			for _, r := range b {
+				if err := st.tw.Write(int(r.CPU), trace.Ref{Op: r.Op, Addr: r.Addr}); err != nil {
 					return nil, fmt.Errorf("sim: recording trace: %w", err)
 				}
-			}
-			b[i] = trace.Rec{Addr: ref.Addr, CPU: int32(st.cpu), Op: ref.Op}
-			if st.cpu++; st.cpu == st.cpus {
-				st.cpu = 0
 			}
 		}
 	}

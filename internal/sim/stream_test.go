@@ -33,7 +33,7 @@ func runMemo(t *testing.T, m *streamMemo, sp workload.Spec, cfg smp.Config, opt 
 	return res[0]
 }
 
-// runAppSampled is RunApp with a sampler attached: the Source-driven
+// runAppSampled is RunApp with a sampler attached: the memo-free
 // reference for a sampled run.
 func runAppSampled(t *testing.T, sp workload.Spec, cfg smp.Config, opt SampleOptions) AppResult {
 	t.Helper()
@@ -44,7 +44,7 @@ func runAppSampled(t *testing.T, sp workload.Spec, cfg smp.Config, opt SampleOpt
 		t.Fatal(err)
 	}
 	sys.SetSampler(sm)
-	sys.Run(sp.Source(cfg.CPUs), sp.Accesses)
+	stepRecords(sys, trace.NewRoundRobin(sp.Source(cfg.CPUs)), sp.Accesses)
 	res, err := finishRun(sys, sp, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func wantCounts(t *testing.T, label string, m *streamMemo, hits, misses uint64) 
 }
 
 // TestStreamMemoMatchesGeneration pins the memoized, batched path to
-// the Source-driven reference RunApp, bit for bit: on every library
+// the memo-free reference RunApp, bit for bit: on every library
 // spec a miss, a hit and a shorter run; a prefix hit and a
 // longer-than-memo miss, all at lengths that are not a multiple of the
 // CPU count; a phased scenario, whose key keeps its length; and a
@@ -323,7 +323,7 @@ func TestStreamMemoRecordsOnce(t *testing.T) {
 // so one that does is a fault to report, not a silent end of the run.
 func TestGeneratorRunningDryIsAnError(t *testing.T) {
 	refs := []trace.Ref{{Addr: 64}, {Addr: 128}}
-	st := &stream{src: trace.NewSliceSource(refs, refs[:1]), cpus: 2, n: 4, buf: make([]trace.Rec, batchRecords)}
+	st := &stream{rr: trace.NewRoundRobin(trace.NewSliceSource(refs, refs[:1])), n: 4, buf: make([]trace.Rec, batchRecords)}
 	if b, err := st.next(); err == nil {
 		t.Fatalf("a generator that ran dry after 3 of 4 references produced a batch of %d", len(b))
 	}

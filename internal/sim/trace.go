@@ -71,10 +71,9 @@ func (in TraceInput) pseudoSpec() workload.Spec {
 }
 
 // decoded returns the producer of a stored trace's batches: each
-// decodes the next records into buf in recorded order, with no
-// per-record Source indirection. Stepping records in recorded order is
-// exactly what the round-robin Run does for a round-robin recording, so
-// a trace captured from a run replays it bit for bit
+// decodes the next records into buf in recorded order. A capture holds
+// the run's records in the order the machine stepped them, so a trace
+// captured from a run replays it bit for bit
 // (TestTraceReplayMatchesDirect).
 func decoded(rd *trace.Reader, buf []trace.Rec) func() ([]trace.Rec, error) {
 	return func() ([]trace.Rec, error) {

@@ -224,3 +224,40 @@ func TestCaptureDigestGolden(t *testing.T) {
 		t.Errorf("capture digest = %s, want %s", got, want)
 	}
 }
+
+// TestRecordMatchesCapture pins the two producers of a recorded stream
+// to one order: trace.Record over a generator's per-CPU streams and
+// Plan.Capture of a run of the same spec write byte-identical files.
+// The 3-CPU machine puts every 8192-record batch boundary mid-round.
+func TestRecordMatchesCapture(t *testing.T) {
+	const cpus, perCPU = 3, 6000
+	cfg, err := bankConfig(cpus, []string{"EJ-32x4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := workload.ByName("Lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Accesses = cpus * perCPU
+	opts := trace.WriterOptions{ChunkRecords: 1000}
+
+	var recorded bytes.Buffer
+	if n, err := trace.Record(&recorded, sp.Source(cpus), perCPU, opts); err != nil || n != sp.Accesses {
+		t.Fatalf("Record wrote %d records (err %v), want %d", n, err, sp.Accesses)
+	}
+	var captured bytes.Buffer
+	tw, err := trace.NewWriter(&captured, cpus, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recorded.Bytes(), captured.Bytes()) {
+		t.Fatalf("Record wrote %d bytes, Plan.Capture %d: the files differ", recorded.Len(), captured.Len())
+	}
+}

@@ -15,8 +15,9 @@
 // additionally audited on every snoop: a filter claiming a cached unit
 // absent is counted as a safety violation (CheckFilterSafety).
 //
-// The per-reference path — Step, and its batched twin StepBatch that
-// internal/sim's stepping loop feeds — is the simulator's hot loop and is kept
+// The per-reference path is one stepping body: StepBatch runs
+// internal/sim's batches through it, and Step is a one-record batch
+// through the same body. It is the simulator's hot loop and is kept
 // allocation-free in steady state: precomputed address-geometry shifts,
 // a ring write buffer with an exact membership signature, L2 frame
 // handles threaded from one associative search through every dependent

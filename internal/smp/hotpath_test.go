@@ -123,6 +123,25 @@ func TestStepSteadyStateAllocsSampled(t *testing.T) {
 	}
 }
 
+// TestStepAllocs covers the one-reference entry point: once the machine
+// is warm, Step — a one-record batch held on the caller's stack, its
+// filter events applied inline — allocates nothing.
+func TestStepAllocs(t *testing.T) {
+	sys := New(hotPathConfig())
+	defer sys.Close()
+	recs := hotPathRecs(1 << 12)
+	step := func() {
+		for _, r := range recs {
+			sys.Step(int(r.CPU), trace.Ref{Op: r.Op, Addr: r.Addr})
+		}
+	}
+	step() // warm-up: reach steady state
+
+	if avg := testing.AllocsPerRun(10, step); avg != 0 {
+		t.Fatalf("steady-state Step allocates: %v allocs per run (want 0)", avg)
+	}
+}
+
 // TestDrainWriteBuffersSteadyAllocs covers the end-of-run drain: after
 // the first call (which may size the reusable drain scratch), draining
 // allocates nothing.
@@ -165,9 +184,10 @@ func machineSnapshot(t *testing.T, s *System) map[string]any {
 }
 
 // drivers are the three ways to feed a machine a record stream: Step
-// applies each reference's filter events inline, StepBatch and Run hand
-// them to the companion goroutine. hotPathRecs rotates CPUs 0..3, the
-// order Run's round-robin interleave reproduces from per-CPU streams.
+// applies each reference's filter events inline; StepBatch, over the
+// whole stream or over 1,000-record batches the round-robin interleaver
+// fills from per-CPU streams, hands them to the companion goroutines.
+// hotPathRecs rotates CPUs 0..3, the order the interleaver reproduces.
 var drivers = []struct {
 	name  string
 	drive func(s *System, recs []trace.Rec)
@@ -178,17 +198,31 @@ var drivers = []struct {
 		}
 	}},
 	{"StepBatch", func(s *System, recs []trace.Rec) { s.StepBatch(recs) }},
-	{"Run", func(s *System, recs []trace.Rec) {
+	{"RoundRobin", func(s *System, recs []trace.Rec) {
 		perCPU := make([][]trace.Ref, s.Config().CPUs)
 		for _, r := range recs {
 			perCPU[r.CPU] = append(perCPU[r.CPU], trace.Ref{Op: r.Op, Addr: r.Addr})
 		}
-		s.Run(trace.NewSliceSource(perCPU...), 0)
+		stepAll(s, trace.NewSliceSource(perCPU...), 1000)
 	}},
 }
 
+// stepAll steps s through src's streams, interleaved round-robin, in
+// StepBatch batches of the given size.
+func stepAll(s *System, src trace.Source, batch int) {
+	rr := trace.NewRoundRobin(src)
+	buf := make([]trace.Rec, batch)
+	for {
+		n := rr.Fill(buf)
+		s.StepBatch(buf[:n])
+		if n < batch {
+			return
+		}
+	}
+}
+
 // TestStepBatchMatchesStep pins the pipelined drivers to inline Step:
-// the same stream through StepBatch (a manual inline of Step) and Run
+// the same stream through StepBatch whole and in interleaved batches
 // must leave every machine in an identical observable state and, with a
 // sampler attached, emit identical windows, per-filter columns
 // included. The replay and golden suites depend on this equivalence.

@@ -16,13 +16,13 @@ import (
 // sees exactly the event sequence it would have seen had it been called
 // inline, whatever order the nodes' logs are applied in.
 //
-// From StepBatch or Run on, full chunks of a node's log go to that
-// node's companion goroutine, one per node, which drives the node's bank
-// while the machine steps on; no companion ever reads another node's
-// events. StepBatch leaves the pipeline on when it returns, so the
-// companions keep draining while the caller produces the next batch;
-// only what reads filter state waits for all of them (join): Run's end,
-// Step, DrainWriteBuffers, FilterCounts (and so Coverage and
+// From StepBatch on, full chunks of a node's log go to that node's
+// companion goroutine, one per node, which drives the node's bank while
+// the machine steps on; no companion ever reads another node's events.
+// StepBatch leaves the pipeline on when it returns, so the companions
+// keep draining while the caller produces the next batch; only what
+// reads filter state waits for all of them (join): Step,
+// DrainWriteBuffers, FilterCounts (and so Coverage and
 // CheckFilterSafety), every sampler window, SetSampler and Close. Step,
 // DrainWriteBuffers and Close also end the pipeline (endPipeline), so
 // Step and DrainWriteBuffers apply their events inline on the caller's
@@ -252,8 +252,8 @@ func (s *System) spill(n *node) {
 }
 
 // startCompanions creates every node's chunk ring and companion
-// goroutine, once per machine, on the first chunk Run or StepBatch
-// hands off.
+// goroutine, once per machine, on the first chunk StepBatch hands
+// off.
 func (s *System) startCompanions() {
 	for i := range s.pipes {
 		p, l := &s.pipes[i], &s.nodes[i].log

@@ -44,7 +44,8 @@ func plantAbsentFilter(s *System, cpu int) {
 // TestFilterSafetyAuditThroughPipeline drives a machine with one lying
 // filter through every driver: the per-snoop audit must count the same
 // FilteredHits whether the banks run inline (Step) or on the companion
-// (StepBatch, Run), and CheckFilterSafety must fail on all of them.
+// (StepBatch, whole or in interleaved batches), and CheckFilterSafety
+// must fail on all of them.
 func TestFilterSafetyAuditThroughPipeline(t *testing.T) {
 	recs := hotPathRecs(1 << 14)
 	var want uint64
@@ -175,7 +176,7 @@ func TestDroppedSystemReleasesCompanion(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestEventLogSpillsInline fills the log past a chunk outside Run and
+// TestEventLogSpillsInline fills the log past a chunk outside
 // StepBatch: a 64-CPU machine drains full write buffers of shared lines,
 // every drain snooping 63 nodes. The full chunks must be applied inline,
 // with no companion, and every snoop must still reach every filter.

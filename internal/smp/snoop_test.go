@@ -2,6 +2,7 @@ package smp
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -157,9 +158,8 @@ func TestTraceReplayMatchesGeneratorRun(t *testing.T) {
 	cfg := PaperConfig(4)
 	cfg.Filters = []jetty.Config{jetty.MustParse("HJ(IJ-9x4x7,EJ-32x4)")}
 
-	src := newStepSource(20000)
 	s1 := New(cfg)
-	s1.Run(src, 0)
+	stepAll(s1, newStepSource(20000), 1000)
 	s1.DrainWriteBuffers()
 
 	var buf bytes.Buffer
@@ -171,11 +171,18 @@ func TestTraceReplayMatchesGeneratorRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := New(cfg)
-	s2.Run(rd, 0)
-	s2.DrainWriteBuffers()
-	if err := rd.Err(); err != nil {
-		t.Fatal(err)
+	recs := make([]trace.Rec, 1000)
+	for {
+		n, err := rd.ReadBatch(recs)
+		s2.StepBatch(recs[:n])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	s2.DrainWriteBuffers()
 
 	if s1.EnergyCounts() != s2.EnergyCounts() {
 		t.Errorf("replayed run diverged:\nlive:   %+v\nreplay: %+v", s1.EnergyCounts(), s2.EnergyCounts())

@@ -87,7 +87,7 @@ type System struct {
 	// Filter pipes (pipeline.go), one per node: the banks each node's
 	// event log drives.
 	pipes     []filterPipe
-	pipelined bool // full chunks go to the companions (inside Run/StepBatch)
+	pipelined bool // full chunks go to the companions (from StepBatch on)
 	closed    bool
 	cleanup   runtime.Cleanup
 }
@@ -140,51 +140,67 @@ func (s *System) Geometry() addr.Geometry { return s.geom }
 func (s *System) Refs() uint64 { return s.refs }
 
 // Step processes one memory reference from the given CPU, applying its
-// filter events inline before it returns. It first ends a pipeline a
-// preceding StepBatch left on.
+// filter events inline before it returns: a one-record batch, held on
+// the stack, through the same body as StepBatch. It first ends a
+// pipeline a preceding StepBatch left on.
 func (s *System) Step(cpu int, ref trace.Ref) {
 	s.endPipeline()
-	s.step(cpu, ref)
+	rec := [1]trace.Rec{{Addr: ref.Addr, CPU: int32(cpu), Op: ref.Op}}
+	s.steps(rec[:])
 	s.join()
 }
 
-// step processes one memory reference, leaving its filter events in the
-// log.
+// StepBatch processes records in order. It is the allocation-free inner
+// loop of every run: the sim layer hands it whole batches of memoized,
+// generated or decoded records, with no per-record Source round trip.
+// StepBatch drives the filter banks on the companion goroutines, and it
+// does not join them when it returns: the pipeline stays on across
+// batches until something reads filter state (see pipeline.go).
+func (s *System) StepBatch(recs []trace.Rec) {
+	s.beginPipeline()
+	s.steps(recs)
+}
+
+// steps is the machine's only stepping code: Step and StepBatch both
+// run their records through it, leaving the filter events in the log.
 //
 // The dispatch is a single-exit if/else chain (no early returns): the
 // interval-sampling boundary check at the bottom must see every
 // reference, whichever path resolved it. With no sampler attached the
 // check is one always-false uint64 comparison.
-func (s *System) step(cpu int, ref trace.Ref) {
-	n := &s.nodes[cpu]
-	s.refs++
-	line := (ref.Addr & addr.PhysMask) >> s.lineShift
+func (s *System) steps(recs []trace.Rec) {
+	for i := range recs {
+		cpu, op, a := recs[i].CPU, recs[i].Op, recs[i].Addr
+		n := &s.nodes[cpu]
+		s.refs++
+		line := (a & addr.PhysMask) >> s.lineShift
 
-	if ref.Op == trace.Write {
-		n.cpu.Stores++
-		if n.wb.contains(line) {
-			n.cpu.WBCoalesced++
-		} else {
-			s.store(n, line)
-		}
-	} else {
-		n.cpu.Loads++
-		if n.wb.contains(line) {
-			n.cpu.WBForwards++
-		} else {
-			// L1-hit loads resolve right here: the dominant path of every
-			// run pays no extra call.
-			n.cpu.L1Probes++
-			if n.l1.Contains(line) {
-				n.cpu.L1Hits++
+		if op == trace.Write {
+			n.cpu.Stores++
+			if n.wb.contains(line) {
+				n.cpu.WBCoalesced++
 			} else {
-				n.cpu.L1Misses++
-				s.loadMiss(n, line)
+				s.store(n, line)
+			}
+		} else {
+			n.cpu.Loads++
+			if n.wb.contains(line) {
+				n.cpu.WBForwards++
+			} else {
+				// L1-hit loads resolve right here: the dominant path of
+				// every run pays no extra call.
+				n.cpu.L1Probes++
+				if n.l1.Contains(line) {
+					n.cpu.L1Hits++
+				} else {
+					n.cpu.L1Misses++
+					s.loadMiss(n, line)
+				}
 			}
 		}
-	}
-	if s.refs == s.nextSample {
-		s.sampleWindow()
+		if s.refs == s.nextSample {
+			s.sampleWindow()
+		}
 	}
 }
 
@@ -218,93 +234,6 @@ func (s *System) store(n *node, line uint64) {
 		w.head = 0
 	}
 	s.drainStore(n, drain)
-}
-
-// Run interleaves the per-CPU streams of src round-robin, one reference
-// per CPU per turn, until every stream is exhausted or maxRefs references
-// have been processed (0 = unlimited). It returns the number processed.
-// The filter banks run alongside on the companion goroutines; Run joins
-// them before it returns.
-func (s *System) Run(src trace.Source, maxRefs uint64) uint64 {
-	s.beginPipeline()
-	defer s.endPipeline()
-	start := s.refs
-	ncpu := src.CPUs()
-	if ncpu > s.cfg.CPUs {
-		ncpu = s.cfg.CPUs
-	}
-	alive := make([]bool, ncpu)
-	for i := range alive {
-		alive[i] = true
-	}
-	remaining := ncpu
-	for remaining > 0 {
-		for cpuID := 0; cpuID < ncpu; cpuID++ {
-			if !alive[cpuID] {
-				continue
-			}
-			if maxRefs > 0 && s.refs-start >= maxRefs {
-				return s.refs - start
-			}
-			ref, ok := src.Next(cpuID)
-			if !ok {
-				alive[cpuID] = false
-				remaining--
-				continue
-			}
-			s.step(cpuID, ref)
-		}
-	}
-	return s.refs - start
-}
-
-// StepBatch processes records in order. It is the allocation-free inner
-// loop of every engine-backed run: the sim layer hands it whole batches
-// of memoized, generated or decoded records, with no per-record Source
-// round trip. Stepping records in order is exactly the decomposition
-// Run's round-robin performs on a round-robin stream, so results are
-// bit-identical.
-//
-// The dispatch is a manual inline of step: the per-record call was the
-// single largest fixed cost of the batched loop. Any change here must
-// mirror step exactly — TestStepBatchMatchesStep and the replay/golden
-// suites enforce the equivalence. Like Run, StepBatch drives the filter
-// banks on the companion goroutines, but it does not join them when it
-// returns: the pipeline stays on across batches until something reads
-// filter state (see pipeline.go).
-func (s *System) StepBatch(recs []trace.Rec) {
-	s.beginPipeline()
-	for i := range recs {
-		cpu, op, a := recs[i].CPU, recs[i].Op, recs[i].Addr
-		n := &s.nodes[cpu]
-		s.refs++
-		line := (a & addr.PhysMask) >> s.lineShift
-
-		if op == trace.Write {
-			n.cpu.Stores++
-			if n.wb.contains(line) {
-				n.cpu.WBCoalesced++
-			} else {
-				s.store(n, line)
-			}
-		} else {
-			n.cpu.Loads++
-			if n.wb.contains(line) {
-				n.cpu.WBForwards++
-			} else {
-				n.cpu.L1Probes++
-				if n.l1.Contains(line) {
-					n.cpu.L1Hits++
-				} else {
-					n.cpu.L1Misses++
-					s.loadMiss(n, line)
-				}
-			}
-		}
-		if s.refs == s.nextSample {
-			s.sampleWindow()
-		}
-	}
 }
 
 // DrainWriteBuffers performs all pending stores (end-of-run cleanup so

@@ -315,35 +315,6 @@ func TestWriteBufferOverflowDrainsOldest(t *testing.T) {
 	}
 }
 
-func TestRunInterleavesAndStops(t *testing.T) {
-	s := tiny()
-	src := trace.NewSliceSource(
-		[]trace.Ref{{Op: trace.Read, Addr: 0}, {Op: trace.Read, Addr: 32}},
-		[]trace.Ref{{Op: trace.Read, Addr: 4096}},
-		nil,
-		nil,
-	)
-	n := s.Run(src, 0)
-	if n != 3 {
-		t.Errorf("Run processed %d refs, want 3", n)
-	}
-	if s.Refs() != 3 {
-		t.Errorf("Refs = %d", s.Refs())
-	}
-}
-
-func TestRunHonorsMaxRefs(t *testing.T) {
-	s := tiny()
-	i := uint64(0)
-	src := &trace.FuncSource{NumCPUs: 4, Fn: func(cpu int) (trace.Ref, bool) {
-		i++
-		return trace.Ref{Op: trace.Read, Addr: i * 32}, true
-	}}
-	if n := s.Run(src, 100); n != 100 {
-		t.Errorf("Run processed %d, want 100", n)
-	}
-}
-
 func TestStatsConsistency(t *testing.T) {
 	s := tiny()
 	r := rand.New(rand.NewSource(21))

@@ -7,8 +7,9 @@
 // # Streams
 //
 // A reference stream is a per-CPU sequence of read/write byte-address
-// references behind the Source interface; the simulator interleaves the
-// per-CPU streams itself (round-robin, one reference per CPU per turn).
+// references behind the Source interface. RoundRobin interleaves the
+// per-CPU streams into the one record order the simulator steps (one
+// reference per live CPU per turn); it is the only code that does.
 // SliceSource, FuncSource and Limit are in-memory building blocks;
 // package workload provides the synthetic application generators.
 //
@@ -25,10 +26,11 @@
 //
 // The pieces fit together as a pipeline:
 //
-//   - Writer/Reader encode and decode streams chunk by chunk; Reader is
-//     itself a Source, so a stored trace replays through the simulator
-//     bit-identically (internal/sim Run).
-//   - Record drains a Source round-robin into a Writer (the bulk
+//   - Writer/Reader encode and decode streams chunk by chunk; a stored
+//     trace replays through the simulator bit-identically because
+//     Reader.ReadBatch hands back records in recorded order (internal/sim
+//     Run).
+//   - Record drains a Source through RoundRobin into a Writer (the bulk
 //     exporter behind `tracecat record`).
 //   - Append re-encodes one trace into another Writer (conversion and
 //     merging), Summarize scans framing only, and Digest content-

@@ -13,10 +13,9 @@ import (
 )
 
 // Reader decodes a JTRC trace, loading one chunk at a time: memory use
-// is O(chunk records) regardless of file size. It offers two views of
-// the stream: Read returns records sequentially in recorded order (the
-// tool view), and Next implements Source so a trace replays through the
-// simulator (the replay view).
+// is O(chunk records) regardless of file size. Read and ReadBatch both
+// return records in recorded order: one at a time for the tools, a
+// buffer at a time for replay.
 type Reader struct {
 	r          *bufio.Reader
 	cpus       int
@@ -35,10 +34,6 @@ type Reader struct {
 	total  uint64 // records decoded so far
 	done   bool
 	err    error
-
-	pendingCPU int
-	pending    Ref
-	hasPending bool
 }
 
 // NewReader parses a JTRC header and returns a Reader positioned at the
@@ -89,7 +84,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}, nil
 }
 
-// CPUs implements Source.
+// CPUs returns the header's CPU count.
 func (t *Reader) CPUs() int { return t.cpus }
 
 // Meta returns the header's metadata blob.
@@ -105,57 +100,23 @@ func (t *Reader) Records() uint64 { return t.total }
 // of trace is not an error).
 func (t *Reader) Err() error { return t.err }
 
-// Read returns the next record in recorded order. It returns io.EOF at
-// a clean end of trace and the decoding error otherwise (also retained
-// in Err).
+// Read returns the next record in recorded order: a one-record
+// ReadBatch. It returns io.EOF at a clean end of trace and the decoding
+// error otherwise (also retained in Err).
 func (t *Reader) Read() (cpu int, r Ref, err error) {
-	if t.err != nil {
-		return 0, Ref{}, t.err
+	var one [1]Rec
+	if n, err := t.ReadBatch(one[:]); n == 0 {
+		return 0, Ref{}, err
 	}
-	if t.done {
-		return 0, Ref{}, io.EOF
-	}
-	for t.left == 0 {
-		if err := t.nextChunk(); err != nil {
-			if err != io.EOF {
-				t.err = err
-			}
-			return 0, Ref{}, err
-		}
-	}
-
-	if t.off >= len(t.chunk) {
-		return 0, Ref{}, t.corrupt("chunk payload ends before its %d records do", t.left)
-	}
-	head := t.chunk[t.off]
-	t.off++
-	cpu = int(head >> 1)
-	if cpu >= t.cpus {
-		return 0, Ref{}, t.corrupt("record for cpu %d beyond the header's %d", cpu, t.cpus)
-	}
-	u, n := binary.Uvarint(t.chunk[t.off:])
-	if n <= 0 {
-		return 0, Ref{}, t.corrupt("truncated record varint")
-	}
-	t.off += n
-	addr := uint64(int64(t.last[cpu]) + unzigzag(u))
-	t.last[cpu] = addr
-	op := Read
-	if head&1 != 0 {
-		op = Write
-	}
-	t.left--
-	t.total++
-	return cpu, Ref{Op: op, Addr: addr}, nil
+	return int(one[0].CPU), Ref{Op: one[0].Op, Addr: one[0].Addr}, nil
 }
 
 // ReadBatch decodes up to len(dst) records into dst, in recorded order,
 // and returns how many it wrote. It returns io.EOF (possibly alongside
 // n > 0 decoded records) at a clean end of trace and the decoding error
-// otherwise. It is the batched counterpart of Read — the replay hot path
+// otherwise. It is the Reader's only decoder: the replay hot path
 // fills one reusable buffer per chunk instead of making a call per
-// record. Do not mix ReadBatch with the Next (Source) view: Next's
-// pending record is not visible to batched reads.
+// record.
 func (t *Reader) ReadBatch(dst []Rec) (int, error) {
 	if t.err != nil {
 		return 0, t.err
@@ -296,26 +257,6 @@ func (t *Reader) corrupt(format string, args ...any) error {
 	err := fmt.Errorf("trace: corrupt file: "+format, args...)
 	t.err = err
 	return err
-}
-
-// Next implements Source. All references are delivered in recorded
-// order: a record is held pending until the owning CPU asks for it, and
-// a request for another CPU returns ok=false. Round-robin replay of a
-// round-robin recording therefore never stalls — which is exactly how
-// the simulator both records and replays.
-func (t *Reader) Next(cpu int) (Ref, bool) {
-	if !t.hasPending {
-		c, r, err := t.Read()
-		if err != nil {
-			return Ref{}, false
-		}
-		t.pendingCPU, t.pending, t.hasPending = c, r, true
-	}
-	if t.pendingCPU == cpu {
-		t.hasPending = false
-		return t.pending, true
-	}
-	return Ref{}, false
 }
 
 // Summary is the framing-level description of a trace file, computed

@@ -30,26 +30,20 @@ func randomStreams(seed int64, cpus, perCPU int) [][]Ref {
 	return streams
 }
 
-// replayAll drains a Reader through the Source interface round-robin.
+// replayAll reads a trace back in recorded order, split per CPU.
 func replayAll(t *testing.T, rd *Reader, cpus int) [][]Ref {
 	t.Helper()
 	got := make([][]Ref, cpus)
 	for {
-		progressed := false
-		for cpu := 0; cpu < cpus; cpu++ {
-			if r, ok := rd.Next(cpu); ok {
-				got[cpu] = append(got[cpu], r)
-				progressed = true
-			}
+		cpu, r, err := rd.Read()
+		if err == io.EOF {
+			return got
 		}
-		if !progressed {
-			break
+		if err != nil {
+			t.Fatal(err)
 		}
+		got[cpu] = append(got[cpu], r)
 	}
-	if err := rd.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return got
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -104,6 +104,48 @@ func (l *Limit) Next(cpu int) (Ref, bool) {
 	return r, ok
 }
 
+// RoundRobin interleaves the per-CPU streams of a Source into one
+// record stream: one reference per live CPU per turn, in CPU order. A
+// stream that reports exhaustion is skipped from then on. It is the only
+// code that turns per-CPU streams into records, so a run, its captured
+// trace and Record all see the same order.
+type RoundRobin struct {
+	src  Source
+	cpu  int // the CPU whose turn is next
+	dead []bool
+	live int
+}
+
+// NewRoundRobin returns the interleaver of src's streams.
+func NewRoundRobin(src Source) *RoundRobin {
+	return &RoundRobin{src: src, dead: make([]bool, src.CPUs()), live: src.CPUs()}
+}
+
+// Fill writes the next records into dst and returns how many it wrote,
+// fewer than len(dst) only once every stream is exhausted. It takes a
+// reference from a stream only when dst has room for it.
+func (rr *RoundRobin) Fill(dst []Rec) int {
+	n := 0
+	for n < len(dst) && rr.live > 0 {
+		cpu := rr.cpu
+		if rr.cpu++; rr.cpu == len(rr.dead) {
+			rr.cpu = 0
+		}
+		if rr.dead[cpu] {
+			continue
+		}
+		ref, ok := rr.src.Next(cpu)
+		if !ok {
+			rr.dead[cpu] = true
+			rr.live--
+			continue
+		}
+		dst[n] = Rec{Addr: ref.Addr, CPU: int32(cpu), Op: ref.Op}
+		n++
+	}
+	return n
+}
+
 // FuncSource adapts a function to the Source interface.
 type FuncSource struct {
 	NumCPUs int

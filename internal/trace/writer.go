@@ -196,32 +196,29 @@ func (t *Writer) Close() error {
 	return nil
 }
 
-// Record drains src in round-robin order (up to maxPerCPU references
-// per CPU; 0 = until exhaustion) into a new trace written to w. It
-// returns the number of records written.
+// Record drains src through the round-robin interleaver (up to
+// maxPerCPU references per CPU; 0 = until every stream is exhausted)
+// into a new trace written to w. It returns the number of records
+// written.
 func Record(w io.Writer, src Source, maxPerCPU uint64, opts WriterOptions) (uint64, error) {
 	tw, err := NewWriter(w, src.CPUs(), opts)
 	if err != nil {
 		return 0, err
 	}
-	counts := make([]uint64, src.CPUs())
-	alive := src.CPUs()
-	for alive > 0 {
-		alive = 0
-		for cpu := 0; cpu < src.CPUs(); cpu++ {
-			if maxPerCPU > 0 && counts[cpu] >= maxPerCPU {
-				continue
-			}
-			r, ok := src.Next(cpu)
-			if !ok {
-				continue
-			}
-			if err := tw.Write(cpu, r); err != nil {
+	if maxPerCPU > 0 {
+		src = NewLimit(src, maxPerCPU)
+	}
+	rr := NewRoundRobin(src)
+	var buf [1 << 10]Rec
+	for {
+		n := rr.Fill(buf[:])
+		for _, r := range buf[:n] {
+			if err := tw.Write(int(r.CPU), Ref{Op: r.Op, Addr: r.Addr}); err != nil {
 				return tw.Records(), err
 			}
-			counts[cpu]++
-			alive++
+		}
+		if n < len(buf) {
+			return tw.Records(), tw.Close()
 		}
 	}
-	return tw.Records(), tw.Close()
 }

@@ -223,20 +223,23 @@ func TestTLBMatchesPageTable(t *testing.T) {
 	}
 }
 
-// BenchmarkSourceNext measures stream production: one generated
-// reference of the Lu mixture, round-robin over 4 CPUs.
+// BenchmarkSourceNext measures stream production: the Lu mixture over
+// 4 CPUs through the round-robin interleaver, the way a stream-memo miss
+// generates it, 1024 references per op (reported as ns/ref).
 func BenchmarkSourceNext(b *testing.B) {
 	sp, err := ByName("Lu")
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := sp.Source(4)
+	rr := trace.NewRoundRobin(sp.Source(4))
+	recs := make([]trace.Rec, 1<<10)
 	var sink uint64
-	for i := 0; b.Loop(); i++ {
-		ref, _ := src.Next(i & 3)
-		sink += ref.Addr
+	for b.Loop() {
+		rr.Fill(recs)
+		sink += recs[len(recs)-1].Addr
 	}
 	benchSink = sink
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/ref")
 }
 
 var benchSink uint64
