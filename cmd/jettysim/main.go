@@ -4,7 +4,8 @@
 // be a library generator (-app), a generator whose reference stream is
 // simultaneously recorded to a trace file (-capture), or a previously
 // recorded trace replayed from disk (-trace) — the replay reproduces
-// the capturing run's statistics exactly.
+// the capturing run's statistics exactly, except the memory footprint,
+// which a stored stream does not carry.
 //
 // Examples:
 //
@@ -15,214 +16,196 @@
 //	jettysim -app WebServer -capture web.jtrc -gzip
 //	jettysim -trace web.jtrc -filters EJ-32x4
 //	jettysim -app PhasedWebServer -timeline tl.csv -interval 8192
+//
+// Exit status: 0 on success, 1 on a runtime error (unreadable trace,
+// unwritable output, canceled run), 2 on a usage error (bad or
+// conflicting flags, unknown workload or filter, invalid machine)
+// raised before any simulation runs or any output file is created.
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 
-	"jetty/internal/addr"
 	"jetty/internal/bus"
 	"jetty/internal/energy"
 	"jetty/internal/jetty"
 	"jetty/internal/sim"
 	"jetty/internal/smp"
+	"jetty/internal/sweep"
 	"jetty/internal/tables"
 	"jetty/internal/trace"
 	"jetty/internal/workload"
 )
 
 func main() {
-	app := flag.String("app", "Barnes", "workload: any library name/abbreviation (Table 2 apps, Throughput, WebServer, Database, ...)")
-	cpus := flag.Int("cpus", 4, "number of CPUs")
-	accesses := flag.Uint64("accesses", 0, "reference budget override (0 = spec default)")
-	filters := flag.String("filters", "HJ(IJ-10x4x7,EJ-32x4),HJ(IJ-9x4x7,EJ-32x4),EJ-32x4,IJ-9x4x7",
+	// Ctrl-C stops the simulation at the next chunk boundary.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run parses args, checks every flag before any simulation runs or any
+// output file is created, and writes the measurement to stdout. It
+// returns the exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("jettysim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "Barnes", "workload: any library name/abbreviation (Table 2 apps, Throughput, WebServer, Database, ...)")
+	cpus := fs.Int("cpus", 4, "number of CPUs")
+	accesses := fs.Uint64("accesses", 0, "reference budget override (0 = spec default)")
+	filters := fs.String("filters", "HJ(IJ-10x4x7,EJ-32x4),HJ(IJ-9x4x7,EJ-32x4),EJ-32x4,IJ-9x4x7",
 		"comma-separated JETTY configurations")
-	l2size := flag.Int("l2", 1<<20, "L2 size in bytes")
-	l2assoc := flag.Int("assoc", 4, "L2 associativity")
-	nsb := flag.Bool("nsb", false, "disable L2 subblocking (64-byte coherence units)")
-	serial := flag.Bool("serial", true, "serial tag/data L2 access (false = parallel)")
-	traceFile := flag.String("trace", "", "replay this recorded trace file instead of generating -app")
-	capture := flag.String("capture", "", "record the run's reference stream to this trace file")
-	gz := flag.Bool("gzip", false, "gzip-compress the -capture trace")
-	timeline := flag.String("timeline", "", "sample the run and write the per-window timeline as CSV to this file (\"-\" = stdout)")
-	interval := flag.Uint64("interval", 0, "timeline window width in accesses (0 with -timeline = 10000)")
-	flag.Parse()
-
+	l2size := fs.Int("l2", 1<<20, "L2 size in bytes")
+	l2assoc := fs.Int("assoc", 4, "L2 associativity")
+	nsb := fs.Bool("nsb", false, "disable L2 subblocking (64-byte coherence units)")
+	serial := fs.Bool("serial", true, "serial tag/data L2 access (false = parallel)")
+	traceFile := fs.String("trace", "", "replay this recorded trace file instead of generating -app")
+	capture := fs.String("capture", "", "record the run's reference stream to this trace file")
+	gz := fs.Bool("gzip", false, "gzip-compress the -capture trace")
+	timeline := fs.String("timeline", "", "sample the run and write the per-window timeline as CSV to this file (\"-\" = stdout)")
+	interval := fs.Uint64("interval", 0, "timeline window width in accesses (0 with -timeline = 10000)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "jettysim: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "jettysim:", err)
+		return 1
+	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["trace"] && (set["app"] || set["accesses"]) {
-		fmt.Fprintln(os.Stderr, "jettysim: -trace replays a recorded stream; -app/-accesses do not apply")
-		os.Exit(1)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	sampled := *timeline != "" || *interval > 0
+	// A zero sweep.Machine field means the paper's default, so each
+	// machine flag is checked here: -cpus 0 must not run 4 CPUs.
+	switch {
+	case fs.NArg() != 0:
+		return usage("unexpected arguments %q", fs.Args())
+	case *cpus < 1 || *l2size < 1 || *l2assoc < 1:
+		return usage("-cpus %d, -l2 %d, -assoc %d: each must be at least 1", *cpus, *l2size, *l2assoc)
+	case set["trace"] && (set["app"] || set["accesses"]):
+		return usage("-trace replays a recorded stream; -app/-accesses do not apply")
+	case *traceFile != "" && *capture != "":
+		return usage("-trace and -capture are mutually exclusive")
+	case *capture != "" && sampled:
+		return usage("-capture and -timeline/-interval are mutually exclusive (capture, then replay sampled)")
+	}
+	fcs, err := jetty.ParseAll(splitConfigs(*filters))
+	if err != nil {
+		return usage("%v", err)
 	}
 
-	if err := run(runOpts{
-		app: *app, cpus: *cpus, cpusSet: set["cpus"], accesses: *accesses,
-		filters: *filters, l2size: *l2size, l2assoc: *l2assoc, nsb: *nsb,
-		serial: *serial, traceFile: *traceFile, capture: *capture, gzip: *gz,
-		timeline: *timeline, interval: *interval,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "jettysim:", err)
-		os.Exit(1)
-	}
-}
-
-type runOpts struct {
-	app             string
-	cpus            int
-	cpusSet         bool
-	accesses        uint64
-	filters         string
-	l2size, l2assoc int
-	nsb, serial     bool
-	traceFile       string
-	capture         string
-	gzip            bool
-	timeline        string
-	interval        uint64
-}
-
-// sampled reports whether the run records a timeline (-timeline and/or
-// -interval given).
-func (o runOpts) sampled() bool { return o.timeline != "" || o.interval > 0 }
-
-// sampleOpt builds the sampling options, defaulting the interval.
-func (o runOpts) sampleOpt() sim.SampleOptions {
-	iv := o.interval
-	if iv == 0 {
-		iv = 10_000
-	}
-	return sim.SampleOptions{Interval: iv}
-}
-
-func run(o runOpts) error {
-	if o.traceFile != "" && o.capture != "" {
-		return fmt.Errorf("-trace and -capture are mutually exclusive")
-	}
-	if o.capture != "" && o.sampled() {
-		return fmt.Errorf("-capture and -timeline/-interval are mutually exclusive (capture, then replay sampled)")
-	}
-
-	// Replay path: the trace fixes the workload and the machine width.
+	// Replay: the trace fixes the workload and, unless -cpus says
+	// otherwise, the machine width.
 	var in sim.Input
-	cpus := o.cpus
-	if o.traceFile != "" {
-		data, err := os.ReadFile(o.traceFile)
+	if *traceFile != "" {
+		data, err := os.ReadFile(*traceFile)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		// Empty name: the label prefers the trace's recorded app name.
 		tin, err := sim.LoadTrace("", data)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		in.Trace = &tin
-		if !o.cpusSet {
-			cpus = tin.CPUs
-		}
-		if cpus < tin.CPUs {
-			return fmt.Errorf("%s needs %d cpus, -cpus says %d", o.traceFile, tin.CPUs, cpus)
+		if !set["cpus"] {
+			*cpus = tin.CPUs
 		}
 	} else {
-		sp, err := workload.Lookup(o.app)
-		if err != nil {
-			return err
+		if in.Spec, err = workload.Lookup(*app); err != nil {
+			return usage("%v", err)
 		}
-		if o.accesses > 0 {
-			sp.Accesses = o.accesses
+		if *accesses > 0 {
+			in.Spec.Accesses = *accesses
 		}
-		in.Spec = sp
 	}
-
-	fcs, err := jetty.ParseAll(splitConfigs(o.filters))
+	cfg, err := sweep.Machine{CPUs: *cpus, NSB: *nsb, L2Bytes: *l2size, L2Assoc: *l2assoc}.Config(fcs)
 	if err != nil {
-		return err
-	}
-	cfg := smp.PaperConfig(cpus).WithFilters(fcs...)
-	cfg.L2.SizeBytes = o.l2size
-	cfg.L2.Assoc = o.l2assoc
-	if o.nsb {
-		cfg.L2.Geom = addr.NonSubblocked
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
+		return usage("%v", err)
 	}
 
 	var plan sim.Plan
-	if o.sampled() {
-		plan.Sample = o.sampleOpt()
+	if sampled {
+		plan.Sample.Interval = *interval
+		if plan.Sample.Interval == 0 {
+			plan.Sample.Interval = 10_000
+		}
 	}
 	var f *os.File
-	if o.capture != "" {
-		if f, err = os.Create(o.capture); err != nil {
-			return err
+	if *capture != "" {
+		if f, err = os.Create(*capture); err != nil {
+			return fail(err)
 		}
 		defer f.Close()
 		plan.Capture, err = trace.NewWriter(f, cfg.CPUs, trace.WriterOptions{
-			Compress: o.gzip,
+			Compress: *gz,
 			Meta:     trace.Meta{App: in.Spec.Name, Note: "captured by jettysim"},
 		})
 		if err != nil {
-			return err
+			return fail(err)
 		}
 	}
 
-	// One chunked, cancelable pass: Ctrl-C stops the simulation at the
-	// next chunk boundary. A single run needs no worker pool or cache,
-	// so this skips the engine that the suite commands use.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	// One chunked, cancelable pass. A single run needs no worker pool
+	// or cache, so this skips the engine that the suite commands use.
 	results, err := sim.Run(ctx, in, cfg, plan, nil)
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	res := results[0]
-
 	switch {
 	case plan.Capture != nil:
 		if err := plan.Capture.Close(); err != nil {
-			return err
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			return err
+			return fail(err)
 		}
-		fmt.Printf("captured %d references to %s\n", plan.Capture.Records(), o.capture)
-		printResult(res, cfg, o.serial)
-		return nil
+		fmt.Fprintf(stdout, "captured %d references to %s\n", plan.Capture.Records(), *capture)
 	case in.Trace != nil:
-		fmt.Printf("replaying %s (%d records, digest %.12s…)\n", o.traceFile, in.Trace.Records, in.Trace.Digest)
+		fmt.Fprintf(stdout, "replaying %s (%d records, digest %.12s…)\n", *traceFile, in.Trace.Records, in.Trace.Digest)
 	}
-	printResult(res, cfg, o.serial)
-	return writeTimeline(o.timeline, res)
+	printResult(stdout, res, cfg, *serial)
+	if err := writeTimeline(stdout, *timeline, res); err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
 // writeTimeline writes a sampled run's timeline as CSV to path ("-" or
 // "" with sampling = stdout) and reports where it went.
-func writeTimeline(path string, res sim.AppResult) error {
+func writeTimeline(stdout io.Writer, path string, res sim.AppResult) error {
 	tl := res.Timeline
 	if tl == nil {
 		return nil
 	}
 	if path == "" || path == "-" {
-		fmt.Printf("\ntimeline (%d windows of %d accesses):\n", len(tl.Windows), tl.Interval)
-		return tl.WriteCSV(os.Stdout)
+		fmt.Fprintf(stdout, "\ntimeline (%d windows of %d accesses):\n", len(tl.Windows), tl.Interval)
+		return tl.WriteCSV(stdout)
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	var csv bytes.Buffer
+	if err := tl.WriteCSV(&csv); err != nil {
 		return err
 	}
-	if err := tl.WriteCSV(f); err != nil {
-		f.Close()
+	if err := os.WriteFile(path, csv.Bytes(), 0o666); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %d timeline windows (interval %d) to %s\n", len(tl.Windows), tl.Interval, path)
+	fmt.Fprintf(stdout, "\nwrote %d timeline windows (interval %d) to %s\n", len(tl.Windows), tl.Interval, path)
 	return nil
 }
 
@@ -252,29 +235,29 @@ func splitConfigs(s string) []string {
 	return out
 }
 
-func printResult(res sim.AppResult, cfg smp.Config, serial bool) {
-	fmt.Printf("workload %s on %d-way SMP, %dKB %d-way L2 (%s, %d-byte units)\n",
+func printResult(w io.Writer, res sim.AppResult, cfg smp.Config, serial bool) {
+	fmt.Fprintf(w, "workload %s on %d-way SMP, %dKB %d-way L2 (%s, %d-byte units)\n",
 		res.Spec.Name, cfg.CPUs, cfg.L2.SizeBytes>>10, cfg.L2.Assoc,
 		map[bool]string{true: "subblocked", false: "non-subblocked"}[cfg.L2.Geom.UnitsPerBlock > 1],
 		cfg.L2.Geom.UnitBytes())
 
 	c := res.Counts
 	cp := res.CPU
-	fmt.Printf("\nreferences: %d (%d loads, %d stores), footprint %s MB\n",
+	fmt.Fprintf(w, "\nreferences: %d (%d loads, %d stores), footprint %s MB\n",
 		res.Refs, cp.Loads, cp.Stores, tables.MB(res.MemoryBytes))
-	fmt.Printf("L1: %s hit rate (%d probes), %d writebacks, %d store-forwards\n",
+	fmt.Fprintf(w, "L1: %s hit rate (%d probes), %d writebacks, %d store-forwards\n",
 		tables.Pct(res.L1HitRate), cp.L1Probes, cp.L1Writebacks, cp.WBForwards)
-	fmt.Printf("L2 local: %s hit rate (%d reads, %d writes)\n",
+	fmt.Fprintf(w, "L2 local: %s hit rate (%d reads, %d writes)\n",
 		tables.Pct(res.L2LocalHitRate), c.LocalReads, c.LocalWrites)
 
-	fmt.Printf("\nbus: %d BusRd, %d BusRdX, %d BusUpgr, %d BusWB\n",
+	fmt.Fprintf(w, "\nbus: %d BusRd, %d BusRdX, %d BusUpgr, %d BusWB\n",
 		res.Bus.Count[bus.Read], res.Bus.Count[bus.ReadX], res.Bus.Count[bus.Upgrade], res.Bus.Count[bus.Writeback])
-	fmt.Printf("snoops: %d (%d hit, %d miss); remote-hit distribution:",
+	fmt.Fprintf(w, "snoops: %d (%d hit, %d miss); remote-hit distribution:",
 		c.Snoops, c.SnoopHits, c.SnoopMisses)
 	for h, f := range res.RemoteHitFrac {
-		fmt.Printf(" %d:%s", h, tables.PctInt(f))
+		fmt.Fprintf(w, " %d:%s", h, tables.PctInt(f))
 	}
-	fmt.Printf("\nsnoop misses: %s of snoops, %s of all L2 accesses\n",
+	fmt.Fprintf(w, "\nsnoop misses: %s of snoops, %s of all L2 accesses\n",
 		tables.Pct(res.SnoopMissOfSnoops), tables.Pct(res.SnoopMissOfAll))
 
 	mode := energy.SerialTagData
@@ -287,5 +270,5 @@ func printResult(res sim.AppResult, cfg smp.Config, serial bool) {
 	for i, name := range res.FilterNames {
 		t.Row(name, tables.Pct(res.Coverage[i]), tables.Pct(reds[i].OverSnoops), tables.Pct(reds[i].OverAll))
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }

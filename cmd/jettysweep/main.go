@@ -24,13 +24,16 @@
 // Workload entries of the form "trace:path/to/file.jtrc" replay a
 // recorded JTRC trace from disk instead of running a generator.
 //
-// Exit status: 0 on success, 1 on a runtime error, 2 on a usage error.
+// Exit status: 0 on success, 1 on a runtime error (unreadable spec file,
+// unresolvable trace, failed cell), 2 on a usage error (bad flags, or a
+// spec that does not decode strictly or validate) raised before any cell
+// runs.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,129 +45,136 @@ import (
 	"jetty/internal/engine"
 	"jetty/internal/sim"
 	"jetty/internal/sweep"
+	"jetty/internal/tables"
 )
 
 func main() {
-	format := flag.String("format", "table", "output format: table, md, csv, cells-csv, json")
-	by := flag.String("by", "filter", "comma-separated grouping axes: workload, machine, filter")
-	out := flag.String("o", "", "output file (default stdout)")
-	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
-	quiet := flag.Bool("q", false, "suppress the progress bar")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: jettysweep [flags] <spec.json | ->")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-	if err := run(flag.Arg(0), *format, *by, *out, *workers, *quiet); err != nil {
-		fmt.Fprintln(os.Stderr, "jettysweep:", err)
-		if isUsage(err) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-}
-
-// usageError marks errors that should exit with status 2.
-type usageError struct{ error }
-
-func isUsage(err error) bool {
-	_, ok := err.(usageError)
-	return ok
-}
-
-func run(specPath, format, by, outPath string, workers int, quiet bool) error {
-	raw, err := readSpec(specPath)
-	if err != nil {
-		return err
-	}
-	var spec sweep.Spec
-	if err := decodeStrict(raw, &spec); err != nil {
-		return usageError{fmt.Errorf("parsing %s: %w", specPath, err)}
-	}
-	axes, err := sweep.ParseAxes(splitList(by))
-	if err != nil {
-		return usageError{err}
-	}
-	switch format {
-	case "table", "md", "csv", "cells-csv", "json":
-	default:
-		return usageError{fmt.Errorf("unknown format %q", format)}
-	}
-
-	eng := engine.New(engine.Options{Workers: workers})
-	defer eng.Close()
-
 	// Ctrl-C cancels every queued and running cell.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run parses args, checks every flag and the spec before any cell runs,
+// and writes the rendered result. It returns the exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("jettysweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: jettysweep [flags] <spec.json | ->")
+		fs.PrintDefaults()
+	}
+	format := fs.String("format", "table", "output format: table, md, csv, cells-csv, json")
+	by := fs.String("by", "filter", "comma-separated grouping axes: workload, machine, filter")
+	out := fs.String("o", "", "output file (default stdout)")
+	workers := fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
+	quiet := fs.Bool("q", false, "suppress the progress bar")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "jettysweep: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "jettysweep:", err)
+		return 1
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	switch *format {
+	case "table", "md", "csv", "cells-csv", "json":
+	default:
+		return usage("unknown format %q", *format)
+	}
+
+	specPath := fs.Arg(0)
+	in := io.Reader(os.Stdin)
+	if specPath != "-" {
+		f, err := os.Open(specPath)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		in = f
+	}
+	spec, err := sweep.DecodeSpec(in)
+	if err != nil {
+		return usage("parsing %s: %v", specPath, err)
+	}
+	axes, err := sweep.ParseAxes(splitList(*by))
+	if err != nil {
+		return usage("%v", err)
+	}
+
+	log := stderr
+	if *quiet {
+		log = nil
+	}
+	res, err := runSweep(ctx, spec, *workers, log)
+	if err != nil {
+		return fail(err)
+	}
+	var buf bytes.Buffer
+	if err := render(&buf, res, *format, axes); err != nil {
+		return fail(err)
+	}
+	if *out == "" {
+		_, err = stdout.Write(buf.Bytes())
+	} else {
+		err = os.WriteFile(*out, buf.Bytes(), 0o666)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// runSweep runs spec on its own engine, reporting progress to log
+// unless it is nil.
+func runSweep(ctx context.Context, spec sweep.Spec, workers int, log io.Writer) (*sweep.Result, error) {
+	eng := engine.New(engine.Options{Workers: workers})
+	defer eng.Close()
 
 	start := time.Now()
 	s, err := sweep.Submit(eng, spec, fileTraceResolver, sweep.Submission{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if !quiet {
-		msg := fmt.Sprintf("sweep %s: %d cells submitted", label(spec), len(s.Cells()))
-		if n := s.FusedGroups(); n > 0 {
-			msg += fmt.Sprintf(" (%d fused groups)", n)
-		}
-		fmt.Fprintln(os.Stderr, msg)
+	if log == nil {
+		return s.Wait(ctx)
 	}
+	name := spec.Name
+	if name == "" {
+		name = "(unnamed)"
+	}
+	msg := fmt.Sprintf("sweep %s: %d cells submitted", name, len(s.Cells()))
+	if n := s.FusedGroups(); n > 0 {
+		msg += fmt.Sprintf(" (%d fused groups)", n)
+	}
+	fmt.Fprintln(log, msg)
 
 	done := make(chan struct{})
 	var res *sweep.Result
-	var waitErr error
 	go func() {
 		defer close(done)
-		res, waitErr = s.Wait(ctx)
+		res, err = s.Wait(ctx)
 	}()
-	progress(ctx, s, done, quiet)
+	progress(ctx, s, done, log)
 	<-done
-	if waitErr != nil {
-		return waitErr
+	if err != nil {
+		return nil, err
 	}
-	if !quiet {
-		st := s.Status(false)
-		fmt.Fprintf(os.Stderr, "sweep %s: %d cells in %v (%d served from cache)\n",
-			label(spec), st.Cells, time.Since(start).Round(time.Millisecond), st.CacheHits)
-	}
-
-	w := io.Writer(os.Stdout)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return render(w, res, format, axes)
-}
-
-// label names the sweep in messages.
-func label(spec sweep.Spec) string {
-	if spec.Name != "" {
-		return spec.Name
-	}
-	return "(unnamed)"
-}
-
-// readSpec loads the spec file ("-" = stdin).
-func readSpec(path string) ([]byte, error) {
-	if path == "-" {
-		return io.ReadAll(os.Stdin)
-	}
-	return os.ReadFile(path)
-}
-
-// decodeStrict decodes JSON rejecting unknown fields, so a typo in a
-// spec key fails loudly instead of silently sweeping the default.
-func decodeStrict(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	st := s.Status(false)
+	fmt.Fprintf(log, "sweep %s: %d cells in %v (%d served from cache)\n",
+		name, st.Cells, time.Since(start).Round(time.Millisecond), st.CacheHits)
+	return res, nil
 }
 
 // fileTraceResolver resolves "trace:<path>" entries as JTRC files on
@@ -178,17 +188,14 @@ func fileTraceResolver(ref string) (sim.TraceInput, error) {
 	return sim.LoadTrace(ref, data)
 }
 
-// progress renders a one-line progress bar to stderr until done closes.
-func progress(ctx context.Context, s *sweep.Sweep, done <-chan struct{}, quiet bool) {
-	if quiet {
-		return
-	}
+// progress renders a one-line progress bar to log until done closes.
+func progress(ctx context.Context, s *sweep.Sweep, done <-chan struct{}, log io.Writer) {
 	tick := time.NewTicker(150 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {
 		case <-done:
-			fmt.Fprint(os.Stderr, "\r\033[K")
+			fmt.Fprint(log, "\r\033[K")
 			return
 		case <-ctx.Done():
 			return
@@ -197,18 +204,10 @@ func progress(ctx context.Context, s *sweep.Sweep, done <-chan struct{}, quiet b
 			const width = 30
 			filled := int(st.Fraction * width)
 			bar := strings.Repeat("=", filled) + strings.Repeat(" ", width-filled)
-			fmt.Fprintf(os.Stderr, "\r[%s] %d/%d cells, %.1f%% of %s refs",
-				bar, st.Finished, st.Cells, st.Fraction*100, millions(st.Total))
+			fmt.Fprintf(log, "\r[%s] %d/%d cells, %.1f%% of %sM refs",
+				bar, st.Finished, st.Cells, st.Fraction*100, tables.Millions(st.Total))
 		}
 	}
-}
-
-// millions renders a reference count compactly.
-func millions(n uint64) string {
-	if n >= 1_000_000 {
-		return fmt.Sprintf("%.1fM", float64(n)/1e6)
-	}
-	return fmt.Sprintf("%dk", n/1000)
 }
 
 // render writes the result in the chosen format.

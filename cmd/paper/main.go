@@ -23,10 +23,8 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"embed"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -129,18 +127,16 @@ type paper struct {
 	results  map[string]*sweep.Result // by spec name
 }
 
-// loadSpec decodes the embedded spec specs/<name>.json, rejecting
-// unknown fields as cmd/jettysweep does.
+// loadSpec decodes and validates the embedded spec specs/<name>.json.
 func loadSpec(name string) (sweep.Spec, error) {
-	var spec sweep.Spec
-	raw, err := specFiles.ReadFile("specs/" + name + ".json")
+	f, err := specFiles.Open("specs/" + name + ".json")
 	if err != nil {
-		return spec, err
+		return sweep.Spec{}, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("specs/%s.json: %w", name, err)
+	defer f.Close()
+	spec, err := sweep.DecodeSpec(f)
+	if err != nil {
+		return sweep.Spec{}, fmt.Errorf("specs/%s.json: %w", name, err)
 	}
 	return spec, nil
 }
@@ -269,7 +265,10 @@ func (p *paper) throughput() error {
 	if err != nil {
 		return err
 	}
-	cfg := smp.PaperConfig(p.cpus).WithFilters(filters...)
+	cfg, err := sweep.Machine{CPUs: p.cpus}.Config(filters)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(p.out, "Throughput engine (multiprogrammed), without and with OS process migration:")
 	for _, sp := range []workload.Spec{
 		workload.Throughput(),

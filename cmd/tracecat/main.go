@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"jetty/internal/trace"
 	"jetty/internal/workload"
@@ -44,45 +45,45 @@ run 'tracecat <command> -h' for the command's flags
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var err error
-	switch cmd {
-	case "record":
-		err = cmdRecord(args)
-	case "inspect":
-		err = cmdInspect(args)
-	case "stats":
-		err = cmdStats(args)
-	case "head":
-		err = cmdHead(args)
-	case "convert":
-		err = cmdConvert(args)
-	case "merge":
-		err = cmdMerge(args)
-	case "help", "-h", "-help", "--help":
-		usage(os.Stdout)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "tracecat: unknown command %q\n\n", cmd)
-		usage(os.Stderr)
-		os.Exit(2)
+// commands maps each subcommand to its implementation, which parses
+// its own flags and writes its report to stdout.
+var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"record":  cmdRecord,
+	"inspect": cmdInspect,
+	"stats":   cmdStats,
+	"head":    cmdHead,
+	"convert": cmdConvert,
+	"merge":   cmdMerge,
+}
+
+// run dispatches args to a subcommand and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, flag.ErrHelp):
-		// The FlagSet already printed its defaults.
-	case isUsage(err):
-		fmt.Fprintf(os.Stderr, "tracecat %s: %v\n", cmd, err)
-		os.Exit(2)
-	default:
-		fmt.Fprintf(os.Stderr, "tracecat %s: %v\n", cmd, err)
-		os.Exit(1)
+	cmd, ok := commands[args[0]]
+	if !ok {
+		if slices.Contains([]string{"help", "-h", "-help", "--help"}, args[0]) {
+			usage(stdout)
+			return 0
+		}
+		fmt.Fprintf(stderr, "tracecat: unknown command %q\n\n", args[0])
+		usage(stderr)
+		return 2
 	}
+	err := cmd(args[1:], stdout, stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0 // on -h the FlagSet already printed its defaults
+	}
+	fmt.Fprintf(stderr, "tracecat %s: %v\n", args[0], err)
+	if isUsage(err) {
+		return 2
+	}
+	return 1
 }
 
 // usageError marks errors that should exit with status 2.
@@ -98,8 +99,8 @@ func isUsage(err error) bool {
 }
 
 // parse runs a subcommand FlagSet, mapping flag errors to usage errors.
-func parse(fs *flag.FlagSet, args []string) error {
-	fs.SetOutput(os.Stderr)
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -109,7 +110,7 @@ func parse(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-func cmdRecord(args []string) error {
+func cmdRecord(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	app := fs.String("app", "", "workload to record (any library name, e.g. Ocean, WebServer, tp)")
 	cpus := fs.Int("cpus", 4, "CPUs")
@@ -117,7 +118,7 @@ func cmdRecord(args []string) error {
 	gz := fs.Bool("gzip", false, "gzip-compress chunk payloads")
 	note := fs.String("note", "", "free-form provenance stored in the trace metadata")
 	out := fs.String("o", "trace.jtrc", "output file")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
@@ -155,14 +156,14 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d references of %s to %s (%.2f bytes/ref)\n",
+	fmt.Fprintf(stdout, "recorded %d references of %s to %s (%.2f bytes/ref)\n",
 		total, sp.Name, *out, float64(info.Size())/float64(total))
 	return nil
 }
 
-func cmdInspect(args []string) error {
+func cmdInspect(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
@@ -186,30 +187,30 @@ func cmdInspect(args []string) error {
 		if sum.Compressed {
 			compression = "gzip"
 		}
-		fmt.Printf("%s: JTRC v%d, %d CPUs, %d records in %d chunks, %s compression, %.2f bytes/ref\n",
+		fmt.Fprintf(stdout, "%s: JTRC v%d, %d CPUs, %d records in %d chunks, %s compression, %.2f bytes/ref\n",
 			path, trace.Version, sum.CPUs, sum.Records, sum.Chunks, compression,
 			float64(info.Size())/float64(max(sum.Records, 1)))
 		if sum.Meta.App != "" {
-			fmt.Printf("  app:  %s\n", sum.Meta.App)
+			fmt.Fprintf(stdout, "  app:  %s\n", sum.Meta.App)
 		}
 		if sum.Meta.Note != "" {
-			fmt.Printf("  note: %s\n", sum.Meta.Note)
+			fmt.Fprintf(stdout, "  note: %s\n", sum.Meta.Note)
 		}
 	}
 	return nil
 }
 
-func cmdStats(args []string) error {
+func cmdStats(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	window := fs.Uint64("window", 0, "also print one summary row per this many records (0 = whole-trace stats only)")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
 		return usagef("no trace files given")
 	}
 	for _, path := range fs.Args() {
-		if err := statOne(path, *window); err != nil {
+		if err := statOne(stdout, path, *window); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
@@ -232,16 +233,16 @@ func (w *winStat) reset() {
 	}
 }
 
-func (w *winStat) row(idx uint64, start uint64) {
+func (w *winStat) row(stdout io.Writer, idx uint64, start uint64) {
 	wf := 0.0
 	if w.records > 0 {
 		wf = float64(w.writes) / float64(w.records)
 	}
-	fmt.Printf("  window %4d  [%9d, %9d)  %8d recs  %5.1f%% writes  %7d blocks (%.1f KB)\n",
+	fmt.Fprintf(stdout, "  window %4d  [%9d, %9d)  %8d recs  %5.1f%% writes  %7d blocks (%.1f KB)\n",
 		idx, start, start+w.records, w.records, wf*100, len(w.blocks), float64(len(w.blocks))*64/1024)
 }
 
-func statOne(path string, window uint64) error {
+func statOne(stdout io.Writer, path string, window uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -261,7 +262,7 @@ func statOne(path string, window uint64) error {
 	var winIdx, winStart uint64
 	if window > 0 {
 		win.reset()
-		fmt.Printf("%s: windowed statistics (%d records per window)\n", path, window)
+		fmt.Fprintf(stdout, "%s: windowed statistics (%d records per window)\n", path, window)
 	}
 	for {
 		cpu, r, err := rd.Read()
@@ -285,7 +286,7 @@ func statOne(path string, window uint64) error {
 			}
 			win.blocks[r.Addr>>6] = struct{}{}
 			if win.records == window {
-				win.row(winIdx, winStart)
+				win.row(stdout, winIdx, winStart)
 				winIdx++
 				winStart += win.records
 				win.reset()
@@ -293,29 +294,29 @@ func statOne(path string, window uint64) error {
 		}
 	}
 	if window > 0 && win.records > 0 {
-		win.row(winIdx, winStart)
+		win.row(stdout, winIdx, winStart)
 	}
 	total := rd.Records()
 	if total == 0 {
-		fmt.Printf("%s: %d CPUs, empty trace\n", path, cpus)
+		fmt.Fprintf(stdout, "%s: %d CPUs, empty trace\n", path, cpus)
 		return nil
 	}
-	fmt.Printf("%s: %d CPUs, %d references, span [%#x, %#x], %d distinct 64B blocks (%.1f KB touched)\n",
+	fmt.Fprintf(stdout, "%s: %d CPUs, %d references, span [%#x, %#x], %d distinct 64B blocks (%.1f KB touched)\n",
 		path, cpus, total, minA, maxA, len(blocks), float64(len(blocks))*64/1024)
 	for cpu := 0; cpu < cpus; cpu++ {
 		wf := 0.0
 		if counts[cpu] > 0 {
 			wf = float64(writes[cpu]) / float64(counts[cpu])
 		}
-		fmt.Printf("  cpu%d: %d refs, %.1f%% writes\n", cpu, counts[cpu], wf*100)
+		fmt.Fprintf(stdout, "  cpu%d: %d refs, %.1f%% writes\n", cpu, counts[cpu], wf*100)
 	}
 	return nil
 }
 
-func cmdHead(args []string) error {
+func cmdHead(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("head", flag.ContinueOnError)
 	n := fs.Uint64("n", 20, "records to print")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -338,17 +339,17 @@ func cmdHead(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%8d  cpu%-3d %s  %#x\n", i, cpu, r.Op, r.Addr)
+		fmt.Fprintf(stdout, "%8d  cpu%-3d %s  %#x\n", i, cpu, r.Op, r.Addr)
 	}
 	return nil
 }
 
-func cmdConvert(args []string) error {
+func cmdConvert(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
 	gz := fs.Bool("gzip", false, "gzip-compress the output")
 	chunk := fs.Int("chunk", 0, "records per chunk (0 = default)")
 	out := fs.String("o", "", "output file (required)")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *out == "" {
@@ -366,18 +367,18 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	return writeOut(*out, rd.CPUs(), trace.WriterOptions{Compress: *gz, ChunkRecords: *chunk, Meta: rd.Meta()},
+	return writeOut(stdout, *out, rd.CPUs(), trace.WriterOptions{Compress: *gz, ChunkRecords: *chunk, Meta: rd.Meta()},
 		func(w *trace.Writer) error {
 			_, err := trace.Append(w, rd)
 			return err
 		})
 }
 
-func cmdMerge(args []string) error {
+func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
 	gz := fs.Bool("gzip", false, "gzip-compress the output")
 	out := fs.String("o", "", "output file (required)")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *out == "" {
@@ -409,7 +410,7 @@ func cmdMerge(args []string) error {
 		}
 	}
 
-	return writeOut(*out, cpus, trace.WriterOptions{Compress: *gz, Meta: meta},
+	return writeOut(stdout, *out, cpus, trace.WriterOptions{Compress: *gz, Meta: meta},
 		func(w *trace.Writer) error {
 			for _, path := range fs.Args() {
 				f, err := os.Open(path)
@@ -430,7 +431,7 @@ func cmdMerge(args []string) error {
 }
 
 // writeOut creates path, streams records into it via fill, and reports.
-func writeOut(path string, cpus int, opts trace.WriterOptions, fill func(*trace.Writer) error) error {
+func writeOut(stdout io.Writer, path string, cpus int, opts trace.WriterOptions, fill func(*trace.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -453,7 +454,7 @@ func writeOut(path string, cpus int, opts trace.WriterOptions, fill func(*trace.
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d references to %s (%.2f bytes/ref)\n",
+	fmt.Fprintf(stdout, "wrote %d references to %s (%.2f bytes/ref)\n",
 		w.Records(), path, float64(info.Size())/float64(max(w.Records(), 1)))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"jetty/internal/addr"
 	"jetty/internal/energy"
 	"jetty/internal/jetty"
 	"jetty/internal/smp"
@@ -245,7 +246,9 @@ func TestSubblockingIncreasesSnoopMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsb, err := RunApp(sp, smp.PaperConfigNSB(4))
+	nsbCfg := smp.PaperConfig(4)
+	nsbCfg.L2.Geom = addr.NonSubblocked
+	nsb, err := RunApp(sp, nsbCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

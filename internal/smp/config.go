@@ -33,14 +33,6 @@ func PaperConfig(cpus int) Config {
 	}
 }
 
-// PaperConfigNSB returns the non-subblocked comparison machine: identical
-// but with coherence kept at whole 64-byte blocks.
-func PaperConfigNSB(cpus int) Config {
-	c := PaperConfig(cpus)
-	c.L2.Geom = addr.NonSubblocked
-	return c
-}
-
 // WithFilters returns a copy of the config carrying the given filter set.
 func (c Config) WithFilters(filters ...jetty.Config) Config {
 	c.Filters = append([]jetty.Config(nil), filters...)

@@ -33,8 +33,10 @@ func TestPaperConfigValid(t *testing.T) {
 		if err := PaperConfig(cpus).Validate(); err != nil {
 			t.Errorf("PaperConfig(%d): %v", cpus, err)
 		}
-		if err := PaperConfigNSB(cpus).Validate(); err != nil {
-			t.Errorf("PaperConfigNSB(%d): %v", cpus, err)
+		nsb := PaperConfig(cpus)
+		nsb.L2.Geom = addr.NonSubblocked
+		if err := nsb.Validate(); err != nil {
+			t.Errorf("non-subblocked PaperConfig(%d): %v", cpus, err)
 		}
 	}
 	if err := (Config{}).Validate(); err == nil {

@@ -2,17 +2,17 @@ package sweep
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 
 	"jetty/internal/sim"
 )
 
-// FuzzSpec drives the spec decoder jettyd's /v1/sweeps and jettysweep
-// share: strict JSON decode, Validate, then Expand against a stub trace
-// store. No input may panic, and a spec Validate accepts must expand to
-// at most MaxCells cells. The seed corpus under testdata/fuzz/FuzzSpec
+// FuzzSpec drives DecodeSpec, the spec decoder of jettysweep and
+// cmd/paper (jettyd's /v1/sweeps applies the same strict decode and
+// Validate behind its body caps), then Expand against a stub trace
+// store. No input may panic, and a spec DecodeSpec accepts must expand
+// to at most MaxCells cells. The seed corpus under testdata/fuzz/FuzzSpec
 // is cmd/paper's committed specs.
 func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`{"workloads":["trace:0123abcd","Lu"],"machines":[{},{"cpus":2}],"filters":["EJ-32x4","IJ-8x4x7"],"filter_mode":"each","repeat":3,"scale":0.5,"interval":4096,"timelines":"first"}`))
@@ -24,10 +24,8 @@ func FuzzSpec(f *testing.F) {
 		return stored, nil
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		var spec Spec
-		if dec.Decode(&spec) != nil || spec.Validate() != nil {
+		spec, err := DecodeSpec(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
 		cells, err := spec.Expand(traces)

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"jetty/internal/addr"
@@ -246,6 +248,19 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("sweep: %d cells exceed the %d-cell cap", c, MaxCells)
 	}
 	return nil
+}
+
+// DecodeSpec reads one JSON spec from r and validates it. Unknown
+// fields are rejected, so a typo'd key fails loudly instead of silently
+// sweeping the default (a dropped "scale" runs the full paper budgets).
+func DecodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec Spec
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, err
+	}
+	return spec, spec.Validate()
 }
 
 // cellCount is the upper bound of the expansion (trace entries repeat
