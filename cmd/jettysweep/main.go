@@ -5,7 +5,7 @@
 // engine's content-addressed cache, so re-running a sweep (or overlapping
 // sweeps) recomputes nothing.
 //
-//	jettysweep sweep.json                     # aligned table by filter
+//	jettysweep sweep.json                     # aligned table by filter (by machine,filter if several machines)
 //	jettysweep -by workload,filter sweep.json # finer grouping
 //	jettysweep -format md sweep.json          # markdown (EXPERIMENTS.md style)
 //	jettysweep -format csv -o cells.csv sweep.json   # raw per-cell metrics
@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	format := fs.String("format", "table", "output format: table, md, csv, cells-csv, json")
-	by := fs.String("by", "filter", "comma-separated grouping axes: workload, machine, filter")
+	by := fs.String("by", "", "comma-separated grouping axes: workload, machine, filter (default machine,filter for a spec with several machines, else filter)")
 	out := fs.String("o", "", "output file (default stdout)")
 	workers := fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
 	quiet := fs.Bool("q", false, "suppress the progress bar")
@@ -107,6 +107,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	spec, err := sweep.DecodeSpec(in)
 	if err != nil {
 		return usage("parsing %s: %v", specPath, err)
+	}
+	// The paper averages over workloads, never over machines.
+	bySet := false
+	fs.Visit(func(f *flag.Flag) { bySet = bySet || f.Name == "by" })
+	if !bySet {
+		*by = "filter"
+		if len(spec.Machines) > 1 {
+			*by = "machine,filter"
+		}
 	}
 	axes, err := sweep.ParseAxes(splitList(*by))
 	if err != nil {

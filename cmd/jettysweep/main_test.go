@@ -71,6 +71,10 @@ func writeSpec(t *testing.T, dir, name string) string {
 // the diff, with
 //
 //	go test ./cmd/jettysweep -run TestJettysweepGolden -update
+//
+// Under the default -by, the one spec with several machines
+// (sensitivity) gets a row per machine; its -format json output is the
+// result itself and does not depend on -by.
 func TestJettysweepGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden, spec string
