@@ -19,8 +19,9 @@
 //
 // Exit status: 0 on success, 1 on a runtime error (unreadable trace,
 // unwritable output, canceled run), 2 on a usage error (bad or
-// conflicting flags, unknown workload or filter, invalid machine)
-// raised before any simulation runs or any output file is created.
+// conflicting flags, unknown workload or filter, invalid machine or
+// sampling interval) raised before any simulation runs or any output
+// file is created.
 package main
 
 import (
@@ -37,6 +38,7 @@ import (
 	"jetty/internal/bus"
 	"jetty/internal/energy"
 	"jetty/internal/jetty"
+	"jetty/internal/metrics"
 	"jetty/internal/sim"
 	"jetty/internal/smp"
 	"jetty/internal/sweep"
@@ -103,6 +105,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return usage("-trace and -capture are mutually exclusive")
 	case *capture != "" && sampled:
 		return usage("-capture and -timeline/-interval are mutually exclusive (capture, then replay sampled)")
+	case *interval > 0 && *interval < metrics.MinInterval:
+		return usage("-interval %d below the minimum %d", *interval, metrics.MinInterval)
 	}
 	fcs, err := jetty.ParseAll(splitConfigs(*filters))
 	if err != nil {

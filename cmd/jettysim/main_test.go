@@ -123,6 +123,8 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	jettysim(t, dir, "-app", "Lu", "-accesses", "1000", "-cpus", "8", "-capture", "$TMP/eight.jtrc")
+	eight := filepath.Join(dir, "eight.jtrc")
 	for _, tc := range []struct {
 		code int
 		args []string
@@ -140,9 +142,11 @@ func TestExitCodes(t *testing.T) {
 		{2, []string{"-trace", corrupt, "-accesses", "5"}},
 		{2, []string{"-trace", corrupt}}, // with -capture
 		{2, []string{"-timeline", "-"}},  // with -capture
+		{2, []string{"-capture", "", "-interval", "5"}},
 		{1, []string{"-app", "Lu", "-accesses", "1000", "-capture", filepath.Join(dir, "no", "such", "dir")}},
 		{1, []string{"-trace", filepath.Join(dir, "none.jtrc"), "-capture", ""}},
 		{1, []string{"-trace", corrupt, "-capture", ""}},
+		{1, []string{"-trace", eight, "-capture", "", "-cpus", "4"}},
 	} {
 		if err := os.WriteFile(keep, []byte("not overwritten"), 0o644); err != nil {
 			t.Fatal(err)

@@ -117,7 +117,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			*by = "machine,filter"
 		}
 	}
-	axes, err := sweep.ParseAxes(splitList(*by))
+	axes, err := sweep.ParseAxes(*by)
 	if err != nil {
 		return usage("%v", err)
 	}
@@ -241,15 +241,4 @@ func render(w io.Writer, res *sweep.Result, format string, axes []sweep.Axis) er
 		return sweep.WriteJSON(w, res)
 	}
 	return fmt.Errorf("unknown format %q", format)
-}
-
-// splitList splits a comma-separated flag value.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -523,43 +523,62 @@ func TestTwoTenantFairShare(t *testing.T) {
 	var floodMu sync.Mutex
 	var wg sync.WaitGroup
 
-	// The flooder hammers submissions far past its quota; its accepted
-	// jobs are real work that keeps the single worker busy. Each carries
-	// a slightly different scale, so the engine's dedup (coalescing, the
-	// result cache) cannot collapse them into one execution.
+	// flood submits one flooder job and reports whether the daemon
+	// refused it with 429. The accepted jobs are real work that keeps
+	// the single worker busy. Each carries a slightly different scale,
+	// so the engine's dedup (coalescing, the result cache) cannot
+	// collapse them into one execution.
+	flood := func(i int) bool {
+		// Scale 3 runs ~0.5s per job: long enough that four of them
+		// pile up unfinished (saturating the quota), short enough that
+		// the light tenant's turn comes quickly.
+		req := SubmitRequest{
+			Apps:    []string{"Fmm"},
+			Scale:   3 + float64(i%500)*0.001,
+			Filters: []string{"EJ-8x2"},
+		}
+		resp, err := tenantDo("POST", base+"/v1/experiments", "flooder", req)
+		if err != nil {
+			return false
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			return false
+		}
+		floodMu.Lock()
+		if resp.Header.Get("Retry-After") != "" {
+			flooder429 = true
+		}
+		floodMu.Unlock()
+		return true
+	}
+
+	// Fill the flooder's four slots and see its quota refuse the next
+	// submission before the light tenant starts, so the rejection is
+	// on every later scrape instead of racing the light tenant's jobs.
+	i := 0
+	for ; !flood(i); i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the flooder's quota never refused a submission")
+		}
+	}
+
+	// The flooder then hammers submissions far past its quota.
 	wg.Add(1)
-	go func() {
+	go func(i int) {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for ; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			// Scale 3 runs ~0.5s per job: long enough that four of them
-			// pile up unfinished (saturating the quota), short enough
-			// that the light tenant's turn comes quickly.
-			req := SubmitRequest{
-				Apps:    []string{"Fmm"},
-				Scale:   3 + float64(i%500)*0.001,
-				Filters: []string{"EJ-8x2"},
-			}
-			resp, err := tenantDo("POST", base+"/v1/experiments", "flooder", req)
-			if err != nil {
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusTooManyRequests {
-				floodMu.Lock()
-				if resp.Header.Get("Retry-After") != "" {
-					flooder429 = true
-				}
-				floodMu.Unlock()
+			if flood(i) {
 				time.Sleep(5 * time.Millisecond)
 			}
 		}
-	}()
+	}(i + 1)
 
 	// The light tenant submits a handful of small experiments serially;
 	// each must retire while the flooder saturates the daemon.

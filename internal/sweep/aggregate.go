@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"jetty/internal/energy"
 	"jetty/internal/metrics"
@@ -154,15 +155,17 @@ const (
 	ByFilter   Axis = "filter"
 )
 
-// ParseAxes parses a list of axis names.
-func ParseAxes(names []string) ([]Axis, error) {
-	out := make([]Axis, len(names))
-	for i, n := range names {
-		switch Axis(n) {
+// ParseAxes parses a comma-separated list of axis names, ignoring
+// blanks around names and empty entries.
+func ParseAxes(list string) ([]Axis, error) {
+	var out []Axis
+	for _, n := range strings.Split(list, ",") {
+		switch a := Axis(strings.TrimSpace(n)); a {
+		case "":
 		case ByWorkload, ByMachine, ByFilter:
-			out[i] = Axis(n)
+			out = append(out, a)
 		default:
-			return nil, fmt.Errorf("sweep: unknown axis %q (want workload, machine or filter)", n)
+			return nil, fmt.Errorf("sweep: unknown axis %q (want workload, machine or filter)", a)
 		}
 	}
 	return out, nil

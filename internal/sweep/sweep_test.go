@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -554,7 +555,10 @@ func TestSummarize(t *testing.T) {
 	if st := Summarize(nil); st.N != 0 {
 		t.Errorf("empty stats %+v", st)
 	}
-	if _, err := ParseAxes([]string{"workload", "bogus"}); err == nil {
+	if _, err := ParseAxes("workload,bogus"); err == nil {
 		t.Error("bogus axis accepted")
+	}
+	if axes, err := ParseAxes(" machine, ,filter "); err != nil || !slices.Equal(axes, []Axis{ByMachine, ByFilter}) {
+		t.Errorf("ParseAxes(%q) = %v, %v", " machine, ,filter ", axes, err)
 	}
 }
