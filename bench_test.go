@@ -366,10 +366,11 @@ func BenchmarkSweep(b *testing.B) {
 // shape: one workload on one machine swept across a 16-variant filter
 // axis in "each" mode. The planner fuses all 16 cells onto a single
 // simulation pass with every bank attached as concatenated observers;
-// the per-cell sub forces the legacy scheduling (NoFuse) so the same
-// spec pays 16 full passes, and the single sub is the floor — one
-// simulation of the same workload with one filter attached, i.e. the
-// cost a per-cell sweep pays for every one of its 16 cells.
+// the per-cell sub runs the 16 one-filter specs on one uncached engine
+// per iteration, so the same cells pay 16 full passes, and the single
+// sub is the floor — one simulation of the same workload with one
+// filter attached, i.e. the cost a per-cell sweep pays for every one
+// of its 16 cells.
 // PERFORMANCE.md tracks fused ≤ 2× single. The result cache is disabled
 // so every iteration really simulates. From its second iteration on,
 // fused replays the stream memo's copy of the Lu stream; fused-fresh
@@ -419,11 +420,20 @@ func BenchmarkSweepFused(b *testing.B) {
 		b.ReportMetric(float64(len(axis)), "cells")
 	})
 	b.Run("per-cell", func(b *testing.B) {
-		forced := spec
-		forced.NoFuse = true
 		var cells int
 		for i := 0; i < b.N; i++ {
-			cells = len(runUncached(b, 0, forced).Cells)
+			eng := engine.New(engine.Options{CacheEntries: -1})
+			cells = 0
+			for _, name := range axis {
+				one := spec
+				one.Filters = []string{name}
+				res, err := sweep.Run(context.Background(), eng, one, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells += len(res.Cells)
+			}
+			eng.Close()
 		}
 		b.ReportMetric(float64(cells), "cells")
 	})

@@ -32,8 +32,8 @@ func waitSweep(t *testing.T, s *sweep.Sweep) *sweep.Result {
 
 // randomSpec draws one sweep spec from the property-test distribution:
 // 1–2 workloads, 1–2 machines, 1–3 filters in either placement mode,
-// optional repetition, optional sampled timelines, fusion sometimes
-// disabled — every axis the distributed path must preserve.
+// optional repetition, optional sampled timelines, units of one to
+// three cells — every axis the distributed path must preserve.
 func randomSpec(r *rand.Rand) sweep.Spec {
 	workloads := []string{"Lu", "ch", "Fmm"}
 	filters := []string{"EJ-32x4", "EJ-16x2", "IJ-8x4x7"}
@@ -51,8 +51,9 @@ func randomSpec(r *rand.Rand) sweep.Spec {
 		spec.Machines = append(spec.Machines, sweep.Machine{}, sweep.Machine{CPUs: 2, L2Bytes: 512 << 10, L2Assoc: 2})
 	}
 	if r.Intn(2) == 0 {
-		spec.FilterMode = sweep.ModeEach // fused groups are the dispatch unit
-		spec.NoFuse = r.Intn(3) == 0
+		// Each mode fuses a unit of one cell per filter; bank mode, or a
+		// one-filter axis, makes units of one.
+		spec.FilterMode = sweep.ModeEach
 	}
 	if r.Intn(2) == 0 {
 		spec.Repeat = 2

@@ -314,7 +314,7 @@ func newEngine(t *testing.T, co *cluster.Coordinator, opts engine.Options) *engi
 // coordinator daemon submits a sweep.
 func submit(t *testing.T, eng *engine.Engine, co *cluster.Coordinator, spec sweep.Spec, traces sweep.TraceResolver, sub sweep.Submission) *sweep.Sweep {
 	t.Helper()
-	remote, err := co.Remote(spec, traces)
+	remote, err := co.Remote(spec, traces, sub.Tenant, sub.Origin)
 	if err != nil {
 		t.Fatal(err)
 	}

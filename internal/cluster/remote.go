@@ -22,7 +22,11 @@ var errClosed = errors.New("cluster: coordinator closed")
 // caller's engine like any other, only each unit's run posts the unit
 // to a worker. traces resolves the spec's "trace:<digest>" entries;
 // they are resolved once, here, and pushed to each worker on demand.
-func (co *Coordinator) Remote(spec sweep.Spec, traces sweep.TraceResolver) (func(context.Context, []sweep.Cell) ([]sim.AppResult, error), error) {
+// tenant and origin are the submission's: every dispatch runs under
+// the tenant and carries an "<origin>.a<n>" request ID. A unit runs
+// for the submission that created its execution, so these are the
+// execution owner's identity.
+func (co *Coordinator) Remote(spec sweep.Spec, traces sweep.TraceResolver, tenant, origin string) (func(context.Context, []sweep.Cell) ([]sim.AppResult, error), error) {
 	if co.ctx.Err() != nil {
 		return nil, errClosed
 	}
@@ -54,8 +58,8 @@ func (co *Coordinator) Remote(spec sweep.Spec, traces sweep.TraceResolver) (func
 			unit:   unit,
 			req:    CellsRequest{Spec: spec, Indices: indices},
 			bound:  replyBound(unit, spec.Interval),
-			tenant: engine.TenantFrom(ctx),
-			origin: engine.OriginFrom(ctx),
+			tenant: tenant,
+			origin: origin,
 			traces: refs,
 			events: make(chan attemptEvent, 2*co.opts.MaxAttempts),
 		}

@@ -98,7 +98,7 @@ func TestReplyBoundCoversWidestReply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, unit := range sweep.PlanUnits(spec, cells) {
+		for _, unit := range sweep.PlanUnits(cells) {
 			resp := CellsResponse{Worker: "worker-0:8080"}
 			for _, i := range unit {
 				windows := int(cells[i].Total()/spec.Interval) + 2
@@ -136,7 +136,7 @@ func TestReplyBoundAdmitsLargeSampledUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := sweep.PlanUnits(spec, cells)
+	units := sweep.PlanUnits(cells)
 	if len(units) != 1 || len(units[0]) != len(filters) {
 		t.Fatalf("planned units %v, want one of %d cells", units, len(filters))
 	}

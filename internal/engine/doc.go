@@ -22,6 +22,14 @@
 // byte-identical trace files to jettyd share one execution and one
 // cached result.
 //
+// Kind, Origin and Tenant label a task for the fair-share queue and for
+// telemetry (Status, retire traces). They are not part of the content
+// address, and the engine does not hand them to the run: a run that
+// needs its submitter's identity, such as a cluster coordinator's
+// dispatch, captures it when its Run closure is built. The closure
+// belongs to the submission that created the execution, so the run
+// always acts as the execution's owner.
+//
 // # Concurrency
 //
 // The engine is safe for concurrent use by many goroutines; it is the

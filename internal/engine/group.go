@@ -306,19 +306,12 @@ func (e *Engine) runGroup(gr *groupRun) {
 			ex.state.Store(int32(Running))
 		}
 		e.running.Add(1)
-		ctx := gr.ctx
-		if gr.task.Origin != "" {
-			ctx = context.WithValue(ctx, originKey{}, gr.task.Origin)
-		}
-		if gr.task.Tenant != "" {
-			ctx = context.WithValue(ctx, tenantKey{}, gr.task.Tenant)
-		}
 		report := func(done uint64) {
 			for _, i := range live {
 				gr.members[i].report(done)
 			}
 		}
-		res, err = gr.task.Run(ctx, live, report)
+		res, err = gr.task.Run(gr.ctx, live, report)
 		e.running.Add(-1)
 		if err == nil && len(res) != len(live) {
 			err = fmt.Errorf("engine: group run returned %d results for %d live members", len(res), len(live))

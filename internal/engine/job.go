@@ -24,10 +24,10 @@ type Task struct {
 	Kind string
 
 	// Origin is the request ID (or other correlation token) of the
-	// submitter, carried into the task context (OriginFrom) and the
-	// job's Status so telemetry ties back to the request that caused the
-	// work. Not part of the content address; a coalesced execution keeps
-	// its first submitter's origin.
+	// submitter, carried into the job's Status and retire trace so
+	// telemetry ties back to the request that caused the work. Not part
+	// of the content address; a coalesced execution keeps its first
+	// submitter's origin.
 	Origin string
 
 	// Tenant names the submitter for fair-share scheduling: the queue
@@ -57,26 +57,6 @@ const (
 	DispositionCoalesced = "coalesced" // attached to an identical in-flight run
 	DispositionStoreHit  = "store_hit" // served from the persistent result store
 )
-
-// originKey carries Task.Origin in the task context.
-type originKey struct{}
-
-// OriginFrom returns the submitting request's origin (Task.Origin) from
-// a task context, or "" when the task was submitted without one.
-func OriginFrom(ctx context.Context) string {
-	id, _ := ctx.Value(originKey{}).(string)
-	return id
-}
-
-// tenantKey carries Task.Tenant in the task context.
-type tenantKey struct{}
-
-// TenantFrom returns the submitting tenant (Task.Tenant) from a task
-// context, or "" when the task was submitted without one.
-func TenantFrom(ctx context.Context) string {
-	id, _ := ctx.Value(tenantKey{}).(string)
-	return id
-}
 
 // State is the lifecycle of an execution.
 type State int32

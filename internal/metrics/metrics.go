@@ -34,7 +34,7 @@ type Window struct {
 
 	// Energy is the window's baseline (unfiltered) L2 energy split by
 	// component. The sampler leaves it zero; the sim layer fills it from
-	// the window counts when it finishes a timeline.
+	// the window counts when it streams a window or finishes a timeline.
 	Energy energy.Breakdown `json:"energy"`
 }
 

@@ -23,15 +23,6 @@ import (
 // and telemetry as every other submission, so a worker daemon is just a
 // jettyd.
 
-// cellRun is one in-flight cell unit in the registry: registered for
-// the duration of the request so admission accounting sees its load,
-// removed when the response is written (nothing to retain — results
-// stream back to the coordinator, and the engine cache keeps the L1).
-type cellRun struct {
-	tenant string
-	cs     *sweep.CellSet
-}
-
 func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	var req cluster.CellsRequest
 	if !decodeJSON(w, r, true, &req) {
@@ -54,20 +45,26 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		s.writeRetryError(w, code, tenant, err)
 		return
 	}
-	cs, err := sweep.SubmitCells(s.eng, req.Spec, s.traceLocked, obs.RequestID(r.Context()), tenant, req.Indices)
+	sw, err := sweep.Submit(s.eng, req.Spec, s.traceLocked, sweep.Submission{
+		Origin: obs.RequestID(r.Context()),
+		Tenant: tenant,
+		Cells:  req.Indices,
+	})
 	if err != nil {
 		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Registered only while the request runs, so admission sees its
+	// load: results go back to the coordinator, the engine cache keeps L1.
 	s.seq++
 	id := fmt.Sprintf("cells-%06d", s.seq)
-	s.cellRuns[id] = &cellRun{tenant: tenant, cs: cs}
+	s.cellRuns[id] = sw
 	s.mu.Unlock()
 	defer func() {
 		// Always release the handles: a finished unit's cancel is a
 		// no-op, a disconnected coordinator's unit stops computing.
-		cs.Cancel()
+		sw.Cancel()
 		s.mu.Lock()
 		delete(s.cellRuns, id)
 		s.mu.Unlock()
@@ -76,13 +73,13 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	// Synchronous by design: the coordinator's dispatch is the waiter,
 	// and a dropped connection (coordinator gone, or it hedged the unit
 	// elsewhere and timed this one out) cancels via the request context.
-	results, err := cs.Wait(r.Context())
+	results, err := sw.Results(r.Context())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	dispos := cs.Dispositions()
-	cells := cs.Cells()
+	dispos := sw.Dispositions()
+	cells := sw.Cells()
 	out := cluster.CellsResponse{Cells: make([]cluster.CellOutcome, len(cells))}
 	for k, c := range cells {
 		out.Cells[k] = cluster.CellOutcome{

@@ -17,9 +17,11 @@ import (
 // per-app timelines, and GET .../live streams windows as Server-Sent
 // Events while the simulation runs. The stream source is a liveFeed fed
 // by the sweep's per-cell window hook (sweep.Submission.OnWindow) on the
-// engine worker; subscribers that attach late (or whose experiment was
-// served from the result cache or ran on cluster workers, so no hook
-// ever fired) are topped up from the retained timelines when the
+// engine worker, for every cell that executes for the experiment, in a
+// unit of one or a fused one. Subscribers that attach late, and cells
+// for which no hook fired (served from the result cache, coalesced onto
+// an identical run such as an app listed twice, or run on cluster
+// workers), are topped up from the retained timelines when the
 // experiment finishes, so every subscriber always sees the complete
 // window sequence exactly once.
 

@@ -237,6 +237,73 @@ func TestLiveStreamDeliversAllWindows(t *testing.T) {
 	}
 }
 
+// TestLiveStreamDuplicateApp: an experiment listing an app twice plans
+// both runs into one fused unit, where the second coalesces onto the
+// first. The executing run streams live, its twin is topped up from the
+// retained timeline, and the stream delivers every window of both
+// entries before done.
+func TestLiveStreamDuplicateApp(t *testing.T) {
+	srv, base := newTestServer(t, Options{})
+
+	req := SubmitRequest{Apps: []string{"Lu", "Lu"}, Scale: 0.05, Filters: []string{"EJ-32x4"}, Interval: 512}
+	var st ExperimentStatus
+	if code := doJSON(t, "POST", base+"/v1/experiments", req, &st); code != http.StatusAccepted {
+		t.Fatalf("submit code %d", code)
+	}
+	if final := waitDone(t, base, st.ID); final.State != "done" {
+		t.Fatalf("experiment ended %s", final.State)
+	}
+	// Before any subscriber tops the feed up, it holds what the run
+	// streamed live: one entry's windows.
+	srv.mu.Lock()
+	live := srv.jobs[st.ID].feed.buffered()
+	srv.mu.Unlock()
+
+	events := liveStream(t, base, st.ID, 1<<20)
+	if len(events) == 0 || events[len(events)-1].event != "done" {
+		t.Fatalf("stream of %d events did not end with done", len(events))
+	}
+	byIndex := map[int][]string{}
+	for _, ev := range events[:len(events)-1] {
+		if ev.event != "window" {
+			t.Fatalf("unexpected event %q", ev.event)
+		}
+		var le struct {
+			App    string          `json:"app"`
+			Index  int             `json:"index"`
+			Window json.RawMessage `json:"window"`
+		}
+		if err := json.Unmarshal([]byte(ev.data), &le); err != nil {
+			t.Fatalf("window event payload: %v", err)
+		}
+		if le.App != "Lu" {
+			t.Fatalf("window event for app %q", le.App)
+		}
+		byIndex[le.Index] = append(byIndex[le.Index], string(le.Window))
+	}
+
+	var tr TimelineResponse
+	if code := doJSON(t, "GET", base+"/v1/experiments/"+st.ID+"/timeline", nil, &tr); code != http.StatusOK {
+		t.Fatalf("timeline code %d", code)
+	}
+	if len(tr.Apps) != 2 || tr.Apps[0].Timeline == nil || tr.Apps[1].Timeline == nil {
+		t.Fatalf("timeline holds %d apps, want 2 with timelines", len(tr.Apps))
+	}
+	perEntry := len(tr.Apps[0].Timeline.Windows)
+	if perEntry == 0 || len(byIndex) != perEntry || timelineWindows(tr) != 2*perEntry {
+		t.Fatalf("stream covers %d window indices, timeline holds %d per entry (%d in all)",
+			len(byIndex), perEntry, timelineWindows(tr))
+	}
+	if live != perEntry {
+		t.Errorf("the run streamed %d windows live, want %d (the executing entry's)", live, perEntry)
+	}
+	for i, wins := range byIndex {
+		if len(wins) != 2 || wins[0] != wins[1] {
+			t.Errorf("window %d streamed %d times, want twice with identical payloads", i, len(wins))
+		}
+	}
+}
+
 func TestLiveStreamUnsampledAndCanceled(t *testing.T) {
 	_, base := newTestServer(t, Options{})
 

@@ -41,8 +41,8 @@ func (s *Server) snapshotGauges() {
 	sweepsRegistered := len(s.jobs) - registered
 	tracesStored := len(s.traces)
 	var traceBytes int
-	for _, in := range s.traces {
-		traceBytes += len(in.Data)
+	for _, t := range s.traces {
+		traceBytes += len(t.Data)
 	}
 	loads := s.loadsLocked()
 	s.mu.Unlock()

@@ -61,7 +61,7 @@ func (s *Server) persistJob(j jobJournal) {
 // under its ID, from the stored cells, instead of forgetting the ID.
 func (s *Server) watch(j *job) {
 	time.Sleep(watchPoll)
-	for j.sw.Unfinished() {
+	for j.sw.UnfinishedCells() > 0 {
 		time.Sleep(watchPoll)
 	}
 	if j.sw.Status(false).State == "done" {
@@ -97,9 +97,8 @@ func (s *Server) restore() {
 		}
 		s.mu.Lock()
 		if _, ok := s.traces[in.Digest]; !ok {
-			s.traces[in.Digest] = in
+			s.traces[in.Digest] = storedTrace{in, te.Meta.Tenant}
 			s.traceOrder = append(s.traceOrder, in.Digest)
-			s.traceOwners[in.Digest] = te.Meta.Tenant
 		}
 		s.mu.Unlock()
 	}

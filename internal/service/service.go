@@ -173,14 +173,13 @@ type Server struct {
 	tel      *telemetry  // instruments, logger, slow-job threshold
 	draining atomic.Bool // set by SetDraining during shutdown
 
-	mu          sync.Mutex
-	jobs        map[string]*job // experiments and sweeps, by ID
-	order       []string        // insertion order, for stable listings
-	seq         int
-	cellRuns    map[string]*cellRun       // in-flight POST /v1/cells units
-	traces      map[string]sim.TraceInput // by digest
-	traceOrder  []string
-	traceOwners map[string]string // digest -> uploading tenant (quota accounting)
+	mu         sync.Mutex
+	jobs       map[string]*job // experiments and sweeps, by ID
+	order      []string        // insertion order, for stable listings
+	seq        int
+	cellRuns   map[string]*sweep.Sweep // in-flight POST /v1/cells units
+	traces     map[string]storedTrace  // by digest
+	traceOrder []string                // upload order, for stable listings
 }
 
 // New builds a server (and its engine). Close it to stop the workers.
@@ -251,9 +250,8 @@ func New(opts Options) *Server {
 		store:           opts.Store,
 		tel:             tel,
 		jobs:            make(map[string]*job),
-		cellRuns:        make(map[string]*cellRun),
-		traces:          make(map[string]sim.TraceInput),
-		traceOwners:     make(map[string]string),
+		cellRuns:        make(map[string]*sweep.Sweep),
+		traces:          make(map[string]storedTrace),
 	}
 	s.restore()
 	return s
@@ -465,10 +463,6 @@ func (req SubmitRequest) sweepSpec(traces sweep.TraceResolver) (sweep.Spec, erro
 		Filters:   req.Filters,
 		Scale:     req.Scale,
 		Interval:  req.Interval,
-		// Every app runs as its own group, so each run's sampler feeds
-		// the live stream (sweep.Submission.OnWindow) even when an app
-		// is listed twice.
-		NoFuse: true,
 	}
 	if req.Interval > 0 {
 		spec.Timelines = sweep.TimelinesAll
@@ -603,15 +597,22 @@ type TraceInfo struct {
 	Compressed bool   `json:"compressed"`
 }
 
-func traceInfo(in sim.TraceInput, owner string) TraceInfo {
+// storedTrace is one uploaded trace and the tenant that uploaded it,
+// whose quota the trace counts against.
+type storedTrace struct {
+	sim.TraceInput
+	owner string
+}
+
+func traceInfo(t storedTrace) TraceInfo {
 	return TraceInfo{
-		Digest:     in.Digest,
-		Name:       in.Name,
-		Tenant:     owner,
-		CPUs:       in.CPUs,
-		Records:    in.Records,
-		Bytes:      len(in.Data),
-		Compressed: in.Compressed,
+		Digest:     t.Digest,
+		Name:       t.Name,
+		Tenant:     t.owner,
+		CPUs:       t.CPUs,
+		Records:    t.Records,
+		Bytes:      len(t.Data),
+		Compressed: t.Compressed,
 	}
 }
 
@@ -644,13 +645,11 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 
 	tenant := tenantFrom(r.Context())
 	s.mu.Lock()
-	if _, ok := s.traces[in.Digest]; ok {
+	if t, ok := s.traces[in.Digest]; ok {
 		// Identical re-upload: a no-op that keeps the original owner (the
 		// slot stays on the first uploader's quota).
-		in = s.traces[in.Digest]
-		owner := s.traceOwners[in.Digest]
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, traceInfo(in, owner))
+		writeJSON(w, http.StatusOK, traceInfo(t))
 		return
 	}
 	if len(s.traces) >= s.maxTraces {
@@ -667,9 +666,9 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 				tenant, s.maxTenantTraces, s.maxTenantTraces))
 		return
 	}
-	s.traces[in.Digest] = in
+	t := storedTrace{in, tenant}
+	s.traces[in.Digest] = t
 	s.traceOrder = append(s.traceOrder, in.Digest)
-	s.traceOwners[in.Digest] = tenant
 	s.mu.Unlock()
 
 	if s.store != nil {
@@ -678,14 +677,14 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.tel.traceUploads.Add(1)
-	writeJSON(w, http.StatusCreated, traceInfo(in, tenant))
+	writeJSON(w, http.StatusCreated, traceInfo(t))
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]TraceInfo, 0, len(s.traceOrder))
 	for _, digest := range s.traceOrder {
-		out = append(out, traceInfo(s.traces[digest], s.traceOwners[digest]))
+		out = append(out, traceInfo(s.traces[digest]))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -694,14 +693,13 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	s.mu.Lock()
-	in, ok := s.traces[digest]
-	owner := s.traceOwners[digest]
+	t, ok := s.traces[digest]
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown trace %q", digest))
 		return
 	}
-	writeJSON(w, http.StatusOK, traceInfo(in, owner))
+	writeJSON(w, http.StatusOK, traceInfo(t))
 }
 
 func (s *Server) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
@@ -710,7 +708,6 @@ func (s *Server) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
 	_, ok := s.traces[digest]
 	if ok {
 		delete(s.traces, digest)
-		delete(s.traceOwners, digest)
 		for i, d := range s.traceOrder {
 			if d == digest {
 				s.traceOrder = append(s.traceOrder[:i], s.traceOrder[i+1:]...)
@@ -774,13 +771,13 @@ func (s *Server) loadsLocked() map[string]tenantLoad {
 	for _, j := range s.jobs {
 		add(j.sw.Tenant(), j.sw.UnfinishedCells())
 	}
-	for _, run := range s.cellRuns {
-		add(run.tenant, run.cs.UnfinishedCells())
+	for _, sw := range s.cellRuns {
+		add(sw.Tenant(), sw.UnfinishedCells())
 	}
-	for _, owner := range s.traceOwners {
-		l := loads[owner]
+	for _, t := range s.traces {
+		l := loads[t.owner]
 		l.traces++
-		loads[owner] = l
+		loads[t.owner] = l
 	}
 	return loads
 }

@@ -140,7 +140,7 @@ func (s *Server) startLocked(id string, spec sweep.Spec, req *SubmitRequest, cel
 	}
 	var err error
 	if s.cluster != nil {
-		if sub.Remote, err = s.cluster.Remote(spec, s.traceLocked); err != nil {
+		if sub.Remote, err = s.cluster.Remote(spec, s.traceLocked, tenant, origin); err != nil {
 			return nil, err
 		}
 	}
@@ -161,11 +161,11 @@ func (s *Server) startLocked(id string, spec sweep.Spec, req *SubmitRequest, cel
 // traceLocked resolves a "trace:<digest>" workload entry from the
 // upload store. Caller holds s.mu.
 func (s *Server) traceLocked(digest string) (sim.TraceInput, error) {
-	in, ok := s.traces[digest]
+	t, ok := s.traces[digest]
 	if !ok {
 		return sim.TraceInput{}, errors.New("not uploaded (POST it to /v1/traces first)")
 	}
-	return in, nil
+	return t.TraceInput, nil
 }
 
 // evictLocked drops the oldest finished jobs until the registry is
@@ -179,7 +179,7 @@ func (s *Server) evictLocked() {
 	excess := len(s.order) - s.maxRetained
 	for _, id := range s.order {
 		j := s.jobs[id]
-		if excess > 0 && !j.sw.Unfinished() {
+		if excess > 0 && j.sw.UnfinishedCells() == 0 {
 			delete(s.jobs, id)
 			j.sw.Cancel() // no-op on finished cells; releases the handles
 			s.tel.evicted.Add(1)

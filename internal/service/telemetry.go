@@ -285,8 +285,8 @@ func (t *telemetry) onRetire(tr engine.TaskTrace) {
 	t.runDuration.With(kind, tenant).Observe(tr.Run.Seconds())
 	t.observeRunEWMA(tr.Run.Seconds())
 	if kind == sim.KindSweep || kind == sim.KindFused {
-		// Only sweeps submit fused groups; their member cells are sweep
-		// cells too.
+		// A fused unit's members are sweep cells too, also those of an
+		// experiment that lists an app twice (every job is a sweep).
 		t.sweepCell.Observe(tr.Run.Seconds())
 	}
 	if tr.Run >= t.slowJob {

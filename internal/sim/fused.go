@@ -60,14 +60,23 @@ func projectResult(full AppResult, off, n int) AppResult {
 		tl := &metrics.Timeline{
 			Interval:    full.Timeline.Interval,
 			FilterNames: append([]string(nil), full.Timeline.FilterNames[off:off+n]...),
-			Windows:     append([]metrics.Window(nil), full.Timeline.Windows...),
+			Windows:     make([]metrics.Window, len(full.Timeline.Windows)),
 		}
 		for i := range tl.Windows {
-			tl.Windows[i].Filters = append([]energy.FilterCounts(nil), full.Timeline.Windows[i].Filters[off:off+n]...)
+			tl.Windows[i] = windowColumns(&full.Timeline.Windows[i], off, n)
+			tl.Windows[i].Filters = append([]energy.FilterCounts(nil), tl.Windows[i].Filters...)
 		}
 		r.Timeline = tl
 	}
 	return r
+}
+
+// windowColumns returns w restricted to filter columns [off, off+n): a
+// shallow copy whose Filters reslices w's, so it borrows w's storage.
+func windowColumns(w *metrics.Window, off, n int) metrics.Window {
+	c := *w
+	c.Filters = w.Filters[off : off+n : off+n]
+	return c
 }
 
 // projectAll demuxes the wide result into one AppResult per bank, in

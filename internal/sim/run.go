@@ -50,14 +50,6 @@ func (in Input) Label() workload.Spec {
 	return in.Spec
 }
 
-// kind is the input's telemetry label for a single-member task.
-func (in Input) kind() string {
-	if in.Trace != nil {
-		return KindTrace
-	}
-	return KindWorkload
-}
-
 // Key returns the content address of running in on cfg, sampled at
 // interval (0 = unsampled): a SHA-256 over the canonical encoding of
 // the stream's identity (the generator spec, or the trace digest) and
@@ -137,7 +129,7 @@ func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 	var sm *metrics.Sampler
 	if plan.Sample.enabled() {
 		var err error
-		if sm, err = plan.Sample.newSampler(cfg, in.Total()); err != nil {
+		if sm, err = plan.Sample.newSampler(cfg, plan.Banks, in.Total()); err != nil {
 			return nil, err
 		}
 	}
@@ -237,20 +229,14 @@ type Member struct {
 // run attaches only the live members' banks, so canceled and
 // cache-satisfied members cost nothing.
 //
-// The task's Kind is KindFused for several members and the input's
-// kind (KindWorkload or KindTrace) for one; callers may relabel it
-// (sweep cells do) and set Origin and Tenant.
+// The caller labels the task (Kind, Origin, Tenant). A window streamed
+// through opt.OnWindow names its member by its index in members.
 func GroupTask(in Input, members []Member, opt SampleOptions) engine.GroupTask {
 	ms := make([]engine.GroupMember, len(members))
 	for i, m := range members {
 		ms[i] = engine.GroupMember{Key: m.Key, Total: in.Total()}
 	}
-	kind := in.kind()
-	if len(members) > 1 {
-		kind = KindFused
-	}
 	return engine.GroupTask{
-		Kind:    kind,
 		Members: ms,
 		Run: func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
 			banks := make([][]jetty.Config, len(live))
@@ -258,7 +244,11 @@ func GroupTask(in Input, members []Member, opt SampleOptions) engine.GroupTask {
 				banks[k] = members[i].Config.Filters
 			}
 			base := members[live[0]].Config.WithoutFilters()
-			results, err := Run(ctx, in, base, Plan{Banks: banks, Sample: opt}, report)
+			plan := Plan{Banks: banks, Sample: opt}
+			if opt.OnWindow != nil {
+				plan.Sample.OnWindow = func(k int, w *metrics.Window) { opt.OnWindow(live[k], w) }
+			}
+			results, err := Run(ctx, in, base, plan, report)
 			if err != nil {
 				return nil, err
 			}

@@ -167,13 +167,13 @@ func finishRun(sys *smp.System, sp workload.Spec, cfg smp.Config) (AppResult, er
 	return res, nil
 }
 
-// WindowEnergy returns the per-window baseline energy function for one
+// windowEnergy returns the per-window baseline energy function for one
 // machine: the breakdown every finished timeline's windows carry
 // (serial tag/data, 0.18 µm — the paper's energy-optimized L2; other
-// modes are derivable from the window counts). Streaming consumers that
-// see windows before the timeline is finished (the jettyd live feed)
-// apply it so live and retained windows are identical.
-func WindowEnergy(cfg smp.Config) func(*metrics.Window) energy.Breakdown {
+// modes are derivable from the window counts). Streamed windows
+// (SampleOptions.OnWindow) get it too, so live and retained windows are
+// identical.
+func windowEnergy(cfg smp.Config) func(*metrics.Window) energy.Breakdown {
 	org := L2EnergyOrg(cfg)
 	costs := energy.Tech180().Costs(org)
 	return func(w *metrics.Window) energy.Breakdown {
@@ -183,9 +183,9 @@ func WindowEnergy(cfg smp.Config) func(*metrics.Window) energy.Breakdown {
 
 // buildTimeline detaches the sampler's windows into a self-contained
 // Timeline: fresh slices (the sampler's arenas are reusable), the bank's
-// filter names, and each window's baseline energy split (WindowEnergy).
+// filter names, and each window's baseline energy split (windowEnergy).
 func buildTimeline(sm *metrics.Sampler, cfg smp.Config) *metrics.Timeline {
-	we := WindowEnergy(cfg)
+	we := windowEnergy(cfg)
 	wins := append([]metrics.Window(nil), sm.Windows()...)
 	for i := range wins {
 		wins[i].Filters = append([]energy.FilterCounts(nil), wins[i].Filters...)

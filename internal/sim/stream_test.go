@@ -39,7 +39,7 @@ func runAppSampled(t *testing.T, sp workload.Spec, cfg smp.Config, opt SampleOpt
 	t.Helper()
 	sys := smp.New(cfg)
 	defer sys.Close()
-	sm, err := opt.newSampler(cfg, sp.Accesses)
+	sm, err := opt.newSampler(cfg, nil, sp.Accesses)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,16 +24,22 @@
 // bank mode costs |filters|× less simulation.
 //
 // Every cell runs as a member of one engine group task (sim.GroupTask),
-// and scheduling fuses "each"-mode cells back onto shared passes: cells
-// that agree on everything but their filter group (same workload,
-// scale, seed, machine geometry) are planned into one group (plan.go)
-// whose single sim.Run replays the reference stream once with every
-// member's bank attached as concatenated observers. Each member's
-// result is demuxed out of the wide pass and cached under the member
-// cell's own content address, so fused results are bit-identical to
-// per-cell runs (TestSweepFusedMatchesPerCell) and fused and per-cell
-// sweeps interoperate through the engine cache. Spec.NoFuse makes every
-// cell a group of one: the per-cell reference side of that harness.
+// and fusion is the only schedule: cells that agree on everything but
+// their filter group (same workload, scale, seed, machine geometry) are
+// planned into one unit (plan.go) whose single sim.Run replays the
+// reference stream once with every member's bank attached as
+// concatenated observers; a cell with a stream of its own is a unit of
+// one. Each member's result is demuxed out of the wide pass and cached
+// under the member cell's own content address, so fused results are
+// bit-identical to runs of one cell each (TestSweepFusedMatchesPerCell
+// compares against one-filter specs) and every unit shape interoperates
+// through the engine cache. A sampled submission's window hook
+// (Submission.OnWindow) hears every executing member of every unit.
+//
+// Submit is the only way in and *Sweep the only handle: a cluster
+// worker runs one coordinator unit by selecting its expansion indices
+// (Submission.Cells) and returns the raw per-cell results
+// (Sweep.Results) instead of the folded aggregate (Sweep.Wait).
 //
 // Results fold into per-cell Metrics (coverage, the four Figure 6
 // energy-reduction numbers, snoop-miss fractions), grouped along any

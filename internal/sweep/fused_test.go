@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"jetty/internal/energy"
 	"jetty/internal/engine"
+	"jetty/internal/metrics"
 	"jetty/internal/sim"
 	"jetty/internal/workload"
 )
@@ -23,32 +25,95 @@ func fusedAxis() []string {
 	return []string{"EJ-32x4", "VEJ-32x4-8", "IJ-10x4x7", "HJ(IJ-9x4x7,EJ-32x4)"}
 }
 
-// runBothPaths runs spec through the fused scheduler and, on a SEPARATE
-// engine (so nothing is served from a shared cache), through the legacy
-// per-cell path, and returns both results.
+// runBothPaths runs spec through the planner and, for reference, cell
+// by cell (perCellReference), and returns both results.
 func runBothPaths(t *testing.T, spec Spec, traces TraceResolver) (fused, perCell *Result) {
 	t.Helper()
-	fusedSpec := spec
-	fusedSpec.NoFuse = false
-	legacySpec := spec
-	legacySpec.NoFuse = true
-
-	var err error
-	fused, err = Run(context.Background(), testEngine(t), fusedSpec, traces)
+	fused, err := Run(context.Background(), testEngine(t), spec, traces)
 	if err != nil {
 		t.Fatalf("fused path: %v", err)
 	}
-	perCell, err = Run(context.Background(), testEngine(t), legacySpec, traces)
-	if err != nil {
-		t.Fatalf("per-cell path: %v", err)
+	return fused, perCellReference(t, spec, traces)
+}
+
+// oneFilterSpecs splits spec's filter axis into one spec per filter.
+// Every cell of a one-filter spec is a unit of its own, and its key is
+// the key of spec's each-mode cell for that filter.
+func oneFilterSpecs(spec Spec) []Spec {
+	var out []Spec
+	for _, f := range spec.normalize().Filters {
+		one := spec
+		one.Filters = []string{f}
+		out = append(out, one)
 	}
-	return fused, perCell
+	return out
+}
+
+// perCellReference is the per-cell side of the fused differential: it
+// runs each of spec's one-filter specs on its own uncached engine, so
+// nothing is served from a shared cache, and folds spec's cells from
+// those passes. An each-mode cell takes its result by key; a bank-mode
+// cell concatenates its filters' columns (everything else in a result
+// is filter-independent).
+func perCellReference(t *testing.T, spec Spec, traces TraceResolver) *Result {
+	t.Helper()
+	byKey := map[string]sim.AppResult{}
+	for _, one := range oneFilterSpecs(spec) {
+		s, err := Submit(testEngine(t), one, traces, Submission{})
+		if err != nil {
+			t.Fatalf("per-cell path: %v", err)
+		}
+		if n := s.FusedGroups(); n != 0 {
+			t.Fatalf("one-filter spec scheduled %d fused groups, want 0", n)
+		}
+		results, err := s.Results(context.Background())
+		if err != nil {
+			t.Fatalf("per-cell path: %v", err)
+		}
+		for k, c := range s.Cells() {
+			byKey[c.Key] = results[k]
+		}
+	}
+	norm := spec.normalize()
+	cells, err := spec.Expand(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]sim.AppResult, len(cells))
+	for i, c := range cells {
+		for k, f := range c.cfg.Filters {
+			r, ok := byKey[sim.Key(c.in, c.cfg.WithFilters(f), norm.Interval)]
+			if !ok {
+				t.Fatalf("no one-filter run of cell %d's filter %s", c.Index, f.Name())
+			}
+			if k == 0 {
+				results[i] = r.Clone()
+				continue
+			}
+			results[i] = appendColumns(results[i], r)
+		}
+	}
+	return fold(norm, cells, results)
+}
+
+// appendColumns appends src's filter columns, aggregate and per-window,
+// to dst: the inverse of the fused projection.
+func appendColumns(dst, src sim.AppResult) sim.AppResult {
+	dst.FilterNames = append(dst.FilterNames, src.FilterNames...)
+	dst.FilterCounts = append(dst.FilterCounts, src.FilterCounts...)
+	dst.Coverage = append(dst.Coverage, src.Coverage...)
+	if tl := dst.Timeline; tl != nil {
+		tl.FilterNames = append(tl.FilterNames, src.Timeline.FilterNames...)
+		for w := range tl.Windows {
+			tl.Windows[w].Filters = append(tl.Windows[w].Filters, src.Timeline.Windows[w].Filters...)
+		}
+	}
+	return dst
 }
 
 // assertResultsIdentical compares everything a sweep result carries
-// except the spec itself (the two specs differ in the NoFuse flag by
-// construction): per-cell AppResults, flattened metrics, retained
-// timelines, and the GroupBy aggregation over every axis.
+// except the spec itself: per-cell AppResults, flattened metrics,
+// retained timelines, and the GroupBy aggregation over every axis.
 func assertResultsIdentical(t *testing.T, label string, fused, perCell *Result) {
 	t.Helper()
 	if len(fused.Cells) != len(perCell.Cells) {
@@ -79,8 +144,8 @@ func assertResultsIdentical(t *testing.T, label string, fused, perCell *Result) 
 // TestSweepFusedMatchesPerCell is the headline differential test: every
 // library workload (the Table 2 suite, the scenarios, and both phased
 // scenarios) crossed with the four-family filter axis in "each" mode
-// runs through the fused scheduler and the legacy per-cell path, and
-// every derived number — per-cell AppResults, metrics, sampled
+// runs through the fused scheduler and cell by cell from one-filter
+// specs, and every derived number — per-cell AppResults, metrics, sampled
 // timelines, grouped aggregates — must be bit-identical.
 func TestSweepFusedMatchesPerCell(t *testing.T) {
 	var names []string
@@ -168,10 +233,10 @@ func TestSweepFusedMatchesPerCellRandom(t *testing.T) {
 	}
 }
 
-// TestFusedCacheInterop pins the cache-key discipline across the two
-// schedulers: fused runs fill the same content-addressed entries as
-// per-cell runs, in both directions, and partially cached groups skip
-// the cached banks without perturbing the rest.
+// TestFusedCacheInterop pins the cache-key discipline across unit
+// shapes: fused runs fill the same content-addressed entries as the
+// one-filter specs' units of one, in both directions, and partially
+// cached groups skip the cached banks without perturbing the rest.
 func TestFusedCacheInterop(t *testing.T) {
 	spec := Spec{
 		Workloads:  []string{"Lu"},
@@ -179,8 +244,24 @@ func TestFusedCacheInterop(t *testing.T) {
 		FilterMode: ModeEach,
 		Scale:      0.02,
 	}
-	perCellSpec := spec
-	perCellSpec.NoFuse = true
+	// runOneFilter runs specs on eng and returns their cell and cache-hit
+	// totals.
+	runOneFilter := func(t *testing.T, eng *engine.Engine, specs []Spec) (cells, hits int) {
+		t.Helper()
+		for _, one := range specs {
+			s, err := Submit(eng, one, nil, Submission{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Status(false)
+			cells += st.Cells
+			hits += st.CacheHits
+		}
+		return cells, hits
+	}
 
 	t.Run("fused-then-per-cell", func(t *testing.T) {
 		eng := testEngine(t)
@@ -188,15 +269,8 @@ func TestFusedCacheInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		executed := eng.Stats().Executed
-		s, err := Submit(eng, perCellSpec, nil, Submission{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if st := s.Status(false); st.CacheHits != st.Cells {
-			t.Errorf("per-cell rerun after fused: %d/%d cache hits", st.CacheHits, st.Cells)
+		if cells, hits := runOneFilter(t, eng, oneFilterSpecs(spec)); hits != cells {
+			t.Errorf("per-cell rerun after fused: %d/%d cache hits", hits, cells)
 		}
 		if after := eng.Stats().Executed; after != executed {
 			t.Errorf("per-cell rerun recomputed %d cells after a fused sweep", after-executed)
@@ -205,9 +279,7 @@ func TestFusedCacheInterop(t *testing.T) {
 
 	t.Run("per-cell-then-fused", func(t *testing.T) {
 		eng := testEngine(t)
-		if _, err := Run(context.Background(), eng, perCellSpec, nil); err != nil {
-			t.Fatal(err)
-		}
+		runOneFilter(t, eng, oneFilterSpecs(spec))
 		executed := eng.Stats().Executed
 		s, err := Submit(eng, spec, nil, Submission{})
 		if err != nil {
@@ -226,12 +298,8 @@ func TestFusedCacheInterop(t *testing.T) {
 
 	t.Run("partial-cache", func(t *testing.T) {
 		eng := testEngine(t)
-		// Warm two of the four filter variants through the per-cell path.
-		warm := perCellSpec
-		warm.Filters = fusedAxis()[:2]
-		if _, err := Run(context.Background(), eng, warm, nil); err != nil {
-			t.Fatal(err)
-		}
+		// Warm two of the four filter variants as units of one.
+		runOneFilter(t, eng, oneFilterSpecs(spec)[:2])
 		executed := eng.Stats().Executed
 
 		s, err := Submit(eng, spec, nil, Submission{})
@@ -259,6 +327,76 @@ func TestFusedCacheInterop(t *testing.T) {
 			t.Error("partially cached fused sweep diverges from the cold run")
 		}
 	})
+}
+
+// TestOnWindowStreamsFusedUnits: a sampled each-mode sweep streams, for
+// every cell that executes for it, exactly the windows its retained
+// timeline holds (energy breakdown included) through
+// Submission.OnWindow, from fused units as from units of one. Cells
+// served from the cache or coalesced onto a sibling stream nothing:
+// the duplicate workload coalesces, and a pre-warmed filter makes the
+// fused pass carry a gap in its live members.
+func TestOnWindowStreamsFusedUnits(t *testing.T) {
+	spec := Spec{
+		Workloads:  []string{"Lu", "ch", "Lu"},
+		Filters:    fusedAxis(),
+		FilterMode: ModeEach,
+		Scale:      0.02,
+		Interval:   1024,
+		Timelines:  TimelinesAll,
+	}
+	eng := testEngine(t)
+	if _, err := Run(context.Background(), eng, oneFilterSpecs(spec)[1], nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	streamed := map[int][]metrics.Window{}
+	s, err := Submit(eng, spec, nil, Submission{OnWindow: func(cell int, w *metrics.Window) {
+		c := *w
+		c.Filters = append([]energy.FilterCounts(nil), w.Filters...)
+		mu.Lock()
+		streamed[cell] = append(streamed[cell], c)
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FusedGroups(); got != 2 {
+		t.Errorf("scheduled %d fused groups, want 2 (one per distinct workload)", got)
+	}
+	res, err := s.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Timelines) != len(res.Cells) {
+		t.Fatalf("%d timelines retained for %d cells", len(res.Timelines), len(res.Cells))
+	}
+	dispos := s.Dispositions()
+	mu.Lock()
+	defer mu.Unlock()
+	var executed int
+	for _, tl := range res.Timelines {
+		got := streamed[tl.Cell]
+		if dispos[tl.Cell] != engine.DispositionExecuted {
+			if len(got) != 0 {
+				t.Errorf("cell %d (%s) streamed %d windows", tl.Cell, dispos[tl.Cell], len(got))
+			}
+			continue
+		}
+		executed++
+		if len(got) == 0 || !reflect.DeepEqual(got, tl.Timeline.Windows) {
+			t.Errorf("cell %d streamed %d windows that differ from its %d retained ones",
+				tl.Cell, len(got), len(tl.Timeline.Windows))
+		} else if got[0].Energy == (energy.Breakdown{}) {
+			t.Errorf("cell %d streamed a window without its energy breakdown", tl.Cell)
+		}
+	}
+	// Lu and ch each execute three of their four filters; the duplicate
+	// Lu coalesces onto the first.
+	if executed != 6 {
+		t.Errorf("%d cells executed, want 6", executed)
+	}
 }
 
 // fusedRetireCollector is an OnRetire hook buffering traces by key.
@@ -428,8 +566,7 @@ func TestFusedGroupPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm := spec.normalize()
-	groups := planGroups(norm, cells)
+	groups := PlanUnits(cells)
 	// One group per (workload, machine, repeat); each holds the 3 filters.
 	if want := 2 * 2 * 2; len(groups) != want {
 		t.Fatalf("%d groups, want %d", len(groups), want)
@@ -458,22 +595,9 @@ func TestFusedGroupPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range planGroups(bank.normalize(), cells) {
+	for _, g := range PlanUnits(cells) {
 		if len(g) != 1 {
 			t.Errorf("bank-mode group %v not a singleton", g)
-		}
-	}
-
-	// NoFuse forces singletons regardless.
-	noFuse := norm
-	noFuse.NoFuse = true
-	cells, err = spec.Expand(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range planGroups(noFuse, cells) {
-		if len(g) != 1 {
-			t.Errorf("NoFuse group %v not a singleton", g)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestPartialMetricsWhileUnitPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(planGroups(s.spec, s.cells)) != 2 {
+	if len(PlanUnits(s.cells)) != 2 {
 		t.Fatal("want the spec planned as two units")
 	}
 

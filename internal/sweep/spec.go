@@ -129,12 +129,6 @@ type Spec struct {
 	// internal/metrics). Sampling never changes per-filter numbers; it
 	// adds a per-cell timeline whose retention Timelines controls.
 	Interval uint64 `json:"interval,omitempty"`
-	// NoFuse forces per-cell scheduling: every cell runs as its own
-	// engine task even when several cells could share one simulation
-	// pass (a filter-only axis in "each" mode). Results are bit-identical
-	// either way — the flag exists for A/B measurement and as an escape
-	// hatch, not for correctness.
-	NoFuse bool `json:"no_fuse,omitempty"`
 	// Timelines is the per-cell timeline retention policy, applied when
 	// folding a sampled sweep (Interval > 0):
 	//

@@ -10,15 +10,19 @@ import (
 	"jetty/internal/sim"
 )
 
-// Sweep is one submitted sweep: every cell scheduled on the engine, with
-// per-cell status observable while it runs. Build one with Submit.
+// Sweep is one submitted sweep, or the share of one that
+// Submission.Cells selects: its cells scheduled on the engine, with
+// per-cell status observable while they run. Build one with Submit.
 type Sweep struct {
-	CellSet
 	spec   Spec
 	tenant string
+	cells  []Cell // scheduled cells, in request order
+	jobs   []*engine.Job
+	fused  int
 }
 
-// Submission says who submitted a sweep and how its cells report.
+// Submission says who submitted a sweep, which of its cells run and
+// how they report.
 type Submission struct {
 	// Origin is a correlation token stamped onto every cell's engine task
 	// (jettyd passes the submitting HTTP request's ID), so cell telemetry
@@ -29,16 +33,22 @@ type Submission struct {
 	// and cell telemetry carries the tenant label. Empty means the
 	// default tenant.
 	Tenant string
-	// Kind is the engine task kind of cells that run as a group of one;
-	// empty means sim.KindSweep. jettyd's per-kind latency histograms
-	// tell sweep cells from experiment runs (sim.KindWorkload,
-	// sim.KindTrace) by it. Fused groups are always sim.KindFused.
+	// Kind is the engine task kind of units of one cell; empty means
+	// sim.KindSweep. jettyd's per-kind latency histograms tell sweep
+	// cells from experiment runs (sim.KindWorkload, sim.KindTrace) by
+	// it. Units of several cells are always sim.KindFused.
 	Kind string
+	// Cells, if non-nil, selects the expansion indices to run, strictly
+	// ascending; nil runs every cell. A cluster worker runs one
+	// coordinator unit this way. The selection replans fusion among its
+	// own cells, so cells sharing a reference stream still fuse when the
+	// coordinator split their siblings across other workers.
+	Cells []int
 	// OnWindow, if set, receives each timeline window of a sampled cell
-	// that runs as a group of one and executes for this submission,
-	// tagged with the cell's Index, on the simulation goroutine. Windows
-	// arrive exactly as the cell's retained timeline will hold them. The
-	// pointer is borrowed: copy or encode it before returning.
+	// that executes for this submission, tagged with the cell's Index, on
+	// the simulation goroutine. Windows arrive exactly as the cell's
+	// retained timeline will hold them. The pointer is borrowed: copy or
+	// encode it before returning.
 	OnWindow func(cell int, w *metrics.Window)
 	// Remote, if set, runs each planned unit somewhere else instead of
 	// simulating it here: a unit's engine run calls Remote with the cells
@@ -50,69 +60,76 @@ type Submission struct {
 	Remote func(ctx context.Context, unit []Cell) ([]sim.AppResult, error)
 }
 
-// Submit expands the spec and schedules every cell on the engine. Submission never blocks on the work itself; identical cells
-// (within this sweep, across sweeps, or against past runs) are
-// deduplicated by the engine's in-flight coalescing and result cache.
+// Submit expands the spec and schedules the selected cells on the
+// engine, one group task per planned unit (PlanUnits). Submission never
+// blocks on the work itself; identical cells (within this sweep, across
+// sweeps, or against past runs) are deduplicated by the engine's
+// in-flight coalescing and result cache.
 func Submit(eng *engine.Engine, spec Spec, traces TraceResolver, sub Submission) (*Sweep, error) {
 	cells, err := spec.Expand(traces)
 	if err != nil {
 		return nil, err
 	}
-	norm := spec.normalize()
-	return &Sweep{CellSet: schedule(eng, norm, cells, sub), spec: norm, tenant: sub.Tenant}, nil
-}
-
-// schedule submits cells on the engine, one group task per planned
-// group. Each group shares one reference stream (the planGroups
-// contract).
-func schedule(eng *engine.Engine, spec Spec, cells []Cell, sub Submission) CellSet {
-	cs := CellSet{cells: cells, jobs: make([]*engine.Job, len(cells))}
+	if sub.Cells != nil {
+		picked := make([]Cell, len(sub.Cells))
+		for k, i := range sub.Cells {
+			if i < 0 || i >= len(cells) {
+				return nil, fmt.Errorf("sweep: cell index %d out of range [0, %d)", i, len(cells))
+			}
+			if k > 0 && i <= sub.Cells[k-1] {
+				return nil, fmt.Errorf("sweep: cell indices must be strictly ascending")
+			}
+			picked[k] = cells[i]
+		}
+		cells = picked
+	}
+	s := &Sweep{spec: spec.normalize(), tenant: sub.Tenant, cells: cells, jobs: make([]*engine.Job, len(cells))}
 	kind := sub.Kind
 	if kind == "" {
 		kind = sim.KindSweep
 	}
-	for _, group := range planGroups(spec, cells) {
-		// Every cell in a group measures the same reference stream on the
+	for _, unit := range PlanUnits(cells) {
+		// Every cell in a unit measures the same reference stream on the
 		// same machine — only the observer bank differs — so the whole
-		// group runs as one simulation pass (see plan.go). Member keys are
+		// unit runs as one simulation pass (see plan.go). Member keys are
 		// the cells' own content addresses: the engine caches each member
-		// under the key a per-cell run would use, so fused and per-cell
-		// sweeps interoperate through the cache transparently.
-		members := make([]sim.Member, len(group))
-		for k, i := range group {
+		// under the key a run of that cell alone would use, so results
+		// interoperate through the cache whatever the unit shapes.
+		members := make([]sim.Member, len(unit))
+		for k, i := range unit {
 			members[k] = sim.Member{Key: cells[i].Key, Config: cells[i].cfg}
 		}
-		opt := sim.SampleOptions{Interval: spec.Interval}
-		if len(group) == 1 && sub.OnWindow != nil {
-			opt.OnWindow = cellWindows(cells[group[0]], sub.OnWindow)
+		opt := sim.SampleOptions{Interval: s.spec.Interval}
+		if sub.OnWindow != nil {
+			opt.OnWindow = func(m int, w *metrics.Window) { sub.OnWindow(cells[unit[m]].Index, w) }
 		}
-		g := sim.GroupTask(cells[group[0]].in, members, opt)
+		g := sim.GroupTask(cells[unit[0]].in, members, opt)
 		if sub.Remote != nil {
-			g.Run = remoteRun(sub.Remote, cells, group)
+			g.Run = remoteRun(sub.Remote, cells, unit)
 		}
-		if len(group) == 1 {
-			g.Kind = kind
-		} else {
-			cs.fused++
+		g.Kind = kind
+		if len(unit) > 1 {
+			g.Kind = sim.KindFused
+			s.fused++
 		}
 		g.Origin = sub.Origin
 		g.Tenant = sub.Tenant
 		for k, j := range eng.SubmitGroup(g) {
-			cs.jobs[group[k]] = j
+			s.jobs[unit[k]] = j
 		}
 	}
-	return cs
+	return s, nil
 }
 
-// remoteRun is a group's engine run that hands the group's live cells
-// to remote instead of simulating them.
-func remoteRun(remote func(context.Context, []Cell) ([]sim.AppResult, error), cells []Cell, group []int) func(context.Context, []int, func(uint64)) ([]any, error) {
+// remoteRun is a unit's engine run that hands the unit's live cells to
+// remote instead of simulating them.
+func remoteRun(remote func(context.Context, []Cell) ([]sim.AppResult, error), cells []Cell, unit []int) func(context.Context, []int, func(uint64)) ([]any, error) {
 	return func(ctx context.Context, live []int, _ func(uint64)) ([]any, error) {
-		unit := make([]Cell, len(live))
+		picked := make([]Cell, len(live))
 		for k, i := range live {
-			unit[k] = cells[group[i]]
+			picked[k] = cells[unit[i]]
 		}
-		results, err := remote(ctx, unit)
+		results, err := remote(ctx, picked)
 		if err != nil {
 			return nil, err
 		}
@@ -124,78 +141,18 @@ func remoteRun(remote func(context.Context, []Cell) ([]sim.AppResult, error), ce
 	}
 }
 
-// cellWindows adapts a per-cell window hook to one cell's sampler. It
-// attaches the energy breakdown the finished timeline's windows carry,
-// so streamed and retained windows are identical.
-func cellWindows(c Cell, hook func(int, *metrics.Window)) func(*metrics.Window) {
-	energy := sim.WindowEnergy(c.cfg)
-	return func(w *metrics.Window) {
-		w.Energy = energy(w)
-		hook(c.Index, w)
-	}
-}
-
-// CellSet is a scheduled set of a sweep's cells: a whole sweep's (the
-// job set behind Sweep) or a cluster worker's share of a distributed
-// sweep. A subset replans fusion among its own members (cells sharing a
-// reference stream still fuse even when the coordinator split their
-// siblings across other workers).
-type CellSet struct {
-	cells []Cell // scheduled cells, in request order
-	jobs  []*engine.Job
-	fused int
-}
-
-// SubmitCells expands spec and schedules only the cells at the given
-// expansion indices. Indices must be in range and strictly ascending
-// (the coordinator dispatches planned units, which are ascending by
-// construction). Identical cells dedup against the engine's cache and
-// in-flight work exactly like whole-sweep submission.
-func SubmitCells(eng *engine.Engine, spec Spec, traces TraceResolver, origin, tenant string, indices []int) (*CellSet, error) {
-	all, err := spec.Expand(traces)
-	if err != nil {
-		return nil, err
-	}
-	if len(indices) == 0 {
-		return nil, fmt.Errorf("sweep: no cell indices")
-	}
-	subset := make([]Cell, len(indices))
-	for k, i := range indices {
-		if i < 0 || i >= len(all) {
-			return nil, fmt.Errorf("sweep: cell index %d out of range [0, %d)", i, len(all))
-		}
-		if k > 0 && i <= indices[k-1] {
-			return nil, fmt.Errorf("sweep: cell indices must be strictly ascending")
-		}
-		subset[k] = all[i]
-	}
-	cs := schedule(eng, spec.normalize(), subset, Submission{Origin: origin, Tenant: tenant})
-	return &cs, nil
-}
-
 // Cells returns the scheduled cells in request order.
-func (cs *CellSet) Cells() []Cell { return cs.cells }
+func (s *Sweep) Cells() []Cell { return s.cells }
 
-// FusedGroups returns how many multi-cell fused group tasks the set
-// scheduled (0 when every cell ran individually).
-func (cs *CellSet) FusedGroups() int { return cs.fused }
-
-// Unfinished reports whether any cell is still queued or running (the
-// service's admission accounting; allocates nothing).
-func (cs *CellSet) Unfinished() bool {
-	for _, j := range cs.jobs {
-		if !j.State().Terminal() {
-			return true
-		}
-	}
-	return false
-}
+// FusedGroups returns how many multi-cell fused group tasks the sweep
+// scheduled (0 when every unit holds one cell).
+func (s *Sweep) FusedGroups() int { return s.fused }
 
 // UnfinishedCells counts cells still queued or running (the service's
-// per-tenant cell-quota accounting; allocates nothing).
-func (cs *CellSet) UnfinishedCells() int {
+// admission and per-tenant cell-quota accounting; allocates nothing).
+func (s *Sweep) UnfinishedCells() int {
 	n := 0
-	for _, j := range cs.jobs {
+	for _, j := range s.jobs {
 		if !j.State().Terminal() {
 			n++
 		}
@@ -205,34 +162,26 @@ func (cs *CellSet) UnfinishedCells() int {
 
 // Cancel withdraws every cell's handle. Cells shared with other
 // submitters keep running for them; exclusive cells stop.
-func (cs *CellSet) Cancel() {
-	for _, j := range cs.jobs {
+func (s *Sweep) Cancel() {
+	for _, j := range s.jobs {
 		j.Cancel()
 	}
 }
 
-// Wait blocks until every cell finishes and returns results aligned
-// with Cells(). On error (ctx expires or a cell fails) the remaining
-// handles are released.
-func (cs *CellSet) Wait(ctx context.Context) ([]sim.AppResult, error) {
-	results := make([]sim.AppResult, len(cs.jobs))
-	var firstErr error
-	for k, j := range cs.jobs {
-		if firstErr != nil {
-			j.Cancel()
-			continue
-		}
+// Results blocks until every cell finishes and returns the raw per-cell
+// results, aligned with Cells() (a cluster worker returns these). On
+// error (ctx expires or a cell fails) the remaining handles are
+// released.
+func (s *Sweep) Results(ctx context.Context) ([]sim.AppResult, error) {
+	results := make([]sim.AppResult, len(s.jobs))
+	for k, j := range s.jobs {
 		v, err := j.Wait(ctx)
 		if err != nil {
-			j.Cancel()
-			c := cs.cells[k]
-			firstErr = fmt.Errorf("sweep: cell %d (%s on %s): %w", c.Index, c.Workload, c.Machine, err)
-			continue
+			c := s.cells[k]
+			s.Cancel()
+			return nil, fmt.Errorf("sweep: cell %d (%s on %s): %w", c.Index, c.Workload, c.Machine, err)
 		}
 		results[k] = v.(sim.AppResult).Clone()
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return results, nil
 }
@@ -241,9 +190,9 @@ func (cs *CellSet) Wait(ctx context.Context) ([]sim.AppResult, error) {
 // "cache_hit", "coalesced"; empty while still running), aligned with
 // Cells(). A cluster worker reports these so the coordinator can tell
 // L1 cache hits from fresh computation.
-func (cs *CellSet) Dispositions() []string {
-	out := make([]string, len(cs.jobs))
-	for k, j := range cs.jobs {
+func (s *Sweep) Dispositions() []string {
+	out := make([]string, len(s.jobs))
+	for k, j := range s.jobs {
 		out[k] = j.Status().Disposition
 	}
 	return out
@@ -381,7 +330,7 @@ func durationMS(d time.Duration) float64 {
 // Wait blocks until every cell finishes (or ctx expires / a cell fails;
 // then the remaining handles are released) and folds the results.
 func (s *Sweep) Wait(ctx context.Context) (*Result, error) {
-	results, err := s.CellSet.Wait(ctx)
+	results, err := s.Results(ctx)
 	if err != nil {
 		return nil, err
 	}
