@@ -169,14 +169,8 @@ func runSweep(ctx context.Context, spec sweep.Spec, workers int, log io.Writer) 
 	}
 	fmt.Fprintln(log, msg)
 
-	done := make(chan struct{})
-	var res *sweep.Result
-	go func() {
-		defer close(done)
-		res, err = s.Wait(ctx)
-	}()
-	progress(ctx, s, done, log)
-	<-done
+	progress(ctx, s, log)
+	res, err := s.Wait(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -197,13 +191,13 @@ func fileTraceResolver(ref string) (sim.TraceInput, error) {
 	return sim.LoadTrace(ref, data)
 }
 
-// progress renders a one-line progress bar to log until done closes.
-func progress(ctx context.Context, s *sweep.Sweep, done <-chan struct{}, log io.Writer) {
+// progress renders a one-line progress bar to log until the sweep is done.
+func progress(ctx context.Context, s *sweep.Sweep, log io.Writer) {
 	tick := time.NewTicker(150 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {
-		case <-done:
+		case <-s.Done():
 			fmt.Fprint(log, "\r\033[K")
 			return
 		case <-ctx.Done():

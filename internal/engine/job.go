@@ -301,6 +301,10 @@ func (j *Job) Wait(ctx context.Context) (any, error) {
 	return j.exec.result, j.exec.err
 }
 
+// Done returns a channel that closes once the job's execution is
+// terminal (done, failed or canceled). Waiting on it cancels nothing.
+func (j *Job) Done() <-chan struct{} { return j.exec.finished }
+
 // Cancel withdraws this handle's interest. The underlying execution is
 // canceled once all of its handles have been canceled (or the engine is
 // closed). Cancel is idempotent and safe after completion.

@@ -18,12 +18,13 @@ import (
 // Events while the simulation runs. The stream source is a liveFeed fed
 // by the sweep's per-cell window hook (sweep.Submission.OnWindow) on the
 // engine worker, for every cell that executes for the experiment, in a
-// unit of one or a fused one. Subscribers that attach late, and cells
-// for which no hook fired (served from the result cache, coalesced onto
-// an identical run such as an app listed twice, or run on cluster
-// workers), are topped up from the retained timelines when the
-// experiment finishes, so every subscriber always sees the complete
-// window sequence exactly once.
+// unit of one or a fused one. A subscriber replays the buffered windows,
+// then waits on the next publish, the sweep's Done or its own request,
+// with no timer. On Done the feed is topped up from the retained
+// timelines for cells no hook fired for (served from the result cache,
+// coalesced onto an identical run such as an app listed twice, or run on
+// cluster workers), so every subscriber sees the complete window
+// sequence exactly once.
 
 // liveFeed accumulates pre-encoded windows per job and wakes subscribers
 // on every publish. The notify channel is replaced under the lock each
@@ -82,10 +83,9 @@ func (f *liveFeed) buffered() int {
 }
 
 // finish tops up windows no hook delivered (cache-hit cells ran before
-// this experiment attached, or a subscriber raced the last publishes)
-// from the cells' retained timelines, then marks the feed complete.
-// Idempotent; any SSE handler that observes the experiment terminal may
-// call it.
+// this experiment attached, or coalesced onto an identical run) from the
+// cells' retained timelines, then marks the feed complete. Idempotent;
+// every SSE handler calls it once the sweep's Done closes.
 func (f *liveFeed) finish(timelines []*metrics.Timeline) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -122,9 +122,8 @@ type liveEvent struct {
 }
 
 // next returns the events past the given per-job cursors (advancing
-// them), whether the feed is complete, and the channel to wait on for
-// more.
-func (f *liveFeed) next(cursors []int) (events []liveEvent, done bool, wait <-chan struct{}) {
+// them) and the channel to wait on for more.
+func (f *liveFeed) next(cursors []int) (events []liveEvent, wait <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := range f.wins {
@@ -137,7 +136,7 @@ func (f *liveFeed) next(cursors []int) (events []liveEvent, done bool, wait <-ch
 			})
 		}
 	}
-	return events, f.done, f.notify
+	return events, f.notify
 }
 
 // timelines returns a finished experiment's per-cell timelines, or nil
@@ -145,7 +144,7 @@ func (f *liveFeed) next(cursors []int) (events []liveEvent, done bool, wait <-ch
 // the subscriber's: a detaching subscriber's canceled request must not
 // race the finished channel into finishing the feed with nil timelines
 // (which would permanently truncate every later subscriber's stream).
-// Callers observe the job terminal first, so Wait returns at once.
+// Callers wait on the sweep's Done first, so Wait returns at once.
 func (j *job) timelines() []*metrics.Timeline {
 	res, err := j.sw.Wait(context.Background())
 	if err != nil {
@@ -192,12 +191,6 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// livePollPeriod bounds how long a live stream can go without
-// re-checking experiment state (terminal detection, client liveness):
-// window publishes wake it immediately, the ticker catches everything
-// else.
-const livePollPeriod = 100 * time.Millisecond
-
 // handleLive streams an experiment's windows as SSE:
 //
 //	event: window    data: {"app":..., "index":..., "window":{...}}
@@ -224,57 +217,43 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	s.tel.liveSubscribers.Add(1)
 	defer s.tel.liveSubscribers.Add(-1)
 
-	var cursors []int
-	if j.feed != nil {
-		cursors = make([]int, len(j.sw.Cells()))
-	}
-	ticker := time.NewTicker(livePollPeriod)
-	defer ticker.Stop()
-	for {
-		st := j.experimentStatus()
-		terminal := st.State == "done" || st.State == "failed" || st.State == "canceled"
-		var done bool
-		var wait <-chan struct{}
-		if j.feed != nil {
-			if terminal {
-				j.feed.finish(j.timelines())
-			}
-			var events []liveEvent
-			events, done, wait = j.feed.next(cursors)
-			for _, ev := range events {
-				raw, err := json.Marshal(ev)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(w, "event: window\ndata: %s\n\n", raw)
-				s.tel.windowsStreamed.Add(1)
-				s.tel.fanoutLag.Observe(time.Since(ev.published).Seconds())
-			}
-			if len(events) > 0 {
-				flusher.Flush()
-			}
-		} else {
-			done = terminal
+	// stream writes the windows past the cursors and returns the channel
+	// that closes on the next publish (nil, never ready, when unsampled).
+	cursors := make([]int, len(j.sw.Cells()))
+	stream := func() <-chan struct{} {
+		if j.feed == nil {
+			return nil
 		}
-		if done && terminal {
-			raw, _ := json.Marshal(st)
-			fmt.Fprintf(w, "event: done\ndata: %s\n\n", raw)
+		events, wait := j.feed.next(cursors)
+		for _, ev := range events {
+			raw, err := json.Marshal(ev)
+			if err != nil {
+				continue
+			}
+			fmt.Fprintf(w, "event: window\ndata: %s\n\n", raw)
+			s.tel.windowsStreamed.Add(1)
+			s.tel.fanoutLag.Observe(time.Since(ev.published).Seconds())
+		}
+		if len(events) > 0 {
 			flusher.Flush()
-			return
 		}
-		if wait == nil {
-			select {
-			case <-r.Context().Done():
-				return
-			case <-ticker.C:
-			}
-			continue
-		}
+		return wait
+	}
+	for {
+		wait := stream()
 		select {
 		case <-r.Context().Done():
 			return
 		case <-wait:
-		case <-ticker.C:
+		case <-j.sw.Done():
+			if j.feed != nil {
+				j.feed.finish(j.timelines())
+				stream()
+			}
+			raw, _ := json.Marshal(j.experimentStatus())
+			fmt.Fprintf(w, "event: done\ndata: %s\n\n", raw)
+			flusher.Flush()
+			return
 		}
 	}
 }

@@ -1,12 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"jetty/internal/sim"
 	"jetty/internal/sweep"
@@ -19,6 +19,11 @@ import (
 // same handle) and recompute only the cells whose results are not
 // already in the store — the engine probes the store as an L3 under its
 // LRU, so a sweep killed at 60% resumes at 60%, not from scratch.
+//
+// The journal mirrors the registry: an entry is written when a job is
+// registered and deleted when it leaves (canceled, evicted, or not
+// submittable at boot), so a restart restores exactly the jobs the
+// registry held, finished ones included.
 
 // Journal job kinds.
 const (
@@ -40,40 +45,23 @@ type jobJournal struct {
 
 // persistJob journals an accepted submission. Persistence failures are
 // logged, not surfaced: the job still runs this boot; it just won't
-// survive a crash.
-func (s *Server) persistJob(j jobJournal) {
-	data, err := json.Marshal(j)
+// survive a crash. The journal mirrors the registry, and the entry is
+// written outside the registry lock, so a job that left the registry
+// meanwhile (evicted or canceled) has its entry deleted again here.
+func (s *Server) persistJob(jb *job, rec jobJournal) {
+	data, err := json.Marshal(rec)
 	if err == nil {
-		err = s.store.PutJob(j.ID, data)
+		err = s.store.PutJob(rec.ID, data)
 	}
 	if err != nil {
-		s.tel.log.Warn("job journal persist failed", "id", j.ID, "err", err)
+		s.tel.log.Warn("job journal persist failed", "id", rec.ID, "err", err)
 	}
+	s.mu.Lock()
+	if s.jobs[rec.ID] != jb {
+		s.store.DeleteJob(rec.ID)
+	}
+	s.mu.Unlock()
 }
-
-// watch retires a journaled job's record once it completes. It polls
-// rather than calling Wait: sweep.Sweep.Wait cancels the remaining cells
-// on first error, and a watcher must never cancel work. Canceled and
-// failed jobs keep their journal entry, so a job interrupted by shutdown
-// (its cells die Canceled) is resubmitted at next boot. It sleeps before
-// its first check, so even a job that finished before it was journaled
-// keeps its entry for one poll: a restart in that window resumes the job
-// under its ID, from the stored cells, instead of forgetting the ID.
-func (s *Server) watch(j *job) {
-	time.Sleep(watchPoll)
-	for j.sw.UnfinishedCells() > 0 {
-		time.Sleep(watchPoll)
-	}
-	if j.sw.Status(false).State == "done" {
-		s.store.DeleteJob(j.id)
-	}
-}
-
-// watchPoll is the journal watchers' completion-poll interval: coarse on
-// purpose — a journal entry outliving its job by half a second only
-// means a crash in that window replays a job whose cells are already on
-// disk, which the store tier resolves without recomputation.
-const watchPoll = 500 * time.Millisecond
 
 // restore replays the durable state at boot: traces first (journaled
 // jobs may replay them), then every journaled job, oldest first so
@@ -108,7 +96,12 @@ func (s *Server) restore() {
 	for id := range jobs {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	// Submission order, across both families: the registry evicts in
+	// this order, so a string sort (every exp- before every swp-) would
+	// forget the newer job first.
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(idSeq(a), idSeq(b)), strings.Compare(a, b))
+	})
 	for _, id := range ids {
 		// Advance the ID sequence past every journaled ID — discarded
 		// ones included: a client may have seen the ID, so a new
@@ -126,9 +119,8 @@ func (s *Server) restore() {
 		if err == nil {
 			cells, err = spec.Expand(s.traceLocked)
 		}
-		var jb *job
 		if err == nil {
-			jb, err = s.startLocked(j.ID, spec, req, cells, j.Origin, j.Tenant)
+			_, err = s.startLocked(j.ID, spec, req, cells, j.Origin, j.Tenant)
 		}
 		s.mu.Unlock()
 		if err != nil {
@@ -137,19 +129,22 @@ func (s *Server) restore() {
 			continue
 		}
 		s.tel.log.Info("resumed job from journal", "id", id, "kind", j.Kind, "tenant", j.Tenant)
-		go s.watch(jb)
 	}
+}
+
+// idSeq returns the sequence number of an exp-/swp-NNNNNN job ID (the
+// digits after its last '-'), or -1 if there is none.
+func idSeq(id string) int {
+	n, err := strconv.Atoi(id[strings.LastIndexByte(id, '-')+1:])
+	if err != nil {
+		return -1
+	}
+	return n
 }
 
 // noteSeq advances the ID sequence past a restored job's number so new
 // submissions never collide with replayed IDs.
-func (s *Server) noteSeq(id string) {
-	if i := strings.LastIndexByte(id, '-'); i >= 0 {
-		if n, err := strconv.Atoi(id[i+1:]); err == nil && n > s.seq {
-			s.seq = n
-		}
-	}
-}
+func (s *Server) noteSeq(id string) { s.seq = max(s.seq, idSeq(id)) }
 
 // submission recovers what a journal record submitted: a sweep's spec
 // as journaled, or an experiment's request with the sweep it translates

@@ -2,9 +2,11 @@ package service
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -128,15 +130,23 @@ func TestRestartResumesSweep(t *testing.T) {
 		t.Errorf("Executed = %d after restart, want <= %d (persisted cells must not recompute)", est.Executed, max)
 	}
 
-	// The finished sweep's journal entry is retired (poll: the watcher
-	// notices completion within its poll interval).
-	deadline = time.Now().Add(10 * time.Second)
-	for len(st.Jobs()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("journal still holds %d entries after completion", len(st.Jobs()))
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The journal mirrors the registry: the finished sweep is still
+	// registered, so its entry stays.
+	if got := journalIDs(st); !slices.Equal(got, []string{st1.ID}) {
+		t.Fatalf("journal holds %v after completion, want [%s] (the registered sweep)", got, st1.ID)
 	}
+}
+
+// journalIDs returns the store's journaled job IDs, sorted.
+func journalIDs(st *store.Store) []string {
+	return slices.Sorted(maps.Keys(st.Jobs()))
+}
+
+// registryIDs returns the server's registered job IDs, sorted.
+func registryIDs(s *Server) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Sorted(slices.Values(s.order))
 }
 
 // TestRestartRestoresTracesAndExperiments: uploaded traces and journaled
@@ -175,6 +185,9 @@ func TestRestartRestoresTracesAndExperiments(t *testing.T) {
 	fin := waitDone(t, ts2.URL, exp.ID)
 	if fin.State != "done" {
 		t.Fatalf("restored experiment state %q, want done", fin.State)
+	}
+	if got := journalIDs(s2.store); !slices.Equal(got, []string{exp.ID}) {
+		t.Fatalf("journal holds %v once the experiment is done, want [%s]", got, exp.ID)
 	}
 }
 
@@ -223,12 +236,9 @@ func TestRestoreDiscardsTornJournal(t *testing.T) {
 			t.Errorf("torn journal %s restored (code %d), want 404", id, code)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(st.Jobs()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("store still journals %d jobs; torn entries not discarded", len(st.Jobs()))
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The torn entries are gone; the valid one stays while registered.
+	if got := journalIDs(st); !slices.Equal(got, []string{"swp-000001"}) {
+		t.Fatalf("store journals %v, want [swp-000001]", got)
 	}
 
 	// New submissions must not collide with the restored ID space.
@@ -282,4 +292,130 @@ func TestRestoreExperimentJournalRecord(t *testing.T) {
 	if !reflect.DeepEqual(restored, live) || len(restored.Results) != 2 {
 		t.Error("restored experiment's result differs from a live submission's")
 	}
+}
+
+// TestJournalMirrorsRegistry: the journal holds exactly the jobs the
+// registry holds, at every submission's return, with no wait. A restart
+// brings the retained finished job back under its ID, served from the
+// stored cells without executing, and the evicted ID stays forgotten.
+func TestJournalMirrorsRegistry(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newDurableServer(t, dir, Options{Workers: 2, MaxRetained: 1})
+
+	var sw SweepStatus
+	if code := doJSON(t, "POST", ts1.URL+"/v1/sweeps",
+		sweep.Spec{Name: "first", Workloads: []string{"Lu"}, Filters: []string{"EJ-16x2"}, Scale: 0.02}, &sw); code != http.StatusAccepted {
+		t.Fatalf("sweep submit code %d", code)
+	}
+	if got, want := journalIDs(s1.store), registryIDs(s1); !slices.Equal(got, want) {
+		t.Fatalf("after the sweep's submission the journal holds %v, the registry %v", got, want)
+	}
+	waitSweepDone(t, ts1.URL, sw.ID)
+
+	var exp ExperimentStatus
+	if code := doJSON(t, "POST", ts1.URL+"/v1/experiments",
+		SubmitRequest{Apps: []string{"ch"}, Scale: 0.02, Filters: []string{"EJ-32x4"}}, &exp); code != http.StatusAccepted {
+		t.Fatalf("experiment submit code %d", code)
+	}
+	if got, want := journalIDs(s1.store), registryIDs(s1); !slices.Equal(got, want) || !slices.Equal(got, []string{exp.ID}) {
+		t.Fatalf("after the experiment's submission the journal holds %v, the registry %v; want [%s] (the finished sweep evicted)",
+			got, want, exp.ID)
+	}
+	if fin := waitDone(t, ts1.URL, exp.ID); fin.State != "done" {
+		t.Fatalf("experiment ended %s", fin.State)
+	}
+	var before ExperimentResult
+	if code := doJSON(t, "GET", ts1.URL+"/v1/experiments/"+exp.ID+"/result", nil, &before); code != http.StatusOK {
+		t.Fatalf("result code %d", code)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := newDurableServer(t, dir, Options{Workers: 2, MaxRetained: 1})
+	defer func() {
+		ts2.Close()
+		s2.Close()
+	}()
+	if fin := waitDone(t, ts2.URL, exp.ID); fin.State != "done" {
+		t.Fatalf("restored experiment ended %s", fin.State)
+	}
+	var after ExperimentResult
+	if code := doJSON(t, "GET", ts2.URL+"/v1/experiments/"+exp.ID+"/result", nil, &after); code != http.StatusOK {
+		t.Fatalf("restored result code %d", code)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Error("the restored experiment's result differs from the one served before the restart")
+	}
+	if n := s2.eng.Stats().Executed; n != 0 {
+		t.Errorf("restart executed %d cells, want 0 (every cell is stored)", n)
+	}
+	if code := doJSON(t, "GET", ts2.URL+"/v1/sweeps/"+sw.ID, nil, nil); code != http.StatusNotFound {
+		t.Errorf("evicted sweep %s answers %d after the restart, want 404", sw.ID, code)
+	}
+}
+
+// TestRestoreKeepsSubmissionOrder: journaled jobs come back in the order
+// they were submitted, across both endpoint families and past six
+// digits, so the registry evicts the older one first.
+func TestRestoreKeepsSubmissionOrder(t *testing.T) {
+	for _, tc := range []struct{ older, newer string }{
+		{"swp-000001", "exp-000002"},
+		{"swp-999999", "swp-1000000"},
+	} {
+		t.Run(tc.older+"<"+tc.newer, func(t *testing.T) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []string{tc.older, tc.newer} {
+				rec := jobJournal{ID: id, Kind: jobKindSweep,
+					Spec: &sweep.Spec{Workloads: []string{"Lu"}, Filters: []string{"EJ-16x2"}, Scale: 0.02}}
+				if jobPath(id) == "/v1/experiments/" {
+					rec = jobJournal{ID: id, Kind: jobKindExperiment,
+						Request: &SubmitRequest{Apps: []string{"Lu"}, Scale: 0.02, Filters: []string{"EJ-16x2"}}}
+				}
+				data, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.PutJob(id, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := New(Options{Workers: 1, Store: st, MaxRetained: 2})
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				s.Close()
+			}()
+			for _, id := range []string{tc.older, tc.newer} {
+				s.mu.Lock()
+				j := s.jobs[id]
+				s.mu.Unlock()
+				<-j.sw.Done()
+			}
+			var next SweepStatus
+			if code := doJSON(t, "POST", ts.URL+"/v1/sweeps",
+				sweep.Spec{Workloads: []string{"ch"}, Filters: []string{"EJ-16x2"}, Scale: 0.02}, &next); code != http.StatusAccepted {
+				t.Fatalf("submit code %d", code)
+			}
+			if code := doJSON(t, "GET", ts.URL+jobPath(tc.older)+tc.older, nil, nil); code != http.StatusNotFound {
+				t.Errorf("older job %s answers %d, want 404 (evicted first)", tc.older, code)
+			}
+			if code := doJSON(t, "GET", ts.URL+jobPath(tc.newer)+tc.newer, nil, nil); code != http.StatusOK {
+				t.Errorf("newer job %s answers %d, want 200 (retained)", tc.newer, code)
+			}
+			if got, want := journalIDs(st), registryIDs(s); !slices.Equal(got, want) {
+				t.Errorf("journal holds %v, the registry %v", got, want)
+			}
+		})
+	}
+}
+
+// jobPath is the endpoint family prefix that serves a job ID.
+func jobPath(id string) string {
+	if id[:3] == "exp" {
+		return "/v1/experiments/"
+	}
+	return "/v1/sweeps/"
 }

@@ -112,8 +112,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, spec sweep.Spec,
 		if req != nil {
 			rec = jobJournal{ID: j.id, Kind: jobKindExperiment, Tenant: tenant, Origin: origin, Request: req}
 		}
-		s.persistJob(rec)
-		go s.watch(j)
+		s.persistJob(j, rec)
 	}
 	return j
 }
@@ -168,9 +167,9 @@ func (s *Server) traceLocked(digest string) (sim.TraceInput, error) {
 	return t.TraceInput, nil
 }
 
-// evictLocked drops the oldest finished jobs until the registry is
-// within maxRetained, releasing the results their cells pin. Unfinished
-// jobs are never evicted (the admission cap bounds those).
+// evictLocked drops the oldest finished jobs and their journal entries
+// until the registry is within maxRetained. Unfinished jobs are never
+// evicted (the admission cap bounds those).
 func (s *Server) evictLocked() {
 	if len(s.order) <= s.maxRetained {
 		return
@@ -182,6 +181,9 @@ func (s *Server) evictLocked() {
 		if excess > 0 && j.sw.UnfinishedCells() == 0 {
 			delete(s.jobs, id)
 			j.sw.Cancel() // no-op on finished cells; releases the handles
+			if s.store != nil {
+				s.store.DeleteJob(id)
+			}
 			s.tel.evicted.Add(1)
 			excess--
 			continue

@@ -245,7 +245,7 @@ func newTelemetry(log *slog.Logger, slowJob time.Duration, clustered, persistent
 		t.storeTraces = reg.NewGauge("jettyd_store_traces",
 			"Uploaded traces resident in the durable store.")
 		t.storePendingJobs = reg.NewGauge("jettyd_store_pending_jobs",
-			"Journaled submissions not yet finished (replayed at next boot).")
+			"Journaled jobs: those the registry holds (replayed at next boot).")
 		t.storeHits = reg.NewCounter("jettyd_store_hits_total",
 			"Reads served from the durable store.")
 		t.storeWrites = reg.NewCounter("jettyd_store_writes_total",

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -57,6 +58,35 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if string(data2) != string(data) {
 		t.Fatalf("re-encode not byte-identical")
 	}
+}
+
+// FuzzDecodeResult drives DecodeResult, which reads every stored cell
+// back at boot. No input may panic, and an accepted input is a fixed
+// point of decode→encode→decode: the re-decoded result is DeepEqual to
+// the first and encodes to the same bytes. The seed corpus under
+// testdata/fuzz/FuzzDecodeResult is EncodeResult of a small Lu run,
+// with and without a timeline.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeResult(r)
+		if err != nil {
+			t.Fatalf("a decoded result does not encode: %v", err)
+		}
+		back, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("an encoded result does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("decode→encode→decode diverged:\n got  %+v\n want %+v", back, r)
+		}
+		if again, _ := EncodeResult(back); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encode not byte-identical:\n%s\n%s", again, enc)
+		}
+	})
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {

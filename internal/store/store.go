@@ -80,7 +80,7 @@ type TraceEntry struct {
 type Stats struct {
 	Results     int    // result entries on disk
 	Traces      int    // trace entries on disk
-	PendingJobs int    // journaled unfinished jobs
+	PendingJobs int    // journaled jobs: those the registry holds
 	Hits        uint64 // GetResult calls served from disk
 	Writes      uint64 // successful atomic writes (all kinds)
 	Errors      uint64 // failed writes/deletes and discarded corrupt entries
@@ -400,14 +400,14 @@ func (s *Store) Traces() []TraceEntry {
 }
 
 // PutJob journals one admitted job (experiment or sweep) under its id.
-// The entry lives until the job finishes successfully or is explicitly
-// canceled; a daemon that boots with entries still present re-admits
-// and resumes them.
+// The entry lives as long as the job stays in the daemon's registry; a
+// daemon that boots with entries present re-admits them, resuming the
+// unfinished ones.
 func (s *Store) PutJob(id string, data []byte) error {
 	return s.put(filepath.Join(s.dir, jobsDir, id+jobExt), id, data, s.jobs)
 }
 
-// DeleteJob removes a journal entry (job finished or canceled).
+// DeleteJob removes a journal entry (its job left the registry).
 func (s *Store) DeleteJob(id string) error {
 	if !validName(id) {
 		return fmt.Errorf("store: invalid name %q", id)

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"jetty/internal/engine"
@@ -19,6 +20,9 @@ type Sweep struct {
 	cells  []Cell // scheduled cells, in request order
 	jobs   []*engine.Job
 	fused  int
+
+	doneOnce sync.Once
+	done     chan struct{}
 }
 
 // Submission says who submitted a sweep, which of its cells run and
@@ -158,6 +162,26 @@ func (s *Sweep) UnfinishedCells() int {
 		}
 	}
 	return n
+}
+
+// Done returns a channel that closes once every cell is terminal (done,
+// failed or canceled); the first call on a finished sweep returns it
+// closed. Unlike Wait and Results, it cancels nothing.
+func (s *Sweep) Done() <-chan struct{} {
+	s.doneOnce.Do(func() {
+		s.done = make(chan struct{})
+		if s.UnfinishedCells() == 0 {
+			close(s.done)
+			return
+		}
+		go func() {
+			for _, j := range s.jobs {
+				<-j.Done()
+			}
+			close(s.done)
+		}()
+	})
+	return s.done
 }
 
 // Cancel withdraws every cell's handle. Cells shared with other

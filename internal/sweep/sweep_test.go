@@ -471,6 +471,93 @@ func TestSweepCancel(t *testing.T) {
 	}
 }
 
+// TestSweepDone: Done closes once every cell is terminal, whether the
+// sweep finished done, failed or canceled, and waiting on it cancels no
+// cell: a failed unit leaves its sibling running to completion.
+func TestSweepDone(t *testing.T) {
+	small := Spec{Workloads: []string{"Lu", "ch"}, Filters: []string{"EJ-32x4", "EJ-16x2"}, FilterMode: ModeEach, Scale: 0.02}
+
+	t.Run("done", func(t *testing.T) {
+		s, err := Submit(testEngine(t), small, nil, Submission{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-s.Done()
+		if s.Done() != s.Done() {
+			t.Error("Done returns a different channel on each call")
+		}
+		if st := s.Status(false); st.State != "done" || st.Finished != len(s.cells) {
+			t.Errorf("after Done: state %s with %d/%d cells finished", st.State, st.Finished, len(s.cells))
+		}
+	})
+
+	t.Run("failed", func(t *testing.T) {
+		release := make(chan struct{})
+		remote := func(ctx context.Context, unit []Cell) ([]sim.AppResult, error) {
+			if unit[0].Index == 0 {
+				return nil, fmt.Errorf("unit lost")
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return runUnit(ctx, small, unit)
+		}
+		s, err := Submit(testEngine(t), small, nil, Submission{Remote: remote})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-s.jobs[0].Done()
+		select {
+		case <-s.Done():
+			t.Fatal("Done closed while a unit was still pending")
+		default:
+		}
+		close(release)
+		<-s.Done()
+		if st := s.Status(false); st.State != "failed" {
+			t.Errorf("state %s, want failed", st.State)
+		}
+		for k, j := range s.jobs {
+			if s.cells[k].Workload != s.cells[0].Workload && j.State() != engine.Done {
+				t.Errorf("cell %d of the pending unit ended %s, want done", k, j.State())
+			}
+		}
+	})
+
+	t.Run("canceled", func(t *testing.T) {
+		s, err := Submit(testEngine(t), Spec{Workloads: []string{"Fmm"}, Filters: []string{"EJ-8x2"}, Scale: 100}, nil, Submission{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Cancel()
+		<-s.Done()
+		if st := s.Status(false); st.State != "canceled" {
+			t.Errorf("state %s, want canceled", st.State)
+		}
+	})
+
+	t.Run("cached", func(t *testing.T) {
+		eng := testEngine(t)
+		if _, err := Run(t.Context(), eng, small, nil); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Submit(eng, small, nil, Submission{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Results(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-s.Done():
+		default:
+			t.Error("Done not closed after Results on a sweep served from cache")
+		}
+	})
+}
+
 func TestRenderers(t *testing.T) {
 	res, err := Run(context.Background(), testEngine(t), Spec{
 		Workloads: []string{"Lu", "ch"},
