@@ -404,13 +404,26 @@ func BenchmarkSweepFused(b *testing.B) {
 			freshSeed++
 			in := sim.Input{Spec: sp}
 			in.Spec.Seed += freshSeed
-			members := make([]sim.Member, len(axis))
-			for k, name := range axis {
-				cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(name))
-				members[k] = sim.Member{Key: sim.Key(in, cfg, 0), Config: cfg}
+			base := smp.PaperConfig(4)
+			g := engine.GroupTask{Kind: sweep.KindFused}
+			for _, name := range axis {
+				cfg := base.WithFilters(jetty.MustParse(name))
+				g.Members = append(g.Members, engine.GroupMember{Key: sim.Key(in, cfg, 0), Total: in.Total()})
+			}
+			g.Run = func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
+				plan := sim.Plan{Banks: make([][]jetty.Config, len(live))}
+				for k, i := range live {
+					plan.Banks[k] = []jetty.Config{jetty.MustParse(axis[i])}
+				}
+				results, err := sim.Run(ctx, in, base, plan, report)
+				out := make([]any, len(results))
+				for k, r := range results {
+					out[k] = r
+				}
+				return out, err
 			}
 			eng := engine.New(engine.Options{CacheEntries: -1})
-			for _, j := range eng.SubmitGroup(sim.GroupTask(in, members, sim.SampleOptions{})) {
+			for _, j := range eng.SubmitGroup(g) {
 				if _, err := j.Wait(context.Background()); err != nil {
 					b.Fatal(err)
 				}

@@ -49,8 +49,9 @@ type CellOutcome struct {
 	// matches results by digest without trusting index bookkeeping.
 	Key string `json:"key"`
 	// Disposition is the worker engine's verdict: "executed" for a fresh
-	// computation, "cache_hit" for an L1 hit, "coalesced" for a ride on
-	// an identical in-flight run.
+	// computation, "cache_hit" for an L1 hit, "store_hit" for a result
+	// served from the worker's persistent store, "coalesced" for a ride
+	// on an identical in-flight run.
 	Disposition string `json:"disposition,omitempty"`
 	// Result is the cell's measurement.
 	Result sim.AppResult `json:"result"`

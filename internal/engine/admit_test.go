@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestClosedEngineCountsEverySubmission: both entry points share one
-// admission rule, so every member submission counts in Stats.Submitted
-// whether or not the engine still accepts work.
+// TestClosedEngineCountsEverySubmission: groups of one and of many
+// share one admission rule, so every member submission counts in
+// Stats.Submitted whether or not the engine still accepts work.
 func TestClosedEngineCountsEverySubmission(t *testing.T) {
 	e := New(Options{Workers: 1})
 	e.Close()
 
-	if _, err := e.Submit(value("late", 1)).Wait(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit err = %v, want ErrClosed", err)
+	if _, err := submit(e, value("late", 1)).Wait(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("group of one err = %v, want ErrClosed", err)
 	}
 	for _, j := range e.SubmitGroup(groupOf("late-group", 3, 0, nil, nil)) {
 		if _, err := j.Wait(context.Background()); !errors.Is(err, ErrClosed) {
@@ -26,13 +26,13 @@ func TestClosedEngineCountsEverySubmission(t *testing.T) {
 	}
 }
 
-// TestSubmitIsNotAFusedGroup: a plain task runs as a group of one but
-// never counts as a fused group.
+// TestSubmitIsNotAFusedGroup: a group of one never counts as a fused
+// group.
 func TestSubmitIsNotAFusedGroup(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
 
-	if _, err := e.Submit(value("plain", 1)).Wait(context.Background()); err != nil {
+	if _, err := submit(e, value("plain", 1)).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.FusedGroups != 0 || st.Executed != 1 || st.Submitted != 1 {

@@ -26,13 +26,10 @@ func (c *countingCache) submit(key string) bool {
 		n = new(atomic.Int32)
 		c.runs[key] = n
 	}
-	j := c.e.Submit(Task{
-		Key: key,
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			n.Add(1)
-			return key, nil
-		},
-	})
+	j := submit(c.e, one(key, func(ctx context.Context, report func(uint64)) (any, error) {
+		n.Add(1)
+		return key, nil
+	}))
 	res, err := j.Wait(context.Background())
 	if err != nil || res.(string) != key {
 		c.t.Fatalf("submit(%s) = %v, %v", key, res, err)

@@ -4,11 +4,11 @@
 //
 // # Group tasks and content addressing
 //
-// The unit of work is a GroupTask: one computation producing one or
-// more member results, each identified by a content address (the Key):
-// two members with the same key MUST compute the same result. A plain
-// Task is a group of one (Submit wraps it), so admission (SubmitGroup)
-// and execution (runGroup) exist exactly once. The engine exploits the
+// The only unit of work is a GroupTask: one computation producing one
+// or more member results, each identified by a content address (the
+// Key): two members with the same key MUST compute the same result. A
+// single computation is a group of one, so admission (SubmitGroup) and
+// execution (runGroup) exist exactly once. The engine exploits the
 // key contract per member in three ways. Finished results are kept in
 // an LRU cache so repeated submissions are served without re-running;
 // identical in-flight submissions are deduplicated onto one execution
@@ -22,7 +22,7 @@
 // byte-identical trace files to jettyd share one execution and one
 // cached result.
 //
-// Kind, Origin and Tenant label a task for the fair-share queue and for
+// Kind, Origin and Tenant label a group for the fair-share queue and for
 // telemetry (Status, retire traces). They are not part of the content
 // address, and the engine does not hand them to the run: a run that
 // needs its submitter's identity, such as a cluster coordinator's

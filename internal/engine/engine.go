@@ -16,11 +16,11 @@ import (
 // disposition with zero durations (they did no queueing or running of
 // their own).
 type TaskTrace struct {
-	Kind        string // Task.Kind ("" when the submitter set none)
+	Kind        string // GroupTask.Kind ("" when the submitter set none)
 	Key         string // content address
-	Origin      string // Task.Origin of the execution's first submitter
-	Tenant      string // Task.Tenant of the execution's first submitter
-	Disposition string // DispositionExecuted | DispositionCacheHit | DispositionCoalesced
+	Origin      string // GroupTask.Origin of the execution's first submitter
+	Tenant      string // GroupTask.Tenant of the execution's first submitter
+	Disposition string // DispositionExecuted | DispositionCacheHit | DispositionStoreHit | DispositionCoalesced
 	State       State  // terminal state (Done/Failed/Canceled); Queued for coalesced notifications
 	QueueWait   time.Duration
 	Run         time.Duration
@@ -62,7 +62,7 @@ const DefaultCacheEntries = 256
 // Stats is a snapshot of the engine's lifetime counters plus the
 // instantaneous saturation gauges a scheduler or scrape wants.
 type Stats struct {
-	Submitted uint64 // member submissions (one per Submit, one per GroupTask member)
+	Submitted uint64 // member submissions (one per GroupTask member)
 	Executed  uint64 // tasks actually run by a worker
 	CacheHits uint64 // submissions served from the finished-result cache
 	Coalesced uint64 // submissions attached to an identical in-flight run
@@ -140,21 +140,6 @@ func New(opts Options) *Engine {
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// Submit schedules a task and returns a handle observing it: the task
-// is admitted and run as a group of one (see SubmitGroup), so it is
-// served from the cache, coalesced onto an identical in-flight
-// execution, or queued, exactly like a group member.
-func (e *Engine) Submit(t Task) *Job {
-	return e.SubmitGroup(GroupTask{
-		Kind: t.Kind, Origin: t.Origin, Tenant: t.Tenant,
-		Members: []GroupMember{{Key: t.Key, Total: t.Total}},
-		Run: func(ctx context.Context, _ []int, report func(uint64)) ([]any, error) {
-			res, err := t.Run(ctx, report)
-			return []any{res}, err
-		},
-	})[0]
-}
 
 // retire delivers one telemetry record to the OnRetire hook, if any.
 // Never called with engine locks held.

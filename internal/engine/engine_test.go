@@ -10,21 +10,33 @@ import (
 	"time"
 )
 
-// value wraps a Task returning v under the given key.
-func value(key string, v int) Task {
-	return Task{
-		Key: key,
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			return v, nil
+// one is a group of one: run computes its single member's result,
+// stored under key.
+func one(key string, run func(ctx context.Context, report func(uint64)) (any, error)) GroupTask {
+	return GroupTask{
+		Members: []GroupMember{{Key: key}},
+		Run: func(ctx context.Context, _ []int, report func(uint64)) ([]any, error) {
+			res, err := run(ctx, report)
+			return []any{res}, err
 		},
 	}
+}
+
+// submit schedules g and returns its first member's handle.
+func submit(e *Engine, g GroupTask) *Job { return e.SubmitGroup(g)[0] }
+
+// value is a group of one returning v under the given key.
+func value(key string, v int) GroupTask {
+	return one(key, func(ctx context.Context, report func(uint64)) (any, error) {
+		return v, nil
+	})
 }
 
 func TestSubmitAndWait(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
 
-	j := e.Submit(value("k1", 42))
+	j := submit(e, value("k1", 42))
 	res, err := j.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +45,7 @@ func TestSubmitAndWait(t *testing.T) {
 		t.Fatalf("result = %v, want 42", res)
 	}
 	st := j.Status()
-	if st.State != Done || st.Fraction() != 1 {
+	if st.State != Done || st.Done != st.Total {
 		t.Errorf("status = %+v", st)
 	}
 }
@@ -49,20 +61,17 @@ func TestWorkersRunInParallel(t *testing.T) {
 	release := make(chan struct{})
 	jobs := make([]*Job, n)
 	for i := 0; i < n; i++ {
-		jobs[i] = e.Submit(Task{
-			Key: fmt.Sprintf("par-%d", i),
-			Run: func(ctx context.Context, report func(uint64)) (any, error) {
-				if running.Add(1) == n {
-					close(release)
-				}
-				select {
-				case <-release:
-					return nil, nil
-				case <-time.After(5 * time.Second):
-					return nil, errors.New("pool never reached full concurrency")
-				}
-			},
-		})
+		jobs[i] = submit(e, one(fmt.Sprintf("par-%d", i), func(ctx context.Context, report func(uint64)) (any, error) {
+			if running.Add(1) == n {
+				close(release)
+			}
+			select {
+			case <-release:
+				return nil, nil
+			case <-time.After(5 * time.Second):
+				return nil, errors.New("pool never reached full concurrency")
+			}
+		}))
 	}
 	for _, j := range jobs {
 		if _, err := j.Wait(context.Background()); err != nil {
@@ -76,17 +85,14 @@ func TestCacheHit(t *testing.T) {
 	defer e.Close()
 
 	var runs atomic.Int32
-	task := Task{
-		Key: "cached",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			runs.Add(1)
-			return "result", nil
-		},
-	}
-	if _, err := e.Submit(task).Wait(context.Background()); err != nil {
+	task := one("cached", func(ctx context.Context, report func(uint64)) (any, error) {
+		runs.Add(1)
+		return "result", nil
+	})
+	if _, err := submit(e, task).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	j := e.Submit(task)
+	j := submit(e, task)
 	res, err := j.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -111,15 +117,12 @@ func TestCacheDisabled(t *testing.T) {
 	defer e.Close()
 
 	var runs atomic.Int32
-	task := Task{
-		Key: "uncached",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			runs.Add(1)
-			return nil, nil
-		},
-	}
-	e.Submit(task).Wait(context.Background())
-	e.Submit(task).Wait(context.Background())
+	task := one("uncached", func(ctx context.Context, report func(uint64)) (any, error) {
+		runs.Add(1)
+		return nil, nil
+	})
+	submit(e, task).Wait(context.Background())
+	submit(e, task).Wait(context.Background())
 	if got := runs.Load(); got != 2 {
 		t.Errorf("task ran %d times, want 2 with caching disabled", got)
 	}
@@ -132,18 +135,15 @@ func TestInflightDeduplication(t *testing.T) {
 	var runs atomic.Int32
 	started := make(chan struct{})
 	release := make(chan struct{})
-	task := Task{
-		Key: "dedup",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			runs.Add(1)
-			close(started)
-			<-release
-			return 7, nil
-		},
-	}
-	j1 := e.Submit(task)
+	task := one("dedup", func(ctx context.Context, report func(uint64)) (any, error) {
+		runs.Add(1)
+		close(started)
+		<-release
+		return 7, nil
+	})
+	j1 := submit(e, task)
 	<-started // the run is in flight
-	j2 := e.Submit(task)
+	j2 := submit(e, task)
 	close(release)
 
 	for _, j := range []*Job{j1, j2} {
@@ -164,17 +164,14 @@ func TestInflightDeduplication(t *testing.T) {
 }
 
 // blockingTask runs until its context is canceled.
-func blockingTask(key string, started chan<- struct{}) Task {
-	return Task{
-		Key: key,
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			if started != nil {
-				started <- struct{}{}
-			}
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	}
+func blockingTask(key string, started chan<- struct{}) GroupTask {
+	return one(key, func(ctx context.Context, report func(uint64)) (any, error) {
+		if started != nil {
+			started <- struct{}{}
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
 }
 
 func TestCancelRunningJob(t *testing.T) {
@@ -182,7 +179,7 @@ func TestCancelRunningJob(t *testing.T) {
 	defer e.Close()
 
 	started := make(chan struct{}, 1)
-	j := e.Submit(blockingTask("cancel-me", started))
+	j := submit(e, blockingTask("cancel-me", started))
 	<-started
 	j.Cancel()
 	_, err := j.Wait(context.Background())
@@ -199,10 +196,10 @@ func TestCancelQueuedJob(t *testing.T) {
 	defer e.Close()
 
 	started := make(chan struct{}, 1)
-	blocker := e.Submit(blockingTask("blocker", started))
+	blocker := submit(e, blockingTask("blocker", started))
 	<-started // the only worker is now occupied
 
-	queued := e.Submit(value("queued", 1))
+	queued := submit(e, value("queued", 1))
 	queued.Cancel()
 	blocker.Cancel()
 
@@ -218,21 +215,18 @@ func TestSharedExecutionCancelNeedsAllHandles(t *testing.T) {
 
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	task := Task{
-		Key: "shared",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			started <- struct{}{}
-			select {
-			case <-release:
-				return "ok", nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		},
-	}
-	j1 := e.Submit(task)
+	task := one("shared", func(ctx context.Context, report func(uint64)) (any, error) {
+		started <- struct{}{}
+		select {
+		case <-release:
+			return "ok", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	j1 := submit(e, task)
 	<-started
-	j2 := e.Submit(task) // coalesces onto j1's execution
+	j2 := submit(e, task) // coalesces onto j1's execution
 
 	j1.Cancel() // one of two handles: the run must keep going
 	close(release)
@@ -251,15 +245,15 @@ func TestResubmitAfterCancelGetsFreshExecution(t *testing.T) {
 
 	// Occupy the worker so the submissions below stay queued.
 	started := make(chan struct{}, 1)
-	blocker := e.Submit(blockingTask("blocker", started))
+	blocker := submit(e, blockingTask("blocker", started))
 	<-started
 
-	doomed := e.Submit(value("contested", 1))
+	doomed := submit(e, value("contested", 1))
 	doomed.Cancel() // canceled while queued, not yet retired by a worker
 
 	// An innocent submitter of the same key must NOT inherit the
 	// cancellation: it gets a fresh execution.
-	fresh := e.Submit(value("contested", 2))
+	fresh := submit(e, value("contested", 2))
 	blocker.Cancel()
 	blocker.Wait(context.Background())
 
@@ -283,7 +277,7 @@ func TestWaitContextExpiry(t *testing.T) {
 	defer e.Close()
 
 	started := make(chan struct{}, 1)
-	j := e.Submit(blockingTask("slow", started))
+	j := submit(e, blockingTask("slow", started))
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -304,12 +298,9 @@ func TestTaskError(t *testing.T) {
 	defer e.Close()
 
 	boom := errors.New("boom")
-	j := e.Submit(Task{
-		Key: "failing",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			return nil, boom
-		},
-	})
+	j := submit(e, one("failing", func(ctx context.Context, report func(uint64)) (any, error) {
+		return nil, boom
+	}))
 	if _, err := j.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -317,12 +308,9 @@ func TestTaskError(t *testing.T) {
 		t.Errorf("status = %+v", st)
 	}
 	// Failures are not cached: a resubmission runs again.
-	j2 := e.Submit(Task{
-		Key: "failing",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			return "recovered", nil
-		},
-	})
+	j2 := submit(e, one("failing", func(ctx context.Context, report func(uint64)) (any, error) {
+		return "recovered", nil
+	}))
 	res, err := j2.Wait(context.Background())
 	if err != nil || res.(string) != "recovered" {
 		t.Fatalf("resubmission = %v, %v", res, err)
@@ -335,26 +323,24 @@ func TestProgressReporting(t *testing.T) {
 
 	half := make(chan struct{})
 	release := make(chan struct{})
-	j := e.Submit(Task{
-		Key:   "progress",
-		Total: 100,
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			report(50)
-			close(half)
-			<-release
-			report(100)
-			return nil, nil
-		},
+	g := one("progress", func(ctx context.Context, report func(uint64)) (any, error) {
+		report(50)
+		close(half)
+		<-release
+		report(100)
+		return nil, nil
 	})
+	g.Members[0].Total = 100
+	j := submit(e, g)
 	<-half
-	if st := j.Status(); st.Done != 50 || st.Total != 100 || st.Fraction() != 0.5 {
+	if st := j.Status(); st.State != Running || st.Done != 50 || st.Total != 100 {
 		t.Errorf("mid-run status = %+v", st)
 	}
 	close(release)
 	if _, err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := j.Status(); st.Fraction() != 1 {
+	if st := j.Status(); st.State != Done || st.Done != st.Total {
 		t.Errorf("final status = %+v", st)
 	}
 }
@@ -362,9 +348,9 @@ func TestProgressReporting(t *testing.T) {
 func TestClose(t *testing.T) {
 	e := New(Options{Workers: 1})
 	started := make(chan struct{}, 1)
-	running := e.Submit(blockingTask("running", started))
+	running := submit(e, blockingTask("running", started))
 	<-started
-	queued := e.Submit(value("queued-at-close", 3))
+	queued := submit(e, value("queued-at-close", 3))
 
 	done := make(chan struct{})
 	go func() { e.Close(); close(done) }()
@@ -380,7 +366,7 @@ func TestClose(t *testing.T) {
 	if _, err := queued.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Errorf("queued job err = %v", err)
 	}
-	if _, err := e.Submit(value("late", 9)).Wait(context.Background()); !errors.Is(err, ErrClosed) {
+	if _, err := submit(e, value("late", 9)).Wait(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close submit err = %v, want ErrClosed", err)
 	}
 	e.Close() // idempotent
@@ -400,13 +386,10 @@ func TestManyConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
 				key := fmt.Sprintf("shared-%d", i)
-				j := e.Submit(Task{
-					Key: key,
-					Run: func(ctx context.Context, report func(uint64)) (any, error) {
-						executed.Add(1)
-						return key, nil
-					},
-				})
+				j := submit(e, one(key, func(ctx context.Context, report func(uint64)) (any, error) {
+					executed.Add(1)
+					return key, nil
+				}))
 				res, err := j.Wait(context.Background())
 				if err != nil {
 					t.Error(err)

@@ -11,7 +11,13 @@ import (
 // never run these, so a nil Run is fine).
 func qex(tenant, key string) *execution {
 	ctx, cancel := context.WithCancel(context.Background())
-	return newExecution(Task{Key: key, Tenant: tenant}, ctx, cancel)
+	return newExecution(task{key: key, tenant: tenant}, ctx, cancel)
+}
+
+// forTenant labels g with a fair-share tenant.
+func forTenant(tenant string, g GroupTask) GroupTask {
+	g.Tenant = tenant
+	return g
 }
 
 // popAll drains the queue and returns the popped keys in order.
@@ -23,7 +29,7 @@ func popAll(t *testing.T, q *queue) []string {
 		if !ok {
 			t.Fatal("pop reported closed with items remaining")
 		}
-		keys = append(keys, ex.task.Key)
+		keys = append(keys, ex.task.key)
 	}
 	return keys
 }
@@ -155,22 +161,22 @@ func TestEngineFairShareAcrossTenants(t *testing.T) {
 	defer e.Close()
 
 	gate := make(chan struct{})
-	task := func(tenant, key string) Task {
-		return Task{Key: key, Tenant: tenant, Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	task := func(tenant, key string) GroupTask {
+		return forTenant(tenant, one(key, func(ctx context.Context, report func(uint64)) (any, error) {
 			return key, nil
-		}}
+		}))
 	}
 	// Occupy the single worker so every later submission queues.
-	blocker := e.Submit(Task{Key: "gate", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	blocker := submit(e, one("gate", func(ctx context.Context, report func(uint64)) (any, error) {
 		<-gate
 		return nil, nil
-	}})
+	}))
 
 	var jobs []*Job
 	for _, k := range []string{"f1", "f2", "f3", "f4", "f5", "f6"} {
-		jobs = append(jobs, e.Submit(task("flooder", k)))
+		jobs = append(jobs, submit(e, task("flooder", k)))
 	}
-	light := e.Submit(task("light", "l1"))
+	light := submit(e, task("light", "l1"))
 	if st := e.Stats(); st.TenantQueues["flooder"] != 6 || st.TenantQueues["light"] != 1 {
 		t.Fatalf("tenant queues = %v", st.TenantQueues)
 	}
@@ -221,17 +227,17 @@ func TestFairQueueCanceledTasksStillDrain(t *testing.T) {
 	defer e.Close()
 
 	gate := make(chan struct{})
-	blocker := e.Submit(Task{Key: "gate", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	blocker := submit(e, one("gate", func(ctx context.Context, report func(uint64)) (any, error) {
 		<-gate
 		return nil, nil
-	}})
-	doomed := e.Submit(Task{Key: "doomed", Tenant: "alice", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	}))
+	doomed := submit(e, forTenant("alice", one("doomed", func(ctx context.Context, report func(uint64)) (any, error) {
 		t.Error("canceled task must not run")
 		return nil, nil
-	}})
-	after := e.Submit(Task{Key: "after", Tenant: "bob", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	})))
+	after := submit(e, forTenant("bob", one("after", func(ctx context.Context, report func(uint64)) (any, error) {
 		return "ok", nil
-	}})
+	})))
 	doomed.Cancel()
 	close(gate)
 

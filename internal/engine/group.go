@@ -7,42 +7,53 @@ import (
 )
 
 // Group tasks: one execution covering one or more content-addressed
-// member results at once. Every submission is a group — Submit wraps a
-// task as a group of one — so admission and execution exist once. The
-// sweep layer uses multi-member groups to evaluate an entire filter
-// axis on a single simulation pass — the filters are independent
+// member results at once. Every submission is a group — a single
+// computation is a group of one — so admission and execution exist
+// once. The sweep layer uses multi-member groups to evaluate an entire
+// filter axis on a single simulation pass — the filters are independent
 // observers of the coherence stream, so one run can produce every
 // member cell's result bit-identically (internal/sim owns that
 // argument; the engine only provides the scheduling shape).
 //
 // A group run is one queue slot and one worker occupation, but N
 // submissions, N cache fills and N retire traces: every member keeps
-// the exact lifecycle an individually submitted task would have had —
-// per-member cache hits and in-flight coalescing at submit time,
-// per-member progress, disposition, timing breakdown and telemetry at
-// retire time. Later per-member submissions of the same keys are served
+// the exact lifecycle a group of one would have had — per-member cache
+// hits and in-flight coalescing at submit time, per-member progress,
+// disposition, timing breakdown and telemetry at retire time. Later per-member submissions of the same keys are served
 // from the cache (or coalesce onto the in-flight group) exactly as if
 // the members had run alone.
 
 // GroupMember identifies one member of a group task: its content
-// address and progress denominator. Members with equal keys must
-// compute equal results (the same contract as Task.Key).
+// address and progress denominator.
 type GroupMember struct {
 	// Key is the member's content address: the cache/dedup key its
-	// result is stored and coalesced under.
+	// result is stored and coalesced under. Members with equal keys must
+	// compute equal results.
 	Key string
 	// Total is the member's progress denominator (0 = unreported).
 	Total uint64
 }
 
-// GroupTask is one fused computation producing several member results
-// in a single run.
+// GroupTask is one computation producing one or more member results in
+// a single run: the engine's only unit of work.
 type GroupTask struct {
-	// Kind, Origin and Tenant label every member's telemetry and the
-	// group's fair-share queue slot, exactly like Task.Kind, Task.Origin
-	// and Task.Tenant.
-	Kind   string
+	// Kind labels every member for telemetry (per-kind latency
+	// histograms, slow-job logs): "workload", "trace", "sweep", ...
+	Kind string
+	// Origin is the request ID (or other correlation token) of the
+	// submitter, carried into each member's Status and retire trace so
+	// telemetry ties back to the request that caused the work.
 	Origin string
+	// Tenant names the submitter for fair-share scheduling: the queue
+	// keeps one FIFO per tenant and drains them by weighted deficit
+	// round-robin, so no tenant's backlog can starve another's work. The
+	// empty string is the default tenant.
+	//
+	// Kind, Origin and Tenant are not part of any content address:
+	// identical members submitted under different labels still share one
+	// execution and one cache slot (the result is label-independent by
+	// the Key contract), and a coalesced execution keeps its first
+	// submitter's labels.
 	Tenant string
 
 	// Members are the results the run can produce. The engine may
@@ -54,7 +65,8 @@ type GroupTask struct {
 	// indices into Members, and the returned slice must hold one result
 	// per live index, in the same order. report carries fused progress —
 	// the engine mirrors it onto every live member, so per-member
-	// progress is monotone. Run must honor ctx like Task.Run.
+	// progress is monotone. Run must honor ctx: return ctx.Err()
+	// promptly once canceled.
 	Run func(ctx context.Context, live []int, report func(done uint64)) ([]any, error)
 }
 
@@ -88,33 +100,30 @@ func (g *groupRun) noteGone() {
 	}
 }
 
-// member returns the engine task describing member i: its content
+// member returns what an execution of member i records: its content
 // address and progress denominator, labeled with the group's kind,
-// origin and tenant. Its Run is nil — the group runs it.
-func (g *GroupTask) member(i int) Task {
+// origin and tenant.
+func (g *GroupTask) member(i int) task {
 	m := g.Members[i]
-	return Task{Key: m.Key, Kind: g.Kind, Origin: g.Origin, Tenant: g.Tenant, Total: m.Total}
+	return task{key: m.Key, kind: g.Kind, origin: g.Origin, tenant: g.Tenant, total: m.Total}
 }
 
 // finished returns a handle on an already-finished execution of t: a
-// result served without running (cache or store hit), or a rejection.
-func finished(t Task, res any, err error, storeHit bool) *Job {
+// result served without running (hit is DispositionCacheHit or
+// DispositionStoreHit), or a rejection (hit empty, err non-nil).
+func finished(t task, res any, err error, hit string) *Job {
 	ex := newExecution(t, context.Background(), func() {})
-	if err == nil {
-		ex.cacheHit = true
-		ex.storeHit = storeHit
-		ex.done.Store(ex.total.Load())
-	}
+	ex.hit = hit
 	ex.finish(res, err)
 	return ex.attach()
 }
 
 // SubmitGroup schedules a group task and returns one job handle per
-// member, in Members order. It is the engine's only admission path
-// (Submit is a group of one). Each member is served from the result
-// cache (L1), coalesced onto an identical in-flight execution
-// (including an earlier member of this same group), served from the
-// persistent store (L3), or owned by the group's single fused run.
+// member, in Members order. It is the engine's only admission path.
+// Each member is served from the result cache (L1), coalesced onto an
+// identical in-flight execution (including an earlier member of this
+// same group), served from the persistent store (L3), or owned by the
+// group's single fused run.
 // Every member counts as one submission, also on a closed engine.
 // SubmitGroup never blocks on the work itself.
 //
@@ -168,7 +177,7 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 	if e.closed {
 		e.mu.Unlock()
 		for i := range g.Members {
-			jobs[i] = finished(g.member(i), nil, ErrClosed, false)
+			jobs[i] = finished(g.member(i), nil, ErrClosed, "")
 		}
 		return jobs
 	}
@@ -179,11 +188,11 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 
 	for i := range g.Members {
 		t := g.member(i)
-		if res, ok := e.cache.Get(t.Key); ok {
+		if res, ok := e.cache.Get(t.key); ok {
 			e.stats.CacheHits++
-			jobs[i] = finished(t, res, nil, false)
+			jobs[i] = finished(t, res, nil, DispositionCacheHit)
 			retires = append(retires, TaskTrace{
-				Kind: t.Kind, Key: t.Key, Origin: t.Origin, Tenant: t.Tenant,
+				Kind: t.kind, Key: t.key, Origin: t.origin, Tenant: t.tenant,
 				Disposition: DispositionCacheHit, State: Done,
 			})
 			continue
@@ -198,13 +207,13 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 		// execution that replaces the map entry (runGroup retires by
 		// identity, not by key). attach makes the doomed-vs-attach
 		// decision atomically under the execution's lock.
-		if ex, ok := e.inflight[t.Key]; ok {
+		if ex, ok := e.inflight[t.key]; ok {
 			if j := ex.attach(); j != nil {
 				e.stats.Coalesced++
 				j.coalesced = true
 				jobs[i] = j
 				retires = append(retires, TaskTrace{
-					Kind: t.Kind, Key: t.Key, Origin: ex.task.Origin, Tenant: ex.task.Tenant,
+					Kind: t.kind, Key: t.key, Origin: ex.task.origin, Tenant: ex.task.tenant,
 					Disposition: DispositionCoalesced, State: State(ex.state.Load()),
 				})
 				continue
@@ -213,12 +222,12 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 		// Serve members the L3 probe found on disk: fill the cache so
 		// later submissions hit L1, and finish the member without ever
 		// joining the fused run.
-		if res, ok := fromStore[t.Key]; ok {
+		if res, ok := fromStore[t.key]; ok {
 			e.stats.StoreHits++
-			e.cache.Put(t.Key, res)
-			jobs[i] = finished(t, res, nil, true)
+			e.cache.Put(t.key, res)
+			jobs[i] = finished(t, res, nil, DispositionStoreHit)
 			retires = append(retires, TaskTrace{
-				Kind: t.Kind, Key: t.Key, Origin: t.Origin, Tenant: t.Tenant,
+				Kind: t.kind, Key: t.key, Origin: t.origin, Tenant: t.tenant,
 				Disposition: DispositionStoreHit, State: Done,
 			})
 			continue
@@ -233,7 +242,7 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 			gone.Do(gr.noteGone)
 		}
 		gr.members[i] = ex
-		e.inflight[t.Key] = ex
+		e.inflight[t.key] = ex
 		jobs[i] = ex.attach()
 		if lead == nil {
 			lead = ex
@@ -319,8 +328,8 @@ func (e *Engine) runGroup(gr *groupRun) {
 	}
 
 	// Distribute: each member gets its own result, terminal state, stats
-	// line, cache fill and retire trace — exactly what an individual
-	// execution of the same task would have produced.
+	// line, cache fill and retire trace — exactly what a group of one
+	// would have produced.
 	type outcome struct {
 		ex  *execution
 		res any
@@ -351,17 +360,17 @@ func (e *Engine) runGroup(gr *groupRun) {
 			e.stats.Failed++
 		case ex.ctx.Err() != nil:
 			// Canceled mid-run: the fused pass still computed the result,
-			// but the submitter withdrew — mirror per-task semantics (no
+			// but the submitter withdrew — mirror single-member semantics (no
 			// cache fill, terminal state Canceled).
 			o.err = context.Canceled
 			e.stats.Canceled++
 		default:
 			o.res = memberRes
 			e.stats.Executed++
-			e.cache.Put(ex.task.Key, memberRes)
+			e.cache.Put(ex.task.key, memberRes)
 		}
-		if e.inflight[ex.task.Key] == ex {
-			delete(e.inflight, ex.task.Key)
+		if e.inflight[ex.task.key] == ex {
+			delete(e.inflight, ex.task.key)
 		}
 		outs = append(outs, o)
 	}
@@ -374,7 +383,7 @@ func (e *Engine) runGroup(gr *groupRun) {
 	if e.store != nil {
 		for _, o := range outs {
 			if o.err == nil {
-				e.store.Store(o.ex.task.Key, o.res)
+				e.store.Store(o.ex.task.key, o.res)
 			}
 		}
 	}
@@ -388,10 +397,10 @@ func (e *Engine) runGroup(gr *groupRun) {
 		// misclassified as canceled.
 		o.ex.cancel()
 		e.retire(TaskTrace{
-			Kind:        o.ex.task.Kind,
-			Key:         o.ex.task.Key,
-			Origin:      o.ex.task.Origin,
-			Tenant:      o.ex.task.Tenant,
+			Kind:        o.ex.task.kind,
+			Key:         o.ex.task.key,
+			Origin:      o.ex.task.origin,
+			Tenant:      o.ex.task.tenant,
 			Disposition: DispositionExecuted,
 			State:       State(o.ex.state.Load()),
 			QueueWait:   o.ex.queueWait(),

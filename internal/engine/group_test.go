@@ -83,7 +83,7 @@ func TestGroupFillsCachePerMember(t *testing.T) {
 	}
 	// Individual resubmission of each member key must be a cache hit.
 	for i := 0; i < 3; i++ {
-		j := e.Submit(value(fmt.Sprintf("gc-%d", i), -1))
+		j := submit(e, value(fmt.Sprintf("gc-%d", i), -1))
 		res, err := j.Wait(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -105,19 +105,16 @@ func TestGroupCacheAndCoalesceAtSubmit(t *testing.T) {
 	defer e.Close()
 
 	// Pre-cache member 0 and hold member 1 in flight.
-	if _, err := e.Submit(value("mix-0", 1000)).Wait(context.Background()); err != nil {
+	if _, err := submit(e, value("mix-0", 1000)).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
 	started := make(chan struct{})
-	inflight := e.Submit(Task{
-		Key: "mix-1",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			close(started)
-			<-release
-			return 1001, nil
-		},
-	})
+	inflight := submit(e, one("mix-1", func(ctx context.Context, report func(uint64)) (any, error) {
+		close(started)
+		<-release
+		return 1001, nil
+	}))
 	<-started
 
 	var lastLive []int
@@ -189,7 +186,7 @@ func TestGroupAllSatisfiedWithoutRunning(t *testing.T) {
 	defer e.Close()
 
 	for i := 0; i < 2; i++ {
-		if _, err := e.Submit(value(fmt.Sprintf("pre-%d", i), i)).Wait(context.Background()); err != nil {
+		if _, err := submit(e, value(fmt.Sprintf("pre-%d", i), i)).Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,14 +217,11 @@ func TestGroupMemberCancelWhileQueued(t *testing.T) {
 	// Occupy the single worker so the group sits queued.
 	release := make(chan struct{})
 	started := make(chan struct{})
-	blocker := e.Submit(Task{
-		Key: "blocker",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
-			close(started)
-			<-release
-			return nil, nil
-		},
-	})
+	blocker := submit(e, one("blocker", func(ctx context.Context, report func(uint64)) (any, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}))
 	<-started
 
 	var lastLive []int
@@ -325,10 +319,10 @@ func TestGroupOneMemberCanceledMidRunOthersComplete(t *testing.T) {
 		t.Fatalf("surviving member = %v, want 1", res)
 	}
 	// The canceled member's result must not be cached; the survivor's must.
-	if j := e.Submit(value("mr-1", -1)); !j.Status().CacheHit {
+	if j := submit(e, value("mr-1", -1)); !j.Status().CacheHit {
 		t.Error("surviving member's result missing from cache")
 	}
-	if j := e.Submit(Task{Key: "mr-0", Run: func(ctx context.Context, report func(uint64)) (any, error) { return 42, nil }}); j.Status().CacheHit {
+	if j := submit(e, one("mr-0", func(ctx context.Context, report func(uint64)) (any, error) { return 42, nil })); j.Status().CacheHit {
 		t.Error("canceled member's result must not be cached")
 	}
 }
@@ -377,15 +371,19 @@ func TestGroupResultCountMismatch(t *testing.T) {
 func TestGroupRetireTraces(t *testing.T) {
 	var mu sync.Mutex
 	var traces []TaskTrace
+	four := make(chan struct{}) // closed at the fourth trace
 	e := New(Options{Workers: 1, OnRetire: func(tr TaskTrace) {
 		mu.Lock()
 		traces = append(traces, tr)
+		if len(traces) == 4 {
+			close(four)
+		}
 		mu.Unlock()
 	}})
 	defer e.Close()
 
 	// Pre-cache member 0 so the group sees a mix of dispositions.
-	if _, err := e.Submit(value("tr-0", 0)).Wait(context.Background()); err != nil {
+	if _, err := submit(e, value("tr-0", 0)).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	jobs := e.SubmitGroup(groupOf("tr", 3, 0, nil, nil))
@@ -394,15 +392,12 @@ func TestGroupRetireTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(traces)
-		mu.Unlock()
-		if n >= 4 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	// Waiters wake before the worker retires the members it ran, so wait
+	// for the traces themselves.
+	select {
+	case <-four:
+	case <-time.After(10 * time.Second):
+		t.Fatal("fewer than 4 retire traces")
 	}
 
 	mu.Lock()
@@ -411,7 +406,7 @@ func TestGroupRetireTraces(t *testing.T) {
 	for _, tr := range traces {
 		byKey[tr.Key] = append(byKey[tr.Key], tr)
 	}
-	// tr-0: once for the priming Submit, once for the group's cache hit.
+	// tr-0: once for the priming group of one, once for the group's cache hit.
 	if got := len(byKey["tr-0"]); got != 2 {
 		t.Errorf("tr-0 traces = %d, want 2", got)
 	}

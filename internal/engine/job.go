@@ -11,43 +11,12 @@ import (
 // ErrClosed is returned by jobs submitted to a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
-// Task is one schedulable computation.
-type Task struct {
-	// Key is the task's content address. Two tasks with equal keys must
-	// compute equal results: the engine deduplicates and caches by it.
-	Key string
-
-	// Kind labels the task for telemetry (per-kind latency histograms,
-	// slow-job logs): "workload", "trace", "sweep", ... Not part of the
-	// content address — two kinds submitting the same Key still share
-	// one execution and one cache slot.
-	Kind string
-
-	// Origin is the request ID (or other correlation token) of the
-	// submitter, carried into the job's Status and retire trace so
-	// telemetry ties back to the request that caused the work. Not part
-	// of the content address; a coalesced execution keeps its first
-	// submitter's origin.
-	Origin string
-
-	// Tenant names the submitter for fair-share scheduling: the queue
-	// keeps one FIFO per tenant and drains them by weighted deficit
-	// round-robin, so no tenant's backlog can starve another's work.
-	// Like Origin it is not part of the content address — identical
-	// tasks from different tenants still share one execution and one
-	// cache slot (the result is tenant-independent by the Key contract),
-	// and a coalesced execution keeps its first submitter's tenant. The
-	// empty string is the default tenant.
-	Tenant string
-
-	// Total is the task's progress denominator (e.g. references to
-	// simulate). 0 means progress is not reported.
-	Total uint64
-
-	// Run performs the computation. It must honor ctx (return ctx.Err()
-	// promptly once canceled) and may call report with the number of
-	// progress units completed so far.
-	Run func(ctx context.Context, report func(done uint64)) (any, error)
+// task is what an execution records of the group member it runs: the
+// member's content address and progress denominator, and the group's
+// Kind, Origin and Tenant labels (see GroupTask).
+type task struct {
+	key, kind, origin, tenant string
+	total                     uint64
 }
 
 // Dispositions: how a submission was satisfied.
@@ -97,47 +66,32 @@ type Status struct {
 	Done     uint64 // progress units completed
 	Total    uint64 // progress denominator (0 = unknown)
 	Err      string // non-empty iff State == Failed or Canceled
-	CacheHit bool   // served from the finished-result cache
+	CacheHit bool   // served without running: from the result cache or the store
 
 	// Disposition is how this handle's submission was satisfied:
 	// DispositionExecuted, DispositionCacheHit, DispositionCoalesced or
 	// DispositionStoreHit.
 	Disposition string
 	// Origin is the correlation token of the submission that created the
-	// underlying execution (Task.Origin of the first submitter).
+	// underlying execution (GroupTask.Origin of the first submitter).
 	Origin string
 	// Tenant is the fair-share identity of the submission that created
-	// the underlying execution (Task.Tenant of the first submitter).
+	// the underlying execution (GroupTask.Tenant of the first submitter).
 	Tenant string
 	// QueueWait is how long the execution sat queued before a worker
 	// picked it up (live while queued, frozen once running). Zero for
-	// cache hits.
+	// cache and store hits.
 	QueueWait time.Duration
 	// Run is the execution's running time (live while running, frozen
-	// once terminal). Zero for cache hits and never-run cancellations.
+	// once terminal). Zero for cache and store hits and never-run
+	// cancellations.
 	Run time.Duration
-}
-
-// Fraction returns completed progress in 0..1 (1 when finished, 0 when
-// the total is unknown and the job is still running).
-func (s Status) Fraction() float64 {
-	if s.State == Done {
-		return 1
-	}
-	if s.Total == 0 {
-		return 0
-	}
-	f := float64(s.Done) / float64(s.Total)
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // execution is one member's underlying run, shared by every handle
 // whose submission coalesced onto it.
 type execution struct {
-	task   Task
+	task   task
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -148,7 +102,6 @@ type execution struct {
 
 	state atomic.Int32
 	done  atomic.Uint64
-	total atomic.Uint64
 
 	// Lifecycle timeline. submitted is written once before the execution
 	// is published; startNS and finishNS are nanosecond offsets from
@@ -158,12 +111,11 @@ type execution struct {
 	startNS   atomic.Int64
 	finishNS  atomic.Int64
 
-	cacheHit bool
-	// storeHit refines cacheHit: the result came from the persistent
-	// store rather than the in-memory cache. Store hits behave like
-	// cache hits everywhere (no queueing, no run, CacheHit=true in
-	// Status) except in their disposition label.
-	storeHit bool
+	// hit is DispositionCacheHit or DispositionStoreHit for a result
+	// served without running, empty otherwise. A hit did no queueing or
+	// running of its own: it reports zero QueueWait and Run, and
+	// CacheHit in Status.
+	hit string
 
 	mu      sync.Mutex
 	handles int  // live (not yet canceled) handles
@@ -174,27 +126,25 @@ type execution struct {
 	finished chan struct{}
 }
 
-func newExecution(t Task, ctx context.Context, cancel context.CancelFunc) *execution {
-	ex := &execution{task: t, ctx: ctx, cancel: cancel, finished: make(chan struct{}), submitted: time.Now()}
-	ex.total.Store(t.Total)
-	return ex
+func newExecution(t task, ctx context.Context, cancel context.CancelFunc) *execution {
+	return &execution{task: t, ctx: ctx, cancel: cancel, finished: make(chan struct{}), submitted: time.Now()}
 }
 
 // markStart records the queued→running transition (worker pickup).
 func (ex *execution) markStart() { ex.startNS.Store(time.Since(ex.submitted).Nanoseconds()) }
 
-// queueWait returns how long the execution sat queued: live while still
-// queued, frozen at worker pickup (or at finish, for executions canceled
-// before any worker saw them).
+// queueWait returns how long the execution sat queued: zero for a hit,
+// live while still queued, frozen at worker pickup (or at finish, for
+// executions canceled before any worker saw them).
 func (ex *execution) queueWait() time.Duration {
+	if ex.hit != "" {
+		return 0
+	}
 	if s := ex.startNS.Load(); s > 0 {
 		return time.Duration(s)
 	}
 	if f := ex.finishNS.Load(); f > 0 {
 		return time.Duration(f)
-	}
-	if ex.cacheHit {
-		return 0
 	}
 	return time.Since(ex.submitted)
 }
@@ -215,7 +165,7 @@ func (ex *execution) runTime() time.Duration {
 // attach registers one more observer of the execution, or returns nil
 // if the execution is doomed (its last handle canceled it). The doomed
 // decision and attachment share ex.mu, so a Cancel racing a coalescing
-// Submit resolves atomically: either the new handle attaches first (and
+// submission resolves atomically: either the new handle attaches first (and
 // the Cancel is no longer last), or the submitter sees doomed and must
 // start a fresh execution. Never nil for a freshly created execution.
 func (ex *execution) attach() *Job {
@@ -228,7 +178,8 @@ func (ex *execution) attach() *Job {
 	return &Job{exec: ex}
 }
 
-// report is the progress sink passed to Task.Run.
+// report is the member's progress sink: the group run's report mirrors
+// onto every live member.
 func (ex *execution) report(done uint64) { ex.done.Store(done) }
 
 // finish resolves the execution exactly once.
@@ -245,7 +196,7 @@ func (ex *execution) finish(res any, err error) {
 	switch {
 	case err == nil:
 		ex.state.Store(int32(Done))
-		ex.done.Store(ex.total.Load())
+		ex.done.Store(ex.task.total)
 	case ex.ctx.Err() != nil || errors.Is(err, context.Canceled):
 		ex.state.Store(int32(Canceled))
 	default:
@@ -267,14 +218,14 @@ type Job struct {
 func (j *Job) Status() Status {
 	ex := j.exec
 	st := Status{
-		Key:         ex.task.Key,
+		Key:         ex.task.key,
 		State:       State(ex.state.Load()),
 		Done:        ex.done.Load(),
-		Total:       ex.total.Load(),
-		CacheHit:    ex.cacheHit,
+		Total:       ex.task.total,
+		CacheHit:    ex.hit != "",
 		Disposition: j.Disposition(),
-		Origin:      ex.task.Origin,
-		Tenant:      ex.task.Tenant,
+		Origin:      ex.task.origin,
+		Tenant:      ex.task.tenant,
 		QueueWait:   ex.queueWait(),
 		Run:         ex.runTime(),
 	}
@@ -329,14 +280,13 @@ func (j *Job) Cancel() {
 func (j *Job) State() State { return State(j.exec.state.Load()) }
 
 // Disposition reports how this handle's submission was satisfied:
-// served from the result cache, coalesced onto an in-flight execution,
-// or executed (i.e. this submission created the execution).
+// served from the result cache or the store, coalesced onto an
+// in-flight execution, or executed (i.e. this submission created the
+// execution).
 func (j *Job) Disposition() string {
 	switch {
-	case j.exec.storeHit:
-		return DispositionStoreHit
-	case j.exec.cacheHit:
-		return DispositionCacheHit
+	case j.exec.hit != "":
+		return j.exec.hit
 	case j.coalesced:
 		return DispositionCoalesced
 	default:

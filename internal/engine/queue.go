@@ -52,7 +52,7 @@ func (q *queue) weightOf(tenant string) int {
 // into the ring if it was idle. Pushing after close is a programming
 // error; the engine never does it (SubmitGroup checks closed first).
 func (q *queue) push(ex *execution) {
-	tenant := ex.task.Tenant
+	tenant := ex.task.tenant
 	q.mu.Lock()
 	tq := q.tenants[tenant]
 	if tq == nil {

@@ -58,9 +58,9 @@ func TestExecutionWritesThroughToStore(t *testing.T) {
 	e := New(Options{Workers: 1, Store: st})
 	defer e.Close()
 
-	j := e.Submit(Task{Key: "k1", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	j := submit(e, one("k1", func(ctx context.Context, report func(uint64)) (any, error) {
 		return "computed", nil
-	}})
+	}))
 	if got := waitDone(t, j); got != "computed" {
 		t.Fatalf("result = %v", got)
 	}
@@ -79,10 +79,10 @@ func TestStoreServesFreshEngine(t *testing.T) {
 	e := New(Options{Workers: 1, Store: st})
 	defer e.Close()
 
-	j := e.Submit(Task{Key: "k1", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	j := submit(e, one("k1", func(ctx context.Context, report func(uint64)) (any, error) {
 		t.Error("task ran despite persisted result")
 		return nil, nil
-	}})
+	}))
 	if got := waitDone(t, j); got != "persisted" {
 		t.Fatalf("result = %v", got)
 	}
@@ -99,9 +99,9 @@ func TestStoreServesFreshEngine(t *testing.T) {
 
 	// The store hit filled the in-memory cache: a second submission is a
 	// plain cache hit, no second disk probe needed for correctness.
-	j2 := e.Submit(Task{Key: "k1", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	j2 := submit(e, one("k1", func(ctx context.Context, report func(uint64)) (any, error) {
 		return nil, nil
-	}})
+	}))
 	waitDone(t, j2)
 	if d := j2.Disposition(); d != DispositionCacheHit {
 		t.Fatalf("second submission Disposition = %q; want cache_hit", d)
@@ -116,10 +116,10 @@ func TestStoreMissExecutesOnce(t *testing.T) {
 	defer e.Close()
 
 	runs := 0
-	j := e.Submit(Task{Key: "k", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	j := submit(e, one("k", func(ctx context.Context, report func(uint64)) (any, error) {
 		runs++
 		return 42, nil
-	}})
+	}))
 	waitDone(t, j)
 	if runs != 1 {
 		t.Fatalf("runs = %d", runs)
@@ -183,10 +183,10 @@ func TestStoreHitRaceWithConcurrentFill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j := e.Submit(Task{Key: "k", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+			j := submit(e, one("k", func(ctx context.Context, report func(uint64)) (any, error) {
 				t.Error("task ran despite persisted result")
 				return nil, nil
-			}})
+			}))
 			if got := waitDone(t, j); got != "v" {
 				t.Errorf("result = %v", got)
 			}
@@ -205,9 +205,9 @@ func TestFailedExecutionNotPersisted(t *testing.T) {
 	e := New(Options{Workers: 1, Store: st})
 	defer e.Close()
 
-	j := e.Submit(Task{Key: "k", Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	j := submit(e, one("k", func(ctx context.Context, report func(uint64)) (any, error) {
 		return nil, context.DeadlineExceeded
-	}})
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := j.Wait(ctx); err == nil {
@@ -215,5 +215,28 @@ func TestFailedExecutionNotPersisted(t *testing.T) {
 	}
 	if _, ok := st.get("k"); ok {
 		t.Fatalf("failed execution persisted")
+	}
+}
+
+// TestHitsReportNoQueueOrRunTime: a result served from the cache or the
+// store did no queueing or running of its own, so its handle reports
+// zero QueueWait and Run.
+func TestHitsReportNoQueueOrRunTime(t *testing.T) {
+	st := newStubStore()
+	st.m["stored"] = "persisted"
+	e := New(Options{Workers: 1, Store: st})
+	defer e.Close()
+
+	waitDone(t, submit(e, value("cached", 1)))
+	for key, want := range map[string]string{"cached": DispositionCacheHit, "stored": DispositionStoreHit} {
+		j := submit(e, value(key, 2))
+		waitDone(t, j)
+		s := j.Status()
+		if s.Disposition != want {
+			t.Fatalf("%s: Disposition = %q, want %q", key, s.Disposition, want)
+		}
+		if s.QueueWait != 0 || s.Run != 0 {
+			t.Errorf("%s: QueueWait = %v, Run = %v; want both zero", key, s.QueueWait, s.Run)
+		}
 	}
 }

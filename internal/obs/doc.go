@@ -23,7 +23,7 @@
 //     across scrapes, histogram buckets cumulative.
 //   - NewRequestID / WithRequestID: request-ID generation and context
 //     propagation; the service middleware echoes the ID as
-//     X-Request-Id and the engine carries it as Task.Origin so job
+//     X-Request-Id and the engine carries it as GroupTask.Origin so job
 //     telemetry correlates back to the submitting request.
 //   - NewLogger: log/slog construction for jettyd's -log-format and
 //     -log-level flags (JSON lines by default).

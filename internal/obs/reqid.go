@@ -10,7 +10,7 @@ import (
 
 // Request IDs: every HTTP request gets one, echoed as X-Request-Id,
 // stamped on the access-log record, and propagated into the engine job
-// the request submits (engine.Task.Origin) so a slow-job log line or a
+// the request submits (engine.GroupTask.Origin) so a slow-job log line or a
 // status JSON payload can be correlated back to the request that caused
 // it. The ID is a per-process random prefix plus a sequence number:
 // unique across restarts, cheap, and ordered within one process.

@@ -78,14 +78,13 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	dispos := sw.Dispositions()
-	cells := sw.Cells()
+	cells := sw.Status(true).Cell
 	out := cluster.CellsResponse{Cells: make([]cluster.CellOutcome, len(cells))}
 	for k, c := range cells {
 		out.Cells[k] = cluster.CellOutcome{
 			Index:       c.Index,
 			Key:         c.Key,
-			Disposition: dispos[k],
+			Disposition: c.Disposition,
 			Result:      results[k],
 		}
 	}

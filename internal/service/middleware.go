@@ -12,7 +12,7 @@ import (
 // X-Request-Id is honored so an upstream proxy can correlate, otherwise
 // one is generated), echoed back as X-Request-Id, stamped on the
 // request context (obs.RequestID) and propagated into any engine job
-// the handler submits (engine.Task.Origin). On completion the
+// the handler submits (engine.GroupTask.Origin). On completion the
 // middleware records the route/status latency histogram and emits one
 // structured access-log record.
 

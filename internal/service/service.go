@@ -349,7 +349,7 @@ type JobStatus struct {
 	Total       uint64  `json:"total"`
 	Fraction    float64 `json:"fraction"`
 	CacheHit    bool    `json:"cache_hit,omitempty"`
-	Disposition string  `json:"disposition,omitempty"` // executed|cache_hit|coalesced
+	Disposition string  `json:"disposition,omitempty"` // executed|cache_hit|store_hit|coalesced
 	Origin      string  `json:"origin,omitempty"`      // submitting request ID
 	Tenant      string  `json:"tenant,omitempty"`      // submitting tenant
 	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`

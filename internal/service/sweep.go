@@ -128,9 +128,9 @@ func (s *Server) startLocked(id string, spec sweep.Spec, req *SubmitRequest, cel
 	sub := sweep.Submission{Origin: origin, Tenant: tenant}
 	prefix := "swp"
 	if req != nil {
-		prefix, sub.Kind = "exp", sim.KindWorkload
+		prefix, sub.Kind = "exp", sweep.KindWorkload
 		if req.Trace != "" {
-			sub.Kind = sim.KindTrace
+			sub.Kind = sweep.KindTrace
 		}
 		if req.Interval > 0 {
 			j.feed = newLiveFeed(cells)

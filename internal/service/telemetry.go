@@ -9,7 +9,7 @@ import (
 
 	"jetty/internal/engine"
 	"jetty/internal/obs"
-	"jetty/internal/sim"
+	"jetty/internal/sweep"
 )
 
 // telemetry is the server's instrument panel: every histogram, counter
@@ -226,7 +226,7 @@ func newTelemetry(log *slog.Logger, slowJob time.Duration, clustered, persistent
 		t.clusterRedundant = reg.NewCounter("jettyd_cluster_redundant_completions_total",
 			"Cell results delivered after another attempt at their unit had already won.")
 		t.clusterWorkerCacheHits = reg.NewCounter("jettyd_cluster_worker_cache_hits_total",
-			"Dispatched cells a worker served from its L1 engine cache (or coalesced onto in-flight work).")
+			"Dispatched cells a worker served from its L1 engine cache or its persistent store (or coalesced onto in-flight work).")
 		t.clusterCellsComputed = reg.NewCounter("jettyd_cluster_cells_computed_total",
 			"Dispatched cells a worker actually executed.")
 		t.clusterWorkerAlive = reg.NewGaugeFamily("jettyd_cluster_worker_alive",
@@ -284,7 +284,7 @@ func (t *telemetry) onRetire(tr engine.TaskTrace) {
 	t.queueWait.With(kind, tenant).Observe(tr.QueueWait.Seconds())
 	t.runDuration.With(kind, tenant).Observe(tr.Run.Seconds())
 	t.observeRunEWMA(tr.Run.Seconds())
-	if kind == sim.KindSweep || kind == sim.KindFused {
+	if kind == sweep.KindSweep || kind == sweep.KindFused {
 		// A fused unit's members are sweep cells too, also those of an
 		// experiment that lists an app twice (every job is a sweep).
 		t.sweepCell.Observe(tr.Run.Seconds())

@@ -9,7 +9,7 @@ import (
 // Tenant identity. Every request carries a tenant name in the
 // X-Jetty-Tenant header (defaulting to "anonymous" when absent), echoed
 // back on the response, stamped on the access log and threaded into
-// every engine job the request submits (engine.Task.Tenant) — the
+// every engine job the request submits (engine.GroupTask.Tenant) — the
 // fair-share scheduler and the per-tenant admission quotas key on it.
 //
 // jettyd trusts the header as-is: tenancy here is a fairness and

@@ -76,14 +76,3 @@ func (o SampleOptions) stream(cfg smp.Config, banks [][]jetty.Config) func(*metr
 		}
 	}
 }
-
-// Task kinds: the telemetry label (engine.GroupTask.Kind) each
-// submission carries, so jettyd's per-kind latency histograms and
-// slow-job logs distinguish generated runs from trace replays and sweep
-// cells.
-const (
-	KindWorkload = "workload" // generator-driven app run
-	KindTrace    = "trace"    // stored-trace replay
-	KindSweep    = "sweep"    // sweep cell (set by internal/sweep)
-	KindFused    = "fused"    // fused multi-bank group run (one pass, N cells)
-)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,10 +92,26 @@ func TestRunnerCancellation(t *testing.T) {
 	// chunk boundary rather than simulating all 50M references.
 	sp := quickSpec(t)
 	sp.Accesses = 50_000_000
-	job := submitOne(eng, Input{Spec: sp}, testConfig(4), SampleOptions{})
+	g := groupOne(Input{Spec: sp}, testConfig(4), SampleOptions{})
+	running := make(chan struct{})
+	var once sync.Once
+	run := g.Run
+	g.Run = func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
+		return run(ctx, live, func(done uint64) {
+			report(done)
+			once.Do(func() { close(running) })
+		})
+	}
+	job := eng.SubmitGroup(g)[0]
 
-	for job.Status().State == engine.Queued {
-		time.Sleep(time.Millisecond)
+	// Cancel once the run has stepped its first batch.
+	select {
+	case <-running:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never reported progress")
+	}
+	if st := job.State(); st != engine.Running {
+		t.Fatalf("state = %v, want running", st)
 	}
 	job.Cancel()
 
@@ -117,14 +134,14 @@ func TestIdenticalInflightJobsCoalesce(t *testing.T) {
 	// both pending when the second one arrives.
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	blocker := eng.Submit(engine.Task{
-		Key: "blocker",
-		Run: func(ctx context.Context, report func(uint64)) (any, error) {
+	blocker := eng.SubmitGroup(engine.GroupTask{
+		Members: []engine.GroupMember{{Key: "blocker"}},
+		Run: func(ctx context.Context, _ []int, report func(uint64)) ([]any, error) {
 			started <- struct{}{}
 			<-release
-			return nil, nil
+			return []any{nil}, nil
 		},
-	})
+	})[0]
 	<-started
 
 	sp := quickSpec(t)

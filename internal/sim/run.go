@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 
-	"jetty/internal/engine"
 	"jetty/internal/jetty"
 	"jetty/internal/metrics"
 	"jetty/internal/smp"
@@ -20,10 +19,11 @@ import (
 
 // The engine-backed execution path. Every simulation — a one-off
 // experiment, a sweep cell, a fused sweep group — is one Run of an
-// Input under a Plan, scheduled as one engine group task (GroupTask)
-// whose members are content-addressed by Key. A single-configuration
-// run is simply a plan carrying one bank. RunApp stays the engine-free
-// reference the engine-backed path must reproduce bit for bit.
+// Input under a Plan, which internal/sweep schedules as one engine
+// group task whose members are content-addressed by Key. A
+// single-configuration run is simply a plan carrying one bank. RunApp
+// stays the reference the engine-backed path must reproduce bit for
+// bit.
 
 // Input is the reference stream of one simulation: a generator spec,
 // or a stored trace to replay when Trace is non-nil.
@@ -190,8 +190,9 @@ var batchPool = sync.Pool{New: func() any { return new([batchRecords]trace.Rec) 
 
 // stepBatches steps sys through the batches next produces until it
 // produces an empty one, checking ctx before each batch and reporting
-// the references stepped so far after it. It is the only StepBatch
-// caller: memo hits, generator misses and trace replays all feed it.
+// the references stepped so far after it. Memo hits, generator misses
+// and trace replays all feed it; the only other StepBatch caller is
+// RunApp's reference loop, stepRecords (sim.go).
 func stepBatches(ctx context.Context, sys *smp.System, next func() ([]trace.Rec, error), report func(done uint64)) error {
 	var done uint64
 	for {
@@ -210,53 +211,5 @@ func stepBatches(ctx context.Context, sys *smp.System, next func() ([]trace.Rec,
 		if report != nil {
 			report(done)
 		}
-	}
-}
-
-// Member is one result of a group task: its content address (Key over
-// the member's own machine) and that machine, filters attached.
-type Member struct {
-	Key    string
-	Config smp.Config
-}
-
-// GroupTask wraps one simulation pass of in as an engine group task
-// with one member per result: one queued run, one engine-cache fill per
-// member under that member's own key, so later submissions of any
-// member's key — alone or in another group — are served from the cache.
-// Members must share one machine apart from their filter banks (the
-// sweep planner groups cells by Key over the filterless config); the
-// run attaches only the live members' banks, so canceled and
-// cache-satisfied members cost nothing.
-//
-// The caller labels the task (Kind, Origin, Tenant). A window streamed
-// through opt.OnWindow names its member by its index in members.
-func GroupTask(in Input, members []Member, opt SampleOptions) engine.GroupTask {
-	ms := make([]engine.GroupMember, len(members))
-	for i, m := range members {
-		ms[i] = engine.GroupMember{Key: m.Key, Total: in.Total()}
-	}
-	return engine.GroupTask{
-		Members: ms,
-		Run: func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
-			banks := make([][]jetty.Config, len(live))
-			for k, i := range live {
-				banks[k] = members[i].Config.Filters
-			}
-			base := members[live[0]].Config.WithoutFilters()
-			plan := Plan{Banks: banks, Sample: opt}
-			if opt.OnWindow != nil {
-				plan.Sample.OnWindow = func(k int, w *metrics.Window) { opt.OnWindow(live[k], w) }
-			}
-			results, err := Run(ctx, in, base, plan, report)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]any, len(results))
-			for k, r := range results {
-				out[k] = r
-			}
-			return out, nil
-		},
 	}
 }

@@ -17,9 +17,21 @@ func runSingle(ctx context.Context, in Input, cfg smp.Config, plan Plan, report 
 	return res[0], nil
 }
 
+// groupOne is one run of in on cfg as an engine group of one, keyed
+// the way a sweep keys the cell.
+func groupOne(in Input, cfg smp.Config, opt SampleOptions) engine.GroupTask {
+	return engine.GroupTask{
+		Members: []engine.GroupMember{{Key: Key(in, cfg, opt.Interval), Total: in.Total()}},
+		Run: func(ctx context.Context, _ []int, report func(uint64)) ([]any, error) {
+			res, err := runSingle(ctx, in, cfg, Plan{Sample: opt}, report)
+			return []any{res}, err
+		},
+	}
+}
+
 // submitOne schedules one run of in on cfg as a group of one.
 func submitOne(eng *engine.Engine, in Input, cfg smp.Config, opt SampleOptions) *engine.Job {
-	return eng.SubmitGroup(GroupTask(in, []Member{{Key: Key(in, cfg, opt.Interval), Config: cfg}}, opt))[0]
+	return eng.SubmitGroup(groupOne(in, cfg, opt))[0]
 }
 
 // waitResult waits for one job and returns a copy of its AppResult

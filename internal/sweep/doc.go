@@ -23,17 +23,21 @@
 // produce identical per-filter numbers (TestBankMatchesEach asserts it);
 // bank mode costs |filters|× less simulation.
 //
-// Every cell runs as a member of one engine group task (sim.GroupTask),
-// and fusion is the only schedule: cells that agree on everything but
-// their filter group (same workload, scale, seed, machine geometry) are
-// planned into one unit (plan.go) whose single sim.Run replays the
-// reference stream once with every member's bank attached as
+// Every cell runs as a member of one engine group task, which Submit
+// builds for each planned unit, and fusion is the only schedule: cells
+// that agree on everything but their filter group (same workload,
+// scale, seed, machine geometry) are planned into one unit (plan.go)
+// whose single sim.Run replays the reference stream once with the bank
+// of every member the engine did not satisfy otherwise attached as
 // concatenated observers; a cell with a stream of its own is a unit of
-// one. Each member's result is demuxed out of the wide pass and cached
-// under the member cell's own content address, so fused results are
-// bit-identical to runs of one cell each (TestSweepFusedMatchesPerCell
-// compares against one-filter specs) and every unit shape interoperates
-// through the engine cache. A sampled submission's window hook
+// one. A cluster coordinator's unit runs the same cells through
+// Submission.Remote instead of sim.Run. Submit also picks each unit's
+// telemetry kind (KindSweep or the submitter's Kind for units of one,
+// KindFused for the rest). Each member's result is demuxed out of the
+// wide pass and cached under the member cell's own content address, so
+// fused results are bit-identical to runs of one cell each
+// (TestSweepFusedMatchesPerCell compares against one-filter specs) and
+// every unit shape interoperates through the engine cache. A sampled submission's window hook
 // (Submission.OnWindow) hears every executing member of every unit.
 //
 // Submit is the only way in and *Sweep the only handle: a cluster

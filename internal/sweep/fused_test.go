@@ -372,7 +372,10 @@ func TestOnWindowStreamsFusedUnits(t *testing.T) {
 	if len(res.Timelines) != len(res.Cells) {
 		t.Fatalf("%d timelines retained for %d cells", len(res.Timelines), len(res.Cells))
 	}
-	dispos := s.Dispositions()
+	dispos := map[int]string{}
+	for _, cs := range s.Status(true).Cell {
+		dispos[cs.Index] = cs.Disposition
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	var executed int
@@ -403,12 +406,34 @@ func TestOnWindowStreamsFusedUnits(t *testing.T) {
 type fusedRetireCollector struct {
 	mu     sync.Mutex
 	traces []engine.TaskTrace
+	added  chan struct{} // signaled after each trace
+}
+
+func newFusedRetireCollector() *fusedRetireCollector {
+	return &fusedRetireCollector{added: make(chan struct{}, 1)}
 }
 
 func (c *fusedRetireCollector) hook(tr engine.TaskTrace) {
 	c.mu.Lock()
 	c.traces = append(c.traces, tr)
 	c.mu.Unlock()
+	select {
+	case c.added <- struct{}{}:
+	default:
+	}
+}
+
+// waitKeys blocks until traces for at least n distinct keys have
+// arrived, failing the test once deadline fires.
+func (c *fusedRetireCollector) waitKeys(t *testing.T, n int, deadline <-chan time.Time) {
+	t.Helper()
+	for len(c.byKey()) < n {
+		select {
+		case <-c.added:
+		case <-deadline:
+			t.Fatalf("traces for %d keys, want %d", len(c.byKey()), n)
+		}
+	}
 }
 
 func (c *fusedRetireCollector) byKey() map[string][]engine.TaskTrace {
@@ -426,18 +451,24 @@ func (c *fusedRetireCollector) byKey() map[string][]engine.TaskTrace {
 // exactly once per member with the fused kind, the submission origin,
 // and a canceled terminal state.
 func TestFusedCancelAndLoss(t *testing.T) {
-	col := &fusedRetireCollector{}
+	col := newFusedRetireCollector()
 	eng := engine.New(engine.Options{OnRetire: col.hook})
 	t.Cleanup(eng.Close)
 
-	// A big budget keeps the fused pass running until we cancel it.
+	// A big budget keeps the fused pass running until we cancel it; its
+	// first timeline window says the pass is under way.
 	spec := Spec{
 		Workloads:  []string{"Fmm"},
 		Filters:    fusedAxis(),
 		FilterMode: ModeEach,
 		Scale:      100,
+		Interval:   1 << 16,
 	}
-	s, err := Submit(eng, spec, nil, Submission{Origin: "req-cancel-1"})
+	running := make(chan struct{})
+	var once sync.Once
+	s, err := Submit(eng, spec, nil, Submission{Origin: "req-cancel-1", OnWindow: func(int, *metrics.Window) {
+		once.Do(func() { close(running) })
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,9 +477,14 @@ func TestFusedCancelAndLoss(t *testing.T) {
 	}
 
 	// Wait for the fused pass to actually start before withdrawing.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Status(false).State == "queued" && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	deadline := time.After(30 * time.Second)
+	select {
+	case <-running:
+	case <-deadline:
+		t.Fatal("the fused pass never emitted a window")
+	}
+	if st := s.Status(false); st.State != "running" {
+		t.Fatalf("state %s before cancel, want running", st.State)
 	}
 	s.Cancel()
 	if _, err := s.Wait(context.Background()); err == nil {
@@ -460,13 +496,7 @@ func TestFusedCancelAndLoss(t *testing.T) {
 
 	// Every member retires exactly once, as a canceled fused execution.
 	cells := s.Cells()
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if byKey := col.byKey(); len(byKey) >= len(cells) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	col.waitKeys(t, len(cells), deadline)
 	byKey := col.byKey()
 	for _, c := range cells {
 		trs := byKey[c.Key]
@@ -474,8 +504,8 @@ func TestFusedCancelAndLoss(t *testing.T) {
 			t.Fatalf("cell %s retired %d times, want exactly once", c.Key, len(trs))
 		}
 		tr := trs[0]
-		if tr.Kind != sim.KindFused {
-			t.Errorf("cell %s retired with kind %q, want %q", c.Key, tr.Kind, sim.KindFused)
+		if tr.Kind != KindFused {
+			t.Errorf("cell %s retired with kind %q, want %q", c.Key, tr.Kind, KindFused)
 		}
 		if tr.Origin != "req-cancel-1" {
 			t.Errorf("cell %s retired with origin %q", c.Key, tr.Origin)

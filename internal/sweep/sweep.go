@@ -7,8 +7,19 @@ import (
 	"time"
 
 	"jetty/internal/engine"
+	"jetty/internal/jetty"
 	"jetty/internal/metrics"
 	"jetty/internal/sim"
+)
+
+// Task kinds: the telemetry label (engine.GroupTask.Kind) each unit
+// carries, so jettyd's per-kind latency histograms and slow-job logs
+// distinguish generated runs from trace replays and sweep cells.
+const (
+	KindWorkload = "workload" // generator-driven app run
+	KindTrace    = "trace"    // stored-trace replay
+	KindSweep    = "sweep"    // sweep cell (the default)
+	KindFused    = "fused"    // fused multi-bank group run (one pass, N cells)
 )
 
 // Sweep is one submitted sweep, or the share of one that
@@ -38,9 +49,9 @@ type Submission struct {
 	// default tenant.
 	Tenant string
 	// Kind is the engine task kind of units of one cell; empty means
-	// sim.KindSweep. jettyd's per-kind latency histograms tell sweep
-	// cells from experiment runs (sim.KindWorkload, sim.KindTrace) by
-	// it. Units of several cells are always sim.KindFused.
+	// KindSweep. jettyd's per-kind latency histograms tell sweep cells
+	// from experiment runs (KindWorkload, KindTrace) by it. Units of
+	// several cells are always KindFused.
 	Kind string
 	// Cells, if non-nil, selects the expansion indices to run, strictly
 	// ascending; nil runs every cell. A cluster worker runs one
@@ -90,7 +101,7 @@ func Submit(eng *engine.Engine, spec Spec, traces TraceResolver, sub Submission)
 	s := &Sweep{spec: spec.normalize(), tenant: sub.Tenant, cells: cells, jobs: make([]*engine.Job, len(cells))}
 	kind := sub.Kind
 	if kind == "" {
-		kind = sim.KindSweep
+		kind = KindSweep
 	}
 	for _, unit := range PlanUnits(cells) {
 		// Every cell in a unit measures the same reference stream on the
@@ -99,25 +110,15 @@ func Submit(eng *engine.Engine, spec Spec, traces TraceResolver, sub Submission)
 		// the cells' own content addresses: the engine caches each member
 		// under the key a run of that cell alone would use, so results
 		// interoperate through the cache whatever the unit shapes.
-		members := make([]sim.Member, len(unit))
+		members := make([]engine.GroupMember, len(unit))
 		for k, i := range unit {
-			members[k] = sim.Member{Key: cells[i].Key, Config: cells[i].cfg}
+			members[k] = engine.GroupMember{Key: cells[i].Key, Total: cells[i].Total()}
 		}
-		opt := sim.SampleOptions{Interval: s.spec.Interval}
-		if sub.OnWindow != nil {
-			opt.OnWindow = func(m int, w *metrics.Window) { sub.OnWindow(cells[unit[m]].Index, w) }
-		}
-		g := sim.GroupTask(cells[unit[0]].in, members, opt)
-		if sub.Remote != nil {
-			g.Run = remoteRun(sub.Remote, cells, unit)
-		}
-		g.Kind = kind
+		g := engine.GroupTask{Kind: kind, Origin: sub.Origin, Tenant: sub.Tenant, Members: members, Run: s.unitRun(sub, unit)}
 		if len(unit) > 1 {
-			g.Kind = sim.KindFused
+			g.Kind = KindFused
 			s.fused++
 		}
-		g.Origin = sub.Origin
-		g.Tenant = sub.Tenant
 		for k, j := range eng.SubmitGroup(g) {
 			s.jobs[unit[k]] = j
 		}
@@ -125,15 +126,32 @@ func Submit(eng *engine.Engine, spec Spec, traces TraceResolver, sub Submission)
 	return s, nil
 }
 
-// remoteRun is a unit's engine run that hands the unit's live cells to
-// remote instead of simulating them.
-func remoteRun(remote func(context.Context, []Cell) ([]sim.AppResult, error), cells []Cell, unit []int) func(context.Context, []int, func(uint64)) ([]any, error) {
-	return func(ctx context.Context, live []int, _ func(uint64)) ([]any, error) {
+// unitRun is the engine run of one planned unit (indices into s.cells).
+// The engine hands it the members it did not satisfy from its cache,
+// store or in-flight work; their cells go to sub.Remote, or run here as
+// one simulation pass with only their banks attached, so canceled and
+// cache-satisfied members cost nothing.
+func (s *Sweep) unitRun(sub Submission, unit []int) func(context.Context, []int, func(uint64)) ([]any, error) {
+	return func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
 		picked := make([]Cell, len(live))
 		for k, i := range live {
-			picked[k] = cells[unit[i]]
+			picked[k] = s.cells[unit[i]]
 		}
-		results, err := remote(ctx, picked)
+		var results []sim.AppResult
+		var err error
+		if sub.Remote != nil {
+			results, err = sub.Remote(ctx, picked)
+		} else {
+			banks := make([][]jetty.Config, len(picked))
+			for k, c := range picked {
+				banks[k] = c.cfg.Filters
+			}
+			plan := sim.Plan{Banks: banks, Sample: sim.SampleOptions{Interval: s.spec.Interval}}
+			if sub.OnWindow != nil {
+				plan.Sample.OnWindow = func(k int, w *metrics.Window) { sub.OnWindow(picked[k].Index, w) }
+			}
+			results, err = sim.Run(ctx, picked[0].in, picked[0].cfg.WithoutFilters(), plan, report)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -208,18 +226,6 @@ func (s *Sweep) Results(ctx context.Context) ([]sim.AppResult, error) {
 		results[k] = v.(sim.AppResult).Clone()
 	}
 	return results, nil
-}
-
-// Dispositions returns each cell's engine disposition ("executed",
-// "cache_hit", "coalesced"; empty while still running), aligned with
-// Cells(). A cluster worker reports these so the coordinator can tell
-// L1 cache hits from fresh computation.
-func (s *Sweep) Dispositions() []string {
-	out := make([]string, len(s.jobs))
-	for k, j := range s.jobs {
-		out[k] = j.Status().Disposition
-	}
-	return out
 }
 
 // Spec returns the (normalized) spec the sweep runs.
