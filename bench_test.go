@@ -395,7 +395,7 @@ func BenchmarkSweepFused(b *testing.B) {
 		b.ReportMetric(float64(cells), "cells")
 	})
 	b.Run("fused-fresh", func(b *testing.B) {
-		sp, err := workload.ByName("Lu")
+		sp, err := workload.Lookup("Lu")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func BenchmarkSweepFused(b *testing.B) {
 		b.ReportMetric(float64(cells), "cells")
 	})
 	b.Run("single", func(b *testing.B) {
-		sp, err := workload.ByName("Lu")
+		sp, err := workload.Lookup("Lu")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -527,7 +527,7 @@ func BenchmarkFilterSafetyAudit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp, err := workload.ByName("Lu")
+	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func BenchmarkFilterSafetyAudit(b *testing.B) {
 //     holds here too (TestStepSteadyStateAllocsSampled).
 func BenchmarkAccessHotPath(b *testing.B) {
 	cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(sim.BestHybrid))
-	sp, err := workload.ByName("Ocean")
+	sp, err := workload.Lookup("Ocean")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func BenchmarkAccessHotPath(b *testing.B) {
 // machine each iteration. Tracked in PERFORMANCE.md.
 func BenchmarkTraceReplay(b *testing.B) {
 	cfg := smp.PaperConfig(4).WithFilters(jetty.MustParse(sim.BestHybrid))
-	sp, err := workload.ByName("Ocean")
+	sp, err := workload.Lookup("Ocean")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func BenchmarkSystemStep(b *testing.B) {
 	}
 	cfg := smp.PaperConfig(4).WithFilters(filters...)
 	sys := smp.New(cfg)
-	sp, _ := workload.ByName("Ocean")
+	sp, _ := workload.Lookup("Ocean")
 	recs := make([]trace.Rec, 1<<16)
 	trace.NewRoundRobin(sp.Source(4)).Fill(recs)
 	b.ResetTimer()

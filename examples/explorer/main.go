@@ -48,7 +48,7 @@ func main() {
 	tech := energy.Tech180()
 
 	for _, app := range apps {
-		sp, err := workload.ByName(app)
+		sp, err := workload.Lookup(app)
 		if err != nil {
 			log.Fatal(err)
 		}

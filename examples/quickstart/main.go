@@ -23,7 +23,7 @@ func main() {
 	cfg := smp.PaperConfig(4).WithFilters(best)
 
 	// One of the ten Table-2 workloads, shortened for a quick run.
-	spec, err := workload.ByName("Ocean")
+	spec, err := workload.Lookup("Ocean")
 	if err != nil {
 		log.Fatal(err)
 	}

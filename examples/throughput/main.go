@@ -24,7 +24,7 @@ func main() {
 	throughput := workload.Throughput()
 	throughput.Accesses = 800_000
 
-	parallel, err := workload.ByName("Unstructured") // heaviest sharing in the suite
+	parallel, err := workload.Lookup("Unstructured") // heaviest sharing in the suite
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func (c *Client) post(ctx context.Context, path, contentType, tenant, id string,
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
 		return nil, &StatusError{Code: resp.StatusCode, Msg: errorBody(resp.Body)}
 	}

@@ -478,6 +478,45 @@ func TestClusterReuploadsTracesAfterRestart(t *testing.T) {
 	}
 }
 
+// TestClusterFirstTraceUploadIsNoFailure: a worker answers a new trace
+// upload with 201 Created. The coordinator must take that as success —
+// one upload, one dispatch, no failed attempt — not as an error that
+// backs off and uploads again.
+func TestClusterFirstTraceUploadIsNoFailure(t *testing.T) {
+	workers, clients := startWorkers(t, 1, service.Options{Workers: 1})
+	co := newCoordinator(t, clients, nil)
+	eng := newEngine(t, co, engine.Options{})
+
+	in, err := sim.LoadTrace("", recordedTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolver := func(ref string) (sim.TraceInput, error) {
+		if ref == in.Digest {
+			return in, nil
+		}
+		return sim.TraceInput{}, fmt.Errorf("unknown trace %q", ref)
+	}
+	spec := sweep.Spec{
+		Name:      "first-upload",
+		Workloads: []string{sweep.TracePrefix + in.Digest},
+		Filters:   []string{"EJ-16x2"},
+	}
+	s := submit(t, eng, co, spec, resolver, sweep.Submission{Origin: "test"})
+	waitSweep(t, s)
+
+	if ups := workers[0].traceUploads(); ups != 1 {
+		t.Errorf("worker saw %d trace uploads, want 1", ups)
+	}
+	st := co.Stats()
+	if w := st.Workers[0]; w.Failed != 0 || w.Dispatched != 1 {
+		t.Errorf("worker stats: failed %d, dispatched %d; want 0 and 1", w.Failed, w.Dispatched)
+	}
+	if st.CellsDispatched != 1 {
+		t.Errorf("cells_dispatched = %d, want 1", st.CellsDispatched)
+	}
+}
+
 // TestClusterTenantPropagation: the coordinator stamps every fan-out
 // request — cell dispatches and trace uploads — with the submitting
 // tenant, so worker-side quotas and fair-share see the real principal,

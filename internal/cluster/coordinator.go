@@ -15,13 +15,16 @@ import (
 const (
 	DefaultProbeInterval        = 2 * time.Second
 	DefaultRequestTimeout       = 5 * time.Minute
-	DefaultMaxAttempts          = 8
 	DefaultRetryBackoff         = 100 * time.Millisecond
 	DefaultMaxInflightPerWorker = 4
 )
 
 // maxRetryBackoff caps the exponential retry backoff.
 const maxRetryBackoff = 2 * time.Second
+
+// maxAttempts bounds dispatches per cell unit before the unit, and so
+// its sweep, fails.
+const maxAttempts = 8
 
 // Options configures a Coordinator.
 type Options struct {
@@ -37,9 +40,6 @@ type Options struct {
 	// RequestTimeout bounds one cell-unit dispatch (0 = 5m). A timed-out
 	// dispatch counts as a transport failure.
 	RequestTimeout time.Duration
-	// MaxAttempts bounds dispatches per cell unit before the unit, and
-	// so its sweep, fails (0 = 8).
-	MaxAttempts int
 	// RetryBackoff is the base delay before redispatching a unit after a
 	// transient (5xx/429) worker reply; it doubles per attempt up to 2s
 	// (0 = 100ms).
@@ -60,9 +60,6 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = DefaultRequestTimeout
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = DefaultRetryBackoff
 	}
@@ -77,10 +74,9 @@ func (o Options) withDefaults() Options {
 type worker struct {
 	client *Client
 
-	alive      bool
-	lastErr    string
-	queueDepth int // last probed engine queue depth
-	probed     engine.Stats
+	alive   bool
+	lastErr string
+	probed  engine.Stats // last probed engine stats
 
 	inflight   int     // units currently dispatched by this coordinator
 	ewmaSec    float64 // EWMA of observed per-cell latency
@@ -103,7 +99,7 @@ const ewmaWeight = 0.3
 // engine queue plus the units this coordinator has in flight). Lower is
 // better; a worker with no history scores 0 and gets tried first.
 func (w *worker) score() float64 {
-	return w.ewmaSec * float64(1+w.queueDepth+w.inflight)
+	return w.ewmaSec * float64(1+w.probed.QueueDepth+w.inflight)
 }
 
 // counters are the coordinator's lifetime counters (cluster-wide, all
@@ -242,7 +238,6 @@ func (co *Coordinator) probeAll() {
 				revived = true
 				co.log.Info("cluster worker revived", "worker", w.client.Name())
 			}
-			w.queueDepth = healths[i].Stats.QueueDepth
 			w.probed = healths[i].Stats
 		}
 	}
@@ -423,7 +418,7 @@ func (co *Coordinator) Stats() Stats {
 			Name:            w.client.Name(),
 			URL:             w.client.URL(),
 			Alive:           w.alive,
-			QueueDepth:      w.queueDepth,
+			QueueDepth:      w.probed.QueueDepth,
 			CacheEntries:    w.probed.CacheEntries,
 			Inflight:        w.inflight,
 			EWMACellSeconds: w.ewmaSec,

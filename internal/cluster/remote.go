@@ -61,7 +61,7 @@ func (co *Coordinator) Remote(spec sweep.Spec, traces sweep.TraceResolver, tenan
 			tenant: tenant,
 			origin: origin,
 			traces: refs,
-			events: make(chan attemptEvent, 2*co.opts.MaxAttempts),
+			events: make(chan attemptEvent, 2*maxAttempts),
 		}
 		defer r.attempts.Wait()
 		defer cancel() // stops the attempts that lost
@@ -81,7 +81,7 @@ type unitRun struct {
 	origin string
 	traces []sim.TraceInput
 	// events carries each attempt's end and each hedge. Every attempt
-	// sends at most one of each, and a run starts at most MaxAttempts,
+	// sends at most one of each, and a run starts at most maxAttempts,
 	// so sends never block.
 	events   chan attemptEvent
 	attempts sync.WaitGroup // dispatch goroutines
@@ -125,7 +125,7 @@ func (r *unitRun) run() ([]sim.AppResult, error) {
 	)
 	for {
 		var freed <-chan struct{}
-		for want > 0 && retry == nil && started < co.opts.MaxAttempts {
+		for want > 0 && retry == nil && started < maxAttempts {
 			a := &attempt{run: r, n: started + 1}
 			ch, ok := co.acquire(a)
 			if !ok {
@@ -138,7 +138,7 @@ func (r *unitRun) run() ([]sim.AppResult, error) {
 			r.attempts.Add(1)
 			go r.dispatch(a)
 		}
-		if live == 0 && retry == nil && started >= co.opts.MaxAttempts {
+		if live == 0 && retry == nil && started >= maxAttempts {
 			return nil, fmt.Errorf("cluster: unit failed after %d attempts: %w", started, lastErr)
 		}
 		select {

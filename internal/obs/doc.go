@@ -5,18 +5,24 @@
 // It deliberately reimplements the small slice of a metrics client the
 // daemon needs rather than importing one:
 //
-//   - Histogram / HistogramFamily: fixed-bucket, lock-free latency
-//     histograms. Observe is one bound scan plus two atomics and never
-//     allocates — cheap enough for the engine's job-retire hook and the
-//     per-request HTTP path (BenchmarkObsOverhead pins the cost, and
+//   - Histogram: a fixed-bucket, lock-free latency histogram. Observe
+//     is one bound scan plus two atomics and never allocates — cheap
+//     enough for the engine's job-retire hook and the per-request HTTP
+//     path (BenchmarkObsOverhead pins the cost, and
 //     TestHistogramObserveAllocs pins 0 allocs/op).
-//   - Counter / Gauge / GaugeFamily: atomic scalars. Counters are
-//     monotone; Set exists to mirror externally maintained monotone
-//     totals (engine.Stats) into one consistent scrape.
+//   - Counter / Gauge: atomic scalars. Counters are monotone; Set
+//     exists to mirror externally maintained monotone totals
+//     (engine.Stats) into one consistent scrape.
+//   - Family[T]: one generic labeled family of any instrument kind —
+//     one child map, one With, one snapshot sorted by label values.
+//     CounterFamily, GaugeFamily and HistogramFamily are its three
+//     instantiations; an unlabeled instrument is the single child of a
+//     family with no labels.
 //   - Registry: orders families and renders the Prometheus text
-//     exposition format (0.0.4). Cumulative histogram buckets are
-//     rebuilt at render time, so +Inf always equals _count even while
-//     writers race the scrape.
+//     exposition format (0.0.4), each family's children sorted by
+//     label values. Cumulative histogram buckets are rebuilt at render
+//     time, so +Inf always equals _count even while writers race the
+//     scrape.
 //   - Lint / CheckMonotone: an in-repo promlint that CI and the service
 //     tests run against live scrape output — HELP/TYPE present for
 //     every series, counters suffixed _total and never decreasing

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -70,57 +69,4 @@ func (h *Histogram) snapshot() (counts []uint64, sum float64) {
 		counts[i] = h.counts[i].Load()
 	}
 	return counts, h.Sum()
-}
-
-// labelKey indexes a family's children without allocating on lookup:
-// families carry at most three labels, so a fixed-size array key keeps
-// the map access allocation-free even on the hot path.
-type labelKey [maxLabels]string
-
-// maxLabels is the most labels one family may carry.
-const maxLabels = 3
-
-// HistogramFamily is a set of Histograms sharing a name and bucket
-// layout, distinguished by label values (e.g. route and status for HTTP
-// latency). Resolve a child once with With and keep the handle: Observe
-// on the child is the lock-free hot path; With itself takes a read lock
-// and allocates only when it creates a new child.
-type HistogramFamily struct {
-	name   string
-	help   string
-	labels []string
-	bounds []float64
-
-	mu       sync.RWMutex
-	children map[labelKey]*Histogram
-	order    []labelKey // insertion order, for stable rendering
-}
-
-// With returns the child histogram for the given label values (creating
-// it on first use). The number of values must match the family's label
-// names; With panics otherwise — a miswired instrument is a programming
-// error, not a runtime condition.
-func (f *HistogramFamily) With(values ...string) *Histogram {
-	if len(values) != len(f.labels) {
-		panic("obs: label value count mismatch for " + f.name)
-	}
-	var key labelKey
-	copy(key[:], values)
-
-	f.mu.RLock()
-	h := f.children[key]
-	f.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if h := f.children[key]; h != nil {
-		return h
-	}
-	h = newHistogram(f.bounds)
-	f.children[key] = h
-	f.order = append(f.order, key)
-	return h
 }

@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,20 +46,43 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
-// CounterFamily is a set of Counters sharing a name, distinguished by
-// label values (e.g. per-tenant admission-rejection counts).
-type CounterFamily struct {
-	name   string
-	labels []string
+// Family is a set of instruments of one kind sharing a name,
+// distinguished by label values (e.g. route and status for HTTP latency,
+// tenant and reason for admission rejections). An unlabeled instrument
+// is the single child of a family with no labels. Resolve a child once
+// with With and keep the handle: the child's own methods are the
+// lock-free hot path; With takes a read lock and allocates only when it
+// creates a new child.
+type Family[T any] struct {
+	name     string
+	labels   []string
+	newChild func() *T
 
 	mu       sync.RWMutex
-	children map[labelKey]*Counter
-	order    []labelKey
+	children map[labelKey]*T
 }
 
-// With returns the child counter for the given label values, creating it
-// on first use. Panics on a label-count mismatch (programming error).
-func (f *CounterFamily) With(values ...string) *Counter {
+// CounterFamily, GaugeFamily and HistogramFamily are the three kinds of
+// family a Registry makes.
+type (
+	CounterFamily   = Family[Counter]
+	GaugeFamily     = Family[Gauge]
+	HistogramFamily = Family[Histogram]
+)
+
+// labelKey indexes a family's children without allocating on lookup:
+// families carry at most three labels, so a fixed-size array key keeps
+// the map access allocation-free even on the hot path.
+type labelKey [maxLabels]string
+
+// maxLabels is the most labels one family may carry.
+const maxLabels = 3
+
+// With returns the child for the given label values, creating it on
+// first use. The number of values must match the family's label names;
+// With panics otherwise — a miswired instrument is a programming error,
+// not a runtime condition.
+func (f *Family[T]) With(values ...string) *T {
 	if len(values) != len(f.labels) {
 		panic("obs: label value count mismatch for " + f.name)
 	}
@@ -76,67 +99,45 @@ func (f *CounterFamily) With(values ...string) *Counter {
 	if c := f.children[key]; c != nil {
 		return c
 	}
-	c = &Counter{}
+	c = f.newChild()
 	f.children[key] = c
-	f.order = append(f.order, key)
 	return c
 }
 
-// GaugeFamily is a set of Gauges sharing a name, distinguished by label
-// values (e.g. jettyd_build_info's version labels).
-type GaugeFamily struct {
-	name   string
-	labels []string
-
-	mu       sync.RWMutex
-	children map[labelKey]*Gauge
-	order    []labelKey
+// child is one labeled instrument of a family snapshot.
+type child[T any] struct {
+	key labelKey
+	v   *T
 }
 
-// With returns the child gauge for the given label values, creating it
-// on first use. Panics on a label-count mismatch (programming error).
-func (f *GaugeFamily) With(values ...string) *Gauge {
-	if len(values) != len(f.labels) {
-		panic("obs: label value count mismatch for " + f.name)
-	}
-	var key labelKey
-	copy(key[:], values)
+// snapshot returns the family's children sorted by label values, so
+// successive scrapes are diffable.
+func (f *Family[T]) snapshot() []child[T] {
 	f.mu.RLock()
-	g := f.children[key]
+	out := make([]child[T], 0, len(f.children))
+	for k, v := range f.children {
+		out = append(out, child[T]{k, v})
+	}
 	f.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g := f.children[key]; g != nil {
-		return g
-	}
-	g = &Gauge{}
-	f.children[key] = g
-	f.order = append(f.order, key)
-	return g
+	slices.SortFunc(out, func(a, b child[T]) int { return slices.Compare(a.key[:], b.key[:]) })
+	return out
 }
 
-// family is one registered metric family: exactly one of the instrument
-// pointers is set, matching typ.
+// family is one registered metric family. render writes its samples;
+// the constructor that registered it builds it around the typed Family.
 type family struct {
 	name   string
 	help   string
 	typ    string // "counter" | "gauge" | "histogram"
 	labels []string
-
-	counter  *Counter
-	counters *CounterFamily
-	gauge    *Gauge
-	gauges   *GaugeFamily
-	hist     *HistogramFamily
+	render func(b *strings.Builder)
 }
 
 // Registry holds metric families and renders them in the Prometheus text
 // exposition format (version 0.0.4). Families render in registration
-// order; every family always renders its HELP and TYPE lines, so a
-// scrape can never observe a bare series (the promlint invariant).
+// order, each family's children sorted by label values; every family
+// always renders its HELP and TYPE lines, so a scrape can never observe
+// a bare series (the promlint invariant).
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -176,40 +177,54 @@ func (r *Registry) register(f *family) {
 	r.byName[f.name] = f
 }
 
+// newFamily registers a family of the given type whose children are
+// made by newChild; sample writes one child's sample lines.
+func newFamily[T any](r *Registry, name, help, typ string, labels []string,
+	newChild func() *T, sample func(b *strings.Builder, f *family, key labelKey, c *T)) *Family[T] {
+	tf := &Family[T]{name: name, labels: labels, newChild: newChild, children: make(map[labelKey]*T)}
+	f := &family{name: name, help: help, typ: typ, labels: labels}
+	f.render = func(b *strings.Builder) {
+		for _, c := range tf.snapshot() {
+			sample(b, f, c.key, c.v)
+		}
+	}
+	r.register(f)
+	return tf
+}
+
 // NewCounter registers an unlabeled counter. The name must end in
 // _total (Prometheus counter convention; the in-repo linter enforces
 // the same rule on scrape output).
 func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&family{name: name, help: help, typ: "counter", counter: c})
-	return c
+	return r.NewCounterFamily(name, help, nil).With()
 }
 
 // NewCounterFamily registers a labeled counter family. The name must end
 // in _total, like NewCounter's.
 func (r *Registry) NewCounterFamily(name, help string, labels []string) *CounterFamily {
-	f := &CounterFamily{name: name, labels: labels, children: make(map[labelKey]*Counter)}
-	r.register(&family{name: name, help: help, typ: "counter", labels: labels, counters: f})
-	return f
+	return newFamily(r, name, help, "counter", labels, func() *Counter { return &Counter{} },
+		func(b *strings.Builder, f *family, key labelKey, c *Counter) {
+			fmt.Fprintf(b, "%s%s %d\n", f.name, renderLabels(f.labels, key, ""), c.Value())
+		})
 }
 
 // NewGauge registers an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&family{name: name, help: help, typ: "gauge", gauge: g})
-	return g
+	return r.NewGaugeFamily(name, help, nil).With()
 }
 
 // NewGaugeFamily registers a labeled gauge family.
 func (r *Registry) NewGaugeFamily(name, help string, labels []string) *GaugeFamily {
-	f := &GaugeFamily{name: name, labels: labels, children: make(map[labelKey]*Gauge)}
-	r.register(&family{name: name, help: help, typ: "gauge", labels: labels, gauges: f})
-	return f
+	return newFamily(r, name, help, "gauge", labels, func() *Gauge { return &Gauge{} },
+		func(b *strings.Builder, f *family, key labelKey, g *Gauge) {
+			fmt.Fprintf(b, "%s%s %s\n", f.name, renderLabels(f.labels, key, ""), formatFloat(g.Value()))
+		})
 }
 
 // NewHistogramFamily registers a labeled histogram family with the given
 // bucket upper bounds (nil means DefBuckets). Bounds must be strictly
-// ascending.
+// ascending. Each child renders its cumulative le-labeled buckets, then
+// _sum and _count.
 func (r *Registry) NewHistogramFamily(name, help string, labels []string, bounds []float64) *HistogramFamily {
 	if bounds == nil {
 		bounds = DefBuckets
@@ -219,15 +234,21 @@ func (r *Registry) NewHistogramFamily(name, help string, labels []string, bounds
 			panic("obs: histogram bounds not ascending for " + name)
 		}
 	}
-	f := &HistogramFamily{
-		name:     name,
-		help:     help,
-		labels:   labels,
-		bounds:   bounds,
-		children: make(map[labelKey]*Histogram),
-	}
-	r.register(&family{name: name, help: help, typ: "histogram", labels: labels, hist: f})
-	return f
+	return newFamily(r, name, help, "histogram", labels, func() *Histogram { return newHistogram(bounds) },
+		func(b *strings.Builder, f *family, key labelKey, h *Histogram) {
+			counts, sum := h.snapshot()
+			var cum uint64
+			for bi, c := range counts {
+				cum += c
+				le := "+Inf"
+				if bi < len(bounds) {
+					le = formatFloat(bounds[bi])
+				}
+				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, renderLabels(f.labels, key, le), cum)
+			}
+			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, renderLabels(f.labels, key, ""), formatFloat(sum))
+			fmt.Fprintf(b, "%s_count%s %d\n", f.name, renderLabels(f.labels, key, ""), cum)
+		})
 }
 
 // WriteText renders every family in the Prometheus text exposition
@@ -242,104 +263,17 @@ func (r *Registry) WriteText(w io.Writer) error {
 	var b strings.Builder
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
-		switch {
-		case f.counter != nil:
-			fmt.Fprintf(&b, "%s %d\n", f.name, f.counter.Value())
-		case f.counters != nil:
-			f.counters.mu.RLock()
-			keys := append([]labelKey(nil), f.counters.order...)
-			f.counters.mu.RUnlock()
-			sortLabelKeys(keys)
-			for _, key := range keys {
-				f.counters.mu.RLock()
-				c := f.counters.children[key]
-				f.counters.mu.RUnlock()
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(f.labels, key, "", 0), c.Value())
-			}
-		case f.gauge != nil:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
-		case f.gauges != nil:
-			f.gauges.mu.RLock()
-			for _, key := range f.gauges.order {
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(f.labels, key, "", 0),
-					formatFloat(f.gauges.children[key].Value()))
-			}
-			f.gauges.mu.RUnlock()
-		case f.hist != nil:
-			renderHistogramFamily(&b, f)
-		}
+		f.render(&b)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// renderHistogramFamily writes one histogram family: per child, the
-// cumulative le-labeled buckets, then _sum and _count. Children render
-// sorted by label values so successive scrapes are diffable.
-func renderHistogramFamily(b *strings.Builder, f *family) {
-	f.hist.mu.RLock()
-	keys := append([]labelKey(nil), f.hist.order...)
-	children := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		children[i] = f.hist.children[k]
-	}
-	f.hist.mu.RUnlock()
-	sort.Sort(&byKey{keys, children})
-
-	for i, key := range keys {
-		counts, sum := children[i].snapshot()
-		var cum uint64
-		for bi, c := range counts {
-			cum += c
-			le := "+Inf"
-			if bi < len(f.hist.bounds) {
-				le = formatFloat(f.hist.bounds[bi])
-			}
-			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, renderLabels(f.labels, key, le, 1), cum)
-		}
-		fmt.Fprintf(b, "%s_sum%s %s\n", f.name, renderLabels(f.labels, key, "", 0), formatFloat(sum))
-		fmt.Fprintf(b, "%s_count%s %d\n", f.name, renderLabels(f.labels, key, "", 0), cum)
-	}
-}
-
-// sortLabelKeys orders label-value tuples lexicographically so counter
-// families render diffably across scrapes.
-func sortLabelKeys(keys []labelKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		for n := range keys[i] {
-			if keys[i][n] != keys[j][n] {
-				return keys[i][n] < keys[j][n]
-			}
-		}
-		return false
-	})
-}
-
-// byKey sorts histogram children and their keys together.
-type byKey struct {
-	keys     []labelKey
-	children []*Histogram
-}
-
-func (s *byKey) Len() int { return len(s.keys) }
-func (s *byKey) Less(i, j int) bool {
-	for n := range s.keys[i] {
-		if s.keys[i][n] != s.keys[j][n] {
-			return s.keys[i][n] < s.keys[j][n]
-		}
-	}
-	return false
-}
-func (s *byKey) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.children[i], s.children[j] = s.children[j], s.children[i]
-}
-
-// renderLabels formats a label set, optionally appending le (histogram
-// buckets). extra is 1 when le is present, 0 otherwise; an empty label
-// set with no le renders as nothing.
-func renderLabels(names []string, key labelKey, le string, extra int) string {
-	if len(names)+extra == 0 {
+// renderLabels formats a label set, appending le (a histogram bucket's
+// bound) when it is not empty; an empty label set with no le renders as
+// nothing.
+func renderLabels(names []string, key labelKey, le string) string {
+	if len(names) == 0 && le == "" {
 		return ""
 	}
 	var b strings.Builder
@@ -353,7 +287,7 @@ func renderLabels(names []string, key labelKey, le string, extra int) string {
 		b.WriteString(escapeLabel(key[i]))
 		b.WriteByte('"')
 	}
-	if extra == 1 {
+	if le != "" {
 		if len(names) > 0 {
 			b.WriteByte(',')
 		}

@@ -173,6 +173,31 @@ func TestRegistryCounterFamily(t *testing.T) {
 	if cf.With("bob", "quota") != cf.With("bob", "quota") {
 		t.Error("With returned distinct children for equal labels")
 	}
+
+	// Gauge and histogram families render their children sorted too,
+	// whatever order they were first written in.
+	r = NewRegistry()
+	gf := r.NewGaugeFamily("test_depth", "Depth by tenant.", []string{"tenant"})
+	gf.With("bob").Set(2)
+	gf.With("alice").Set(1)
+	hf := r.NewHistogramFamily("test_wait_seconds", "Wait by tenant.", []string{"tenant"}, nil)
+	hf.With("bob").Observe(1)
+	hf.With("alice").Observe(1)
+	b.Reset()
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out = b.String()
+	for _, series := range []string{"test_depth{", "test_wait_seconds_count{"} {
+		alice := strings.Index(out, series+`tenant="alice"`)
+		bob := strings.Index(out, series+`tenant="bob"`)
+		if alice < 0 || bob < 0 || alice > bob {
+			t.Errorf("%s children not sorted:\n%s", series, out)
+		}
+	}
+	if problems := Lint(out); len(problems) != 0 {
+		t.Errorf("gauge and histogram families do not lint clean: %v", problems)
+	}
 }
 
 func TestRegistryCounterFamilyPanics(t *testing.T) {

@@ -46,7 +46,7 @@ func TestFingerprintStability(t *testing.T) {
 		{"cpus", sp, testConfig(8)},
 		{"filters", sp, smp.PaperConfig(4).WithFilters(jetty.MustParse("EJ-32x4"))},
 		{"l2", sp, func() smp.Config { c := testConfig(4); c.L2.SizeBytes = 2 << 20; return c }()},
-		{"app", func() workload.Spec { s, _ := workload.ByName("Ocean"); return s }(), cfg},
+		{"app", func() workload.Spec { s, _ := workload.Lookup("Ocean"); return s }(), cfg},
 	}
 	base := Key(Input{Spec: sp}, cfg, 0)
 	for _, v := range variants {

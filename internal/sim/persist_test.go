@@ -16,7 +16,7 @@ import (
 // timeline attached — the richest AppResult shape the store carries.
 func persistTestResult(t *testing.T) AppResult {
 	t.Helper()
-	sp, err := workload.ByName("Lu")
+	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		t.Fatal(err)
 	}

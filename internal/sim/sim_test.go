@@ -14,7 +14,7 @@ import (
 // quickSpec returns a fast-running workload for unit tests.
 func quickSpec(t *testing.T) workload.Spec {
 	t.Helper()
-	sp, err := workload.ByName("Lu")
+	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestOnePassEqualsIsolatedPass(t *testing.T) {
 // the subblocked machine shows a higher snoop-miss fraction than the
 // non-subblocked one (sibling-subblock snoops miss under a present tag).
 func TestSubblockingIncreasesSnoopMisses(t *testing.T) {
-	sp, err := workload.ByName("Em3d") // streaming: strong subblock effect
+	sp, err := workload.Lookup("Em3d") // streaming: strong subblock effect
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestStreamMemoMatchesGeneration(t *testing.T) {
 		wantCounts(t, sp.Name+" shorter", m, hits, misses)
 	}
 
-	sp, err := workload.ByName("Lu")
+	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStreamMemoMatchesGeneration(t *testing.T) {
 // TestStreamKey pins what names a stream: a stationary spec's length is
 // not part of it, a phased spec's is, and so is the CPU count.
 func TestStreamKey(t *testing.T) {
-	sp, err := workload.ByName("Lu")
+	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestStreamKey(t *testing.T) {
 // -race.
 func TestStreamMemoConcurrentRuns(t *testing.T) {
 	cfg := memoTestConfig()
-	sp, err := workload.ByName("Ocean")
+	sp, err := workload.Lookup("Ocean")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestStreamMemoBudget(t *testing.T) {
 	m := newStreamMemo(recBytes * (2*n + n/2)) // two streams of n records fit, three do not
 	specs := make([]workload.Spec, 3)
 	for i := range specs {
-		sp, err := workload.ByName("Barnes")
+		sp, err := workload.Lookup("Barnes")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -197,7 +197,7 @@ func TestCaptureDigestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := workload.ByName("Lu")
+	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRecordMatchesCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := workload.ByName("Lu")
+	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		t.Fatal(err)
 	}

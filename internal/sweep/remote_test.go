@@ -51,19 +51,20 @@ func TestPartialMetricsWhileUnitPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(PlanUnits(s.cells)) != 2 {
+	units := PlanUnits(s.cells)
+	if len(units) != 2 {
 		t.Fatal("want the spec planned as two units")
 	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	st := s.Status(true)
-	for st.Finished < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("first unit never finished: %+v", st)
+	deadline := time.After(20 * time.Second)
+	for _, k := range units[0] {
+		select {
+		case <-s.jobs[k].Done():
+		case <-deadline:
+			t.Fatalf("first unit never finished: %+v", s.Status(true))
 		}
-		time.Sleep(time.Millisecond)
-		st = s.Status(true)
 	}
+	st := s.Status(true)
 	if st.Finished != len(first) || st.State != "running" {
 		t.Fatalf("status %s with %d cells finished, want running with the first unit's %d", st.State, st.Finished, len(first))
 	}

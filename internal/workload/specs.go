@@ -1,7 +1,5 @@
 package workload
 
-import "fmt"
-
 // Specs returns the ten applications of the paper's Table 2 (SPLASH-2
 // programs plus Em3d and Unstructured), as behavioral signatures
 // calibrated against the paper's measured statistics: the L1/L2 local hit
@@ -122,26 +120,6 @@ func Specs() []Spec {
 			Seed:   110,
 		},
 	}
-}
-
-// ByName returns the spec with the given Name or Abbrev.
-func ByName(name string) (Spec, error) {
-	for _, sp := range Specs() {
-		if sp.Name == name || sp.Abbrev == name {
-			return sp, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("workload: unknown application %q", name)
-}
-
-// Names returns the application names in Table 2 order.
-func Names() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
-	for i, sp := range specs {
-		out[i] = sp.Name
-	}
-	return out
 }
 
 // Throughput returns a multiprogrammed "throughput engine" signature

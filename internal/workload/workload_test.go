@@ -21,21 +21,13 @@ func TestAllSpecsValid(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, key := range []string{"Barnes", "ba", "Unstructured", "un"} {
-		if _, err := ByName(key); err != nil {
-			t.Errorf("ByName(%q): %v", key, err)
-		}
-	}
-	if _, err := ByName("quake"); err == nil {
-		t.Error("unknown name should error")
-	}
-}
-
 func TestNamesOrder(t *testing.T) {
-	names := Names()
+	var names []string
+	for _, sp := range Specs() {
+		names = append(names, sp.Name)
+	}
 	if len(names) != 10 || names[0] != "Barnes" || names[9] != "Unstructured" {
-		t.Errorf("Names() = %v", names)
+		t.Errorf("Specs() names = %v", names)
 	}
 }
 
@@ -68,7 +60,7 @@ func TestSpecValidateErrors(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	sp, _ := ByName("Barnes")
+	sp, _ := Lookup("Barnes")
 	a := sp.Source(4)
 	b := sp.Source(4)
 	for i := 0; i < 20000; i++ {
@@ -82,7 +74,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSeedsChangeStreams(t *testing.T) {
-	sp, _ := ByName("Barnes")
+	sp, _ := Lookup("Barnes")
 	sp2 := sp
 	sp2.Seed++
 	a, b := sp.Source(4), sp2.Source(4)
@@ -227,7 +219,7 @@ func TestTLBMatchesPageTable(t *testing.T) {
 // 4 CPUs through the round-robin interleaver, the way a stream-memo miss
 // generates it, 1024 references per op (reported as ns/ref).
 func BenchmarkSourceNext(b *testing.B) {
-	sp, err := ByName("Lu")
+	sp, err := Lookup("Lu")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,7 +237,7 @@ func BenchmarkSourceNext(b *testing.B) {
 var benchSink uint64
 
 func TestPairSharingProducesCrossCPUTraffic(t *testing.T) {
-	sp, _ := ByName("Unstructured")
+	sp, _ := Lookup("Unstructured")
 	src := sp.Source(4)
 	// Count consumer reads landing in a *different* CPU's pair buffer,
 	// using the pre-translation (virtual) stream.
@@ -388,9 +380,17 @@ func TestLibraryLookup(t *testing.T) {
 		}
 		seen[sp.Name], seen[sp.Abbrev] = true, true
 	}
-	for _, key := range []string{"Barnes", "ba", "Throughput", "tp", "webserver", "db", "Pipeline", "mg"} {
+	for _, key := range []string{"Barnes", "ba", "Unstructured", "un", "Throughput", "tp", "webserver", "db", "Pipeline", "mg"} {
 		if _, err := Lookup(key); err != nil {
 			t.Errorf("Lookup(%q): %v", key, err)
+		}
+	}
+	// Every Table 2 name and abbreviation resolves to its own spec.
+	for _, sp := range Specs() {
+		for _, key := range []string{sp.Name, sp.Abbrev} {
+			if got, err := Lookup(key); err != nil || got.Name != sp.Name {
+				t.Errorf("Lookup(%q) = %q, %v; want %q", key, got.Name, err, sp.Name)
+			}
 		}
 	}
 	if _, err := Lookup("quake"); err == nil {
