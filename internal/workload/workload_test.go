@@ -385,7 +385,14 @@ func TestLibraryLookup(t *testing.T) {
 			t.Errorf("Lookup(%q): %v", key, err)
 		}
 	}
-	// Every Table 2 name and abbreviation resolves to its own spec.
+	if _, err := Lookup("quake"); err == nil {
+		t.Error("unknown name should error")
+	}
+}
+
+// TestByName checks that every Table 2 application resolves by its name
+// and by its abbreviation to its own spec, and that an unknown name errors.
+func TestByName(t *testing.T) {
 	for _, sp := range Specs() {
 		for _, key := range []string{sp.Name, sp.Abbrev} {
 			if got, err := Lookup(key); err != nil || got.Name != sp.Name {
