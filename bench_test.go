@@ -630,14 +630,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 	sp = sp.Scale(0.05)
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, cfg.CPUs, trace.WriterOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sim.Run(context.Background(), sim.Input{Spec: sp}, cfg, sim.Plan{Capture: tw}, nil); err != nil {
-		b.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
+	if _, err := trace.Record(&buf, sp.Source(cfg.CPUs), sp.Accesses, trace.WriterOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	in, err := sim.LoadTrace("bench", buf.Bytes())

@@ -2,7 +2,7 @@
 // prints the full measurement: hierarchy statistics, bus and snoop
 // activity, per-filter coverage and energy reductions. The workload can
 // be a library generator (-app), a generator whose reference stream is
-// simultaneously recorded to a trace file (-capture), or a previously
+// also recorded to a trace file (-capture), or a previously
 // recorded trace replayed from disk (-trace) — the replay reproduces
 // the capturing run's statistics exactly, except the memory footprint,
 // which a stored stream does not carry.
@@ -156,13 +156,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer f.Close()
-		plan.Capture, err = trace.NewWriter(f, cfg.CPUs, trace.WriterOptions{
-			Compress: *gz,
-			Meta:     trace.Meta{App: in.Spec.Name, Note: "captured by jettysim"},
-		})
-		if err != nil {
-			return fail(err)
-		}
 	}
 
 	// One chunked, cancelable pass. A single run needs no worker pool
@@ -173,14 +166,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	res := results[0]
 	switch {
-	case plan.Capture != nil:
-		if err := plan.Capture.Close(); err != nil {
+	case f != nil:
+		// The run stepped the generator's first Accesses references;
+		// Record writes the same ones, in the same order.
+		n, err := trace.Record(f, in.Spec.Source(cfg.CPUs), in.Spec.Accesses, trace.WriterOptions{
+			Compress: *gz,
+			Meta:     trace.Meta{App: in.Spec.Name, Note: "captured by jettysim"},
+		})
+		if err != nil {
 			return fail(err)
 		}
 		if err := f.Close(); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "captured %d references to %s\n", plan.Capture.Records(), *capture)
+		fmt.Fprintf(stdout, "captured %d references to %s\n", n, *capture)
 	case in.Trace != nil:
 		fmt.Fprintf(stdout, "replaying %s (%d records, digest %.12s…)\n", *traceFile, in.Trace.Records, in.Trace.Digest)
 	}

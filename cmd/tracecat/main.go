@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 
@@ -134,6 +135,9 @@ func cmdRecord(args []string, stdout, stderr io.Writer) error {
 	if *cpus < 1 || *cpus > trace.MaxCPUs {
 		return usagef("-cpus %d out of range 1..%d", *cpus, trace.MaxCPUs)
 	}
+	if *n > math.MaxUint64/uint64(*cpus) {
+		return usagef("-n %d on %d CPUs overflows the record count", *n, *cpus)
+	}
 	sp, err := workload.Lookup(*app)
 	if err != nil {
 		return usageError{err}
@@ -145,7 +149,7 @@ func cmdRecord(args []string, stdout, stderr io.Writer) error {
 	}
 	defer f.Close()
 	opts := trace.WriterOptions{Compress: *gz, Meta: trace.Meta{App: sp.Name, Note: *note}}
-	total, err := trace.Record(f, sp.Source(*cpus), *n, opts)
+	total, err := trace.Record(f, sp.Source(*cpus), *n*uint64(*cpus), opts)
 	if err != nil {
 		return err
 	}

@@ -160,7 +160,8 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestRecordRejectsBadFlags: a bad -n or -cpus is a usage error raised
+// TestRecordRejectsBadFlags: a bad -n or -cpus, or an -n whose total
+// over the CPUs overflows the record count, is a usage error raised
 // before any file is created, so an existing output file survives.
 func TestRecordRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
@@ -171,6 +172,7 @@ func TestRecordRejectsBadFlags(t *testing.T) {
 		{"cpus=0", []string{"-cpus", "0"}},
 		{"cpus=300", []string{"-cpus", "300"}},
 		{"cpus=-1", []string{"-cpus", "-1"}},
+		{"n*cpus overflows", []string{"-n", "9223372036854775808", "-cpus", "2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "keep.jtrc")

@@ -430,7 +430,7 @@ func TestClusterReuploadsTracesAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := trace.Record(&buf, sp.Source(2), 4000, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}); err != nil {
+	if _, err := trace.Record(&buf, sp.Source(2), 2*4000, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}); err != nil {
 		t.Fatal(err)
 	}
 	in, err := sim.LoadTrace("", buf.Bytes())
@@ -699,7 +699,7 @@ func recordedTrace(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := trace.Record(&buf, sp.Source(2), 2000, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}); err != nil {
+	if _, err := trace.Record(&buf, sp.Source(2), 2*2000, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -77,13 +77,21 @@ type groupRun struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// members maps a Members index to its owned execution. Only owned
-	// members appear: submissions satisfied by the cache or coalesced
-	// onto foreign executions are not part of the run.
-	members map[int]*execution
+	// members are the owned executions in ascending Members index
+	// order, the order SubmitGroup creates them in. Submissions
+	// satisfied by the cache or coalesced onto foreign executions are
+	// not part of the run.
+	members []ownedMember
 
 	mu   sync.Mutex
 	gone int // owned members whose last handle was canceled (or retired)
+}
+
+// ownedMember is one execution a group run owns and its index into the
+// task's Members.
+type ownedMember struct {
+	i  int
+	ex *execution
 }
 
 // noteGone records one owned member leaving (its last handle canceled,
@@ -183,7 +191,7 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 	}
 
 	groupCtx, groupCancel := context.WithCancel(e.baseCtx)
-	gr := &groupRun{task: g, ctx: groupCtx, cancel: groupCancel, members: make(map[int]*execution)}
+	gr := &groupRun{task: g, ctx: groupCtx, cancel: groupCancel}
 	var lead *execution // first owned member: carries the run through the queue
 
 	for i := range g.Members {
@@ -241,7 +249,7 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 			memberCancel()
 			gone.Do(gr.noteGone)
 		}
-		gr.members[i] = ex
+		gr.members = append(gr.members, ownedMember{i, ex})
 		e.inflight[t.key] = ex
 		jobs[i] = ex.attach()
 		if lead == nil {
@@ -267,38 +275,23 @@ func (e *Engine) SubmitGroup(g GroupTask) []*Job {
 	return jobs
 }
 
-// memberOrder returns the group's owned member indices, ascending.
-func (g *groupRun) memberOrder() []int {
-	idxs := make([]int, 0, len(g.members))
-	for i := range g.members {
-		idxs = append(idxs, i)
-	}
-	for i := 1; i < len(idxs); i++ { // insertion sort: member counts are small
-		for j := i; j > 0 && idxs[j] < idxs[j-1]; j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
-	return idxs
-}
-
 // runGroup executes (or cancels) one fused group run and retires every
 // owned member: one worker, one Run call, but per-member finish, cache
 // fill, store write-through, stats and retire traces.
 func (e *Engine) runGroup(gr *groupRun) {
-	idxs := gr.memberOrder()
-
 	var (
-		res []any
-		err error
+		res    []any
+		err    error
+		live   []int        // Members indices of the members that run
+		liveEx []*execution // their executions, in the same order
 	)
-	live := make([]int, 0, len(idxs))
 	if err = gr.ctx.Err(); err == nil {
 		// Members individually canceled while queued drop out of the run;
 		// the rest go Running together.
-		for _, i := range idxs {
-			ex := gr.members[i]
-			if ex.ctx.Err() == nil {
-				live = append(live, i)
+		for _, m := range gr.members {
+			if m.ex.ctx.Err() == nil {
+				live = append(live, m.i)
+				liveEx = append(liveEx, m.ex)
 			}
 		}
 		if len(live) == 0 {
@@ -309,15 +302,14 @@ func (e *Engine) runGroup(gr *groupRun) {
 		}
 	}
 	if err == nil {
-		for _, i := range live {
-			ex := gr.members[i]
+		for _, ex := range liveEx {
 			ex.markStart()
 			ex.state.Store(int32(Running))
 		}
 		e.running.Add(1)
 		report := func(done uint64) {
-			for _, i := range live {
-				gr.members[i].report(done)
+			for _, ex := range liveEx {
+				ex.report(done)
 			}
 		}
 		res, err = gr.task.Run(gr.ctx, live, report)
@@ -335,13 +327,13 @@ func (e *Engine) runGroup(gr *groupRun) {
 		res any
 		err error
 	}
-	outs := make([]outcome, 0, len(idxs))
+	outs := make([]outcome, 0, len(gr.members))
 	pos := 0 // cursor into live/res
 	e.mu.Lock()
-	for _, i := range idxs {
-		ex := gr.members[i]
+	for _, m := range gr.members {
+		ex := m.ex
 		o := outcome{ex: ex}
-		inLive := pos < len(live) && live[pos] == i
+		inLive := pos < len(live) && live[pos] == m.i
 		var memberRes any
 		if inLive {
 			if err == nil {

@@ -178,14 +178,15 @@ func (r *Registry) register(f *family) {
 }
 
 // newFamily registers a family of the given type whose children are
-// made by newChild; sample writes one child's sample lines.
+// made by newChild; sample writes one child's sample lines, given the
+// child's label pairs rendered once (see labelPairs).
 func newFamily[T any](r *Registry, name, help, typ string, labels []string,
-	newChild func() *T, sample func(b *strings.Builder, f *family, key labelKey, c *T)) *Family[T] {
+	newChild func() *T, sample func(b *strings.Builder, name, pairs string, c *T)) *Family[T] {
 	tf := &Family[T]{name: name, labels: labels, newChild: newChild, children: make(map[labelKey]*T)}
 	f := &family{name: name, help: help, typ: typ, labels: labels}
 	f.render = func(b *strings.Builder) {
 		for _, c := range tf.snapshot() {
-			sample(b, f, c.key, c.v)
+			sample(b, name, labelPairs(labels, c.key), c.v)
 		}
 	}
 	r.register(f)
@@ -203,8 +204,8 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 // in _total, like NewCounter's.
 func (r *Registry) NewCounterFamily(name, help string, labels []string) *CounterFamily {
 	return newFamily(r, name, help, "counter", labels, func() *Counter { return &Counter{} },
-		func(b *strings.Builder, f *family, key labelKey, c *Counter) {
-			fmt.Fprintf(b, "%s%s %d\n", f.name, renderLabels(f.labels, key, ""), c.Value())
+		func(b *strings.Builder, name, pairs string, c *Counter) {
+			fmt.Fprintf(b, "%s%s %d\n", name, braced(pairs), c.Value())
 		})
 }
 
@@ -216,15 +217,16 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 // NewGaugeFamily registers a labeled gauge family.
 func (r *Registry) NewGaugeFamily(name, help string, labels []string) *GaugeFamily {
 	return newFamily(r, name, help, "gauge", labels, func() *Gauge { return &Gauge{} },
-		func(b *strings.Builder, f *family, key labelKey, g *Gauge) {
-			fmt.Fprintf(b, "%s%s %s\n", f.name, renderLabels(f.labels, key, ""), formatFloat(g.Value()))
+		func(b *strings.Builder, name, pairs string, g *Gauge) {
+			fmt.Fprintf(b, "%s%s %s\n", name, braced(pairs), formatFloat(g.Value()))
 		})
 }
 
 // NewHistogramFamily registers a labeled histogram family with the given
 // bucket upper bounds (nil means DefBuckets). Bounds must be strictly
 // ascending. Each child renders its cumulative le-labeled buckets, then
-// _sum and _count.
+// _sum and _count. A bucket line allocates nothing: its le pair is
+// rendered once here and its count appended in place.
 func (r *Registry) NewHistogramFamily(name, help string, labels []string, bounds []float64) *HistogramFamily {
 	if bounds == nil {
 		bounds = DefBuckets
@@ -234,20 +236,32 @@ func (r *Registry) NewHistogramFamily(name, help string, labels []string, bounds
 			panic("obs: histogram bounds not ascending for " + name)
 		}
 	}
+	les := make([]string, len(bounds)+1)
+	for i, v := range bounds {
+		les[i] = `le="` + formatFloat(v) + `"`
+	}
+	les[len(bounds)] = `le="+Inf"`
 	return newFamily(r, name, help, "histogram", labels, func() *Histogram { return newHistogram(bounds) },
-		func(b *strings.Builder, f *family, key labelKey, h *Histogram) {
+		func(b *strings.Builder, name, pairs string, h *Histogram) {
 			counts, sum := h.snapshot()
 			var cum uint64
+			var num [20]byte
 			for bi, c := range counts {
 				cum += c
-				le := "+Inf"
-				if bi < len(bounds) {
-					le = formatFloat(bounds[bi])
+				b.WriteString(name)
+				b.WriteString("_bucket{")
+				if pairs != "" {
+					b.WriteString(pairs)
+					b.WriteByte(',')
 				}
-				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, renderLabels(f.labels, key, le), cum)
+				b.WriteString(les[bi])
+				b.WriteString("} ")
+				b.Write(strconv.AppendUint(num[:0], cum, 10))
+				b.WriteByte('\n')
 			}
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, renderLabels(f.labels, key, ""), formatFloat(sum))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, renderLabels(f.labels, key, ""), cum)
+			set := braced(pairs)
+			fmt.Fprintf(b, "%s_sum%s %s\n", name, set, formatFloat(sum))
+			fmt.Fprintf(b, "%s_count%s %d\n", name, set, cum)
 		})
 }
 
@@ -262,52 +276,41 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 	var b strings.Builder
 	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, helpEscaper.Replace(f.help), f.name, f.typ)
 		f.render(&b)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// renderLabels formats a label set, appending le (a histogram bucket's
-// bound) when it is not empty; an empty label set with no le renders as
-// nothing.
-func renderLabels(names []string, key labelKey, le string) string {
-	if len(names) == 0 && le == "" {
-		return ""
-	}
+// labelPairs renders a child's label set as name="value" pairs joined
+// by commas, without braces: once per child, whatever its line count.
+func labelPairs(names []string, key labelKey) string {
 	var b strings.Builder
-	b.WriteByte('{')
 	for i, n := range names {
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(n)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(key[i]))
+		labelEscaper.WriteString(&b, key[i])
 		b.WriteByte('"')
 	}
-	if le != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`le="`)
-		b.WriteString(le)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+// braced wraps label pairs in braces; no pairs render as nothing.
+func braced(pairs string) string {
+	if pairs == "" {
+		return ""
+	}
+	return "{" + pairs + "}"
 }
 
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)

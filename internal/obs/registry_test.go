@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -208,4 +210,37 @@ func TestRegistryCounterFamilyPanics(t *testing.T) {
 		}
 	}()
 	r.NewCounterFamily("test_bad_name", "Bad.", []string{"a"})
+}
+
+// TestWriteTextAllocsPerChild: a scrape's allocations grow with a
+// histogram family's children, not with children × buckets. The two
+// registries hold the same 16 children and differ only in bucket count
+// (4 against 64 bounds); the 60 extra bucket lines per child may cost
+// the larger scrape only its buffer's few extra growths, fewer than one
+// allocation per child.
+func TestWriteTextAllocsPerChild(t *testing.T) {
+	const children = 16
+	allocs := func(buckets int) float64 {
+		bounds := make([]float64, buckets)
+		for i := range bounds {
+			bounds[i] = float64(i + 1)
+		}
+		r := NewRegistry()
+		fam := r.NewHistogramFamily("test_latency_seconds", "Latency.", []string{"route", "status"}, bounds)
+		for i := range children {
+			h := fam.With(fmt.Sprintf("/r%d", i), "200")
+			for v := range 1000 {
+				h.Observe(float64(v % buckets))
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := r.WriteText(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(4), allocs(64)
+	if many-few >= children {
+		t.Errorf("a scrape allocates %v times with 4 buckets, %v with 64: the cost grows with buckets", few, many)
+	}
 }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -418,4 +420,42 @@ func jobPath(id string) string {
 		return "/v1/experiments/"
 	}
 	return "/v1/sweeps/"
+}
+
+// TestTenantTraceQuotaReportsHeldCount: a daemon restarted with a lower
+// per-tenant trace cap than a tenant already holds rejects the next
+// upload with 429, and the message gives the tenant's real count, not
+// the cap.
+func TestTenantTraceQuotaReportsHeldCount(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newDurableServer(t, dir, Options{Workers: 1})
+	for _, app := range []string{"Lu", "ch"} {
+		if _, code := uploadTrace(t, ts1.URL, recordTestTrace(t, app, 2, 300)); code != http.StatusCreated {
+			t.Fatalf("upload of %s: code %d", app, code)
+		}
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := newDurableServer(t, dir, Options{Workers: 1, MaxTracesPerTenant: 1})
+	defer func() {
+		ts2.Close()
+		s2.Close()
+	}()
+	resp, err := http.Post(ts2.URL+"/v1/traces", "application/octet-stream",
+		bytes.NewReader(recordTestTrace(t, "WebServer", 2, 300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third upload: code %d (%s), want 429", resp.StatusCode, body.Error)
+	}
+	if !strings.Contains(body.Error, "holds 2 stored traces") || !strings.Contains(body.Error, "per-tenant cap 1") {
+		t.Errorf("429 message %q, want the tenant's 2 traces and the cap of 1", body.Error)
+	}
 }

@@ -658,12 +658,12 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("trace store holds its cap of %d traces; DELETE one first", s.maxTraces))
 		return
 	}
-	if s.loadsLocked()[tenant].traces >= s.maxTenantTraces {
+	if held := s.loadsLocked()[tenant].traces; held >= s.maxTenantTraces {
 		s.mu.Unlock()
 		s.tel.admissionRejected.With(tenant, "tenant_traces").Add(1)
 		s.writeRetryError(w, http.StatusTooManyRequests, tenant,
 			fmt.Errorf("tenant %q holds %d stored traces (per-tenant cap %d); DELETE one first",
-				tenant, s.maxTenantTraces, s.maxTenantTraces))
+				tenant, held, s.maxTenantTraces))
 		return
 	}
 	t := storedTrace{in, tenant}

@@ -400,7 +400,7 @@ func recordTestTrace(t *testing.T, app string, cpus int, perCPU uint64) []byte {
 	}
 	var buf bytes.Buffer
 	opts := trace.WriterOptions{Compress: true, Meta: trace.Meta{App: sp.Name}}
-	if _, err := trace.Record(&buf, sp.Source(cpus), perCPU, opts); err != nil {
+	if _, err := trace.Record(&buf, sp.Source(cpus), uint64(cpus)*perCPU, opts); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -63,19 +62,8 @@ func TestFusedTraceMatchesSeparateReplays(t *testing.T) {
 	sp := quickSpec(t)
 	base := smp.PaperConfig(4)
 
-	// Record a trace from a filterless run, then replay it fused.
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, base.CPUs, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runSingle(context.Background(), Input{Spec: sp}, base, Plan{Capture: tw}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	in, err := LoadTrace(sp.Name, buf.Bytes())
+	// Record the workload's trace, then replay it fused.
+	in, err := LoadTrace(sp.Name, recordSpec(t, sp, base.CPUs, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -99,11 +98,6 @@ type Plan struct {
 	// Sample attaches interval sampling: every result carries its
 	// Timeline.
 	Sample SampleOptions
-	// Capture, when non-nil, records every reference a generator input
-	// feeds the machine, in consumed order, so replaying the trace
-	// reproduces the run's statistics identically. The caller owns the
-	// writer and must Close it after the run to finish the file.
-	Capture *trace.Writer
 }
 
 // Run simulates in on base under plan, with cooperative cancellation
@@ -137,9 +131,6 @@ func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 	defer batchPool.Put(buf)
 	var next func() ([]trace.Rec, error)
 	if in.Trace != nil {
-		if plan.Capture != nil {
-			return nil, errors.New("sim: only generator inputs can be captured")
-		}
 		rd, err := trace.NewReader(bytes.NewReader(in.Trace.Data))
 		if err != nil {
 			return nil, err
@@ -152,7 +143,7 @@ func run(ctx context.Context, in Input, base smp.Config, plan Plan, report func(
 		if err := in.Spec.Validate(); err != nil {
 			return nil, err
 		}
-		st := m.open(in.Spec, cfg.CPUs, plan.Capture, buf[:])
+		st := m.open(in.Spec, cfg.CPUs, buf[:])
 		defer st.close()
 		next = st.next
 	}

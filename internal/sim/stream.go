@@ -135,13 +135,10 @@ func streamKey(sp workload.Spec, cpus int) string {
 // consecutive slices of the memoized stream, with no copy. On a miss the
 // round-robin interleaver fills each batch straight into the stream
 // being recorded, or into the pooled buffer buf when the run does not
-// record, so stepping the batches in order is bit-identical to RunApp. A
-// capture writes each generated batch to tw; a captured run always runs
-// the generator, so the trace holds exactly what it produced.
+// record, so stepping the batches in order is bit-identical to RunApp.
 type stream struct {
 	rr   *trace.RoundRobin // nil on a hit
-	tw   *trace.Writer
-	recs []trace.Rec // the memoized stream, or the one being recorded
+	recs []trace.Rec       // the memoized stream, or the one being recorded
 	buf  []trace.Rec
 	done uint64
 	n    uint64
@@ -151,19 +148,16 @@ type stream struct {
 	record bool
 }
 
-// open returns the producer of sp's stream on a cpus-CPU machine,
-// capturing into tw when it is non-nil. The caller must close it.
-func (m *streamMemo) open(sp workload.Spec, cpus int, tw *trace.Writer, buf []trace.Rec) *stream {
-	st := &stream{tw: tw, buf: buf, n: sp.Accesses, m: m}
-	if tw == nil {
-		st.key = streamKey(sp, cpus)
-		st.recs, st.record = m.lookup(st.key, sp.Accesses)
-		if st.recs != nil {
-			return st
-		}
-		if st.record {
-			st.recs = make([]trace.Rec, sp.Accesses)
-		}
+// open returns the producer of sp's stream on a cpus-CPU machine. The
+// caller must close it.
+func (m *streamMemo) open(sp workload.Spec, cpus int, buf []trace.Rec) *stream {
+	st := &stream{buf: buf, n: sp.Accesses, m: m, key: streamKey(sp, cpus)}
+	st.recs, st.record = m.lookup(st.key, sp.Accesses)
+	if st.recs != nil {
+		return st
+	}
+	if st.record {
+		st.recs = make([]trace.Rec, sp.Accesses)
 	}
 	st.rr = trace.NewRoundRobin(sp.Source(cpus))
 	return st
@@ -179,13 +173,6 @@ func (st *stream) next() ([]trace.Rec, error) {
 	if st.rr != nil {
 		if got := st.rr.Fill(b); uint64(got) < k {
 			return nil, fmt.Errorf("sim: the generator ran dry after %d references", st.done+uint64(got))
-		}
-		if st.tw != nil {
-			for _, r := range b {
-				if err := st.tw.Write(int(r.CPU), trace.Ref{Op: r.Op, Addr: r.Addr}); err != nil {
-					return nil, fmt.Errorf("sim: recording trace: %w", err)
-				}
-			}
 		}
 	}
 	st.done += k

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -119,9 +118,9 @@ func TestTimelineConservesOnLibrary(t *testing.T) {
 }
 
 // TestSampledReplayMatchesDirect extends the replay guarantee to
-// sampling: a sampled replay of a captured trace conserves, matches the
+// sampling: a sampled replay of a recorded trace conserves, matches the
 // unsampled replay on every aggregate, and its timeline equals the
-// capturing run's (same stream, same machine, same boundaries).
+// generator run's (same stream, same machine, same boundaries).
 func TestSampledReplayMatchesDirect(t *testing.T) {
 	cfg, err := bankConfig(4, goldenConfigs)
 	if err != nil {
@@ -134,18 +133,7 @@ func TestSampledReplayMatchesDirect(t *testing.T) {
 	sp = sp.Scale(0.02)
 	opt := SampleOptions{Interval: 1024}
 
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, cfg.CPUs, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	in, err := LoadTrace("", buf.Bytes())
+	in, err := LoadTrace("", recordSpec(t, sp, cfg.CPUs, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,12 @@ import (
 )
 
 // Trace replay: any filter configuration can be evaluated against a
-// stored reference stream instead of a live generator. A trace recorded
-// from a run (Plan.Capture, `tracecat record`, or an upload to jettyd)
-// replays bit-identically because the file holds exactly the
-// sequence of references the machine steps, and the machine's stepping
-// is a pure function of that sequence plus the configuration.
+// stored reference stream instead of a live generator. The trace
+// trace.Record writes of a generator's first n references (`tracecat
+// record`, `jettysim -capture`) replays a run of n references
+// bit-identically, because the file holds exactly the sequence of
+// references the run steps, and the machine's stepping is a pure
+// function of that sequence plus the configuration.
 
 // TraceInput is a stored trace ready to replay: the raw file bytes plus
 // the summary fields scheduling needs. Build one with LoadTrace.
@@ -71,9 +72,9 @@ func (in TraceInput) pseudoSpec() workload.Spec {
 }
 
 // decoded returns the producer of a stored trace's batches: each
-// decodes the next records into buf in recorded order. A capture holds
-// the run's records in the order the machine stepped them, so a trace
-// captured from a run replays it bit for bit
+// decodes the next records into buf in recorded order. Record writes a
+// generator's records in the order a run steps them, so its trace of a
+// run's length replays that run bit for bit
 // (TestTraceReplayMatchesDirect).
 func decoded(rd *trace.Reader, buf []trace.Rec) func() ([]trace.Rec, error) {
 	return func() ([]trace.Rec, error) {

@@ -22,6 +22,22 @@ func stripLabel(r AppResult) AppResult {
 	return r
 }
 
+// recordSpec returns the trace trace.Record writes of sp's first
+// Accesses references on a cpus-CPU machine: the stream a run of sp
+// steps.
+func recordSpec(t testing.TB, sp workload.Spec, cpus int, opts trace.WriterOptions) []byte {
+	t.Helper()
+	var file bytes.Buffer
+	n, err := trace.Record(&file, sp.Source(cpus), sp.Accesses, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != sp.Accesses {
+		t.Fatalf("recorded %d references, want %d", n, sp.Accesses)
+	}
+	return file.Bytes()
+}
+
 // TestTraceReplayMatchesDirect is the acceptance test of the trace
 // pipeline: exporting a workload to a v1 trace file and replaying it
 // through the simulator produces statistics identical to the direct
@@ -44,31 +60,10 @@ func TestTraceReplayMatchesDirect(t *testing.T) {
 	}
 
 	for _, compress := range []bool{false, true} {
-		// Capture the run's reference stream into a trace file.
-		var file bytes.Buffer
-		tw, err := trace.NewWriter(&file, cfg.CPUs, trace.WriterOptions{
-			Compress: compress,
-			Meta:     trace.Meta{App: sp.Name},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		captured, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(captured, direct) {
-			t.Fatal("capturing perturbed the run")
-		}
-		if tw.Records() != direct.Refs {
-			t.Fatalf("captured %d records, run stepped %d", tw.Records(), direct.Refs)
-		}
-
-		// Replay the file and demand identical statistics.
-		in, err := LoadTrace("", file.Bytes())
+		// Record the run's reference stream into a trace file, replay
+		// it and demand identical statistics.
+		file := recordSpec(t, sp, cfg.CPUs, trace.WriterOptions{Compress: compress, Meta: trace.Meta{App: sp.Name}})
+		in, err := LoadTrace("", file)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,18 +93,7 @@ func TestTraceReplayThroughEngine(t *testing.T) {
 	}
 	sp := workload.Throughput().Scale(0.02)
 
-	var file bytes.Buffer
-	tw, err := trace.NewWriter(&file, cfg.CPUs, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	in, err := LoadTrace("", file.Bytes())
+	in, err := LoadTrace("", recordSpec(t, sp, cfg.CPUs, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +141,7 @@ func TestRunTraceRejectsNarrowMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
-	if _, err := trace.Record(&file, workload.Throughput().Scale(0.001).Source(4), 100, trace.WriterOptions{}); err != nil {
+	if _, err := trace.Record(&file, workload.Throughput().Scale(0.001).Source(4), 4*100, trace.WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	in, err := LoadTrace("wide", file.Bytes())
@@ -186,78 +170,25 @@ func TestLoadTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCaptureDigestGolden pins the exact bytes Plan.Capture writes for a
-// short fixed run: a 3-CPU machine, so the round-robin order crosses
+// TestCaptureDigestGolden pins the exact bytes trace.Record writes of a
+// short fixed run's stream: 3 CPUs, so the round-robin order crosses
 // batch boundaries mid-round, and a length that ends mid-round. The
-// digest was taken from the Source-driven capture path; any change to
-// the order, masking or count of captured references changes it.
+// digest is that of the records a run of the spec steps, in its order;
+// any change to the order, masking or count of recorded references
+// changes it.
 func TestCaptureDigestGolden(t *testing.T) {
 	const want = "ca63b0b99646ad54406c03347df5db8d61cdabb18aa38c622b250b3173f2ede8"
-	cfg, err := bankConfig(3, []string{"EJ-32x4"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sp, err := workload.Lookup("Lu")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Accesses = 20_000
-	var file bytes.Buffer
-	tw, err := trace.NewWriter(&file, cfg.CPUs, trace.WriterOptions{ChunkRecords: 1000, Meta: trace.Meta{App: sp.Name}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if tw.Records() != sp.Accesses {
-		t.Fatalf("captured %d records, want %d", tw.Records(), sp.Accesses)
-	}
-	got, err := trace.Digest(bytes.NewReader(file.Bytes()))
+	file := recordSpec(t, sp, 3, trace.WriterOptions{ChunkRecords: 1000, Meta: trace.Meta{App: sp.Name}})
+	got, err := trace.Digest(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Errorf("capture digest = %s, want %s", got, want)
-	}
-}
-
-// TestRecordMatchesCapture pins the two producers of a recorded stream
-// to one order: trace.Record over a generator's per-CPU streams and
-// Plan.Capture of a run of the same spec write byte-identical files.
-// The 3-CPU machine puts every 8192-record batch boundary mid-round.
-func TestRecordMatchesCapture(t *testing.T) {
-	const cpus, perCPU = 3, 6000
-	cfg, err := bankConfig(cpus, []string{"EJ-32x4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := workload.Lookup("Lu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.Accesses = cpus * perCPU
-	opts := trace.WriterOptions{ChunkRecords: 1000}
-
-	var recorded bytes.Buffer
-	if n, err := trace.Record(&recorded, sp.Source(cpus), perCPU, opts); err != nil || n != sp.Accesses {
-		t.Fatalf("Record wrote %d records (err %v), want %d", n, err, sp.Accesses)
-	}
-	var captured bytes.Buffer
-	tw, err := trace.NewWriter(&captured, cpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runSingle(context.Background(), Input{Spec: sp}, cfg, Plan{Capture: tw}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(recorded.Bytes(), captured.Bytes()) {
-		t.Fatalf("Record wrote %d bytes, Plan.Capture %d: the files differ", recorded.Len(), captured.Len())
 	}
 }

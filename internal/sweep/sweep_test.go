@@ -189,7 +189,7 @@ func TestTraceCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := trace.Record(&buf, sp.Source(2), 4000, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}); err != nil {
+	if _, err := trace.Record(&buf, sp.Source(2), 2*4000, trace.WriterOptions{Meta: trace.Meta{App: sp.Name}}); err != nil {
 		t.Fatal(err)
 	}
 	in, err := sim.LoadTrace("", buf.Bytes())

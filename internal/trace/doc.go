@@ -10,7 +10,7 @@
 // references behind the Source interface. RoundRobin interleaves the
 // per-CPU streams into the one record order the simulator steps (one
 // reference per live CPU per turn); it is the only code that does.
-// SliceSource, FuncSource and Limit are in-memory building blocks;
+// SliceSource and FuncSource are in-memory building blocks;
 // package workload provides the synthetic application generators.
 //
 // # The JTRC trace format
@@ -30,8 +30,10 @@
 //     trace replays through the simulator bit-identically because
 //     Reader.ReadBatch hands back records in recorded order (internal/sim
 //     Run).
-//   - Record drains a Source through RoundRobin into a Writer (the bulk
-//     exporter behind `tracecat record`).
+//   - Record drains a Source through RoundRobin into a Writer, up to a
+//     total record count. It is the only code that writes a recorded
+//     stream (`tracecat record`, `jettysim -capture`), and what it
+//     writes is the prefix a run of that many references steps.
 //   - Append re-encodes one trace into another Writer (conversion and
 //     merging), Summarize scans framing only, and Digest content-
 //     addresses a file for the engine's result cache.

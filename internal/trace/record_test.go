@@ -178,17 +178,50 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordMaxPerCPU(t *testing.T) {
-	inner := &FuncSource{NumCPUs: 2, Fn: func(cpu int) (Ref, bool) {
-		return Ref{Op: Read, Addr: uint64(cpu)}, true
-	}}
-	var buf bytes.Buffer
-	n, err := Record(&buf, inner, 10, WriterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 20 {
-		t.Fatalf("recorded %d, want 20", n)
+// TestRecordTotalCount: n bounds the records written in all, not per
+// CPU. A count that ends mid-round and mid-batch writes exactly the
+// first n records RoundRobin yields; a source exhausted before n ends
+// the trace early; n = 0 drains every stream.
+func TestRecordTotalCount(t *testing.T) {
+	streams := randomStreams(7, 3, 400)
+	for _, tc := range []struct {
+		name    string
+		n, want uint64
+	}{
+		{"mid-round", 1100, 1100},
+		{"exhausted", 5000, 1200},
+		{"zero", 0, 1200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			n, err := Record(&buf, NewSliceSource(streams...), tc.n, WriterOptions{ChunkRecords: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.want {
+				t.Fatalf("recorded %d, want %d", n, tc.want)
+			}
+			want := make([]Rec, tc.want)
+			if k := NewRoundRobin(NewSliceSource(streams...)).Fill(want); uint64(k) != tc.want {
+				t.Fatalf("the interleaver yields %d records, want %d", k, tc.want)
+			}
+			rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want {
+				cpu, r, err := rd.Read()
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				if got := (Rec{Addr: r.Addr, CPU: int32(cpu), Op: r.Op}); got != w {
+					t.Fatalf("record %d = %+v, want %+v", i, got, w)
+				}
+			}
+			if _, _, err := rd.Read(); err != io.EOF {
+				t.Fatalf("after %d records: %v, want EOF", tc.want, err)
+			}
+		})
 	}
 }
 

@@ -75,40 +75,11 @@ func (s *SliceSource) Next(cpu int) (Ref, bool) {
 	return r, true
 }
 
-// Limit wraps a Source and stops each CPU stream after n references.
-type Limit struct {
-	Src Source
-	N   uint64
-
-	used []uint64
-}
-
-// NewLimit returns a Source that truncates each per-CPU stream of src to n
-// references.
-func NewLimit(src Source, n uint64) *Limit {
-	return &Limit{Src: src, N: n, used: make([]uint64, src.CPUs())}
-}
-
-// CPUs implements Source.
-func (l *Limit) CPUs() int { return l.Src.CPUs() }
-
-// Next implements Source.
-func (l *Limit) Next(cpu int) (Ref, bool) {
-	if l.used[cpu] >= l.N {
-		return Ref{}, false
-	}
-	r, ok := l.Src.Next(cpu)
-	if ok {
-		l.used[cpu]++
-	}
-	return r, ok
-}
-
 // RoundRobin interleaves the per-CPU streams of a Source into one
 // record stream: one reference per live CPU per turn, in CPU order. A
 // stream that reports exhaustion is skipped from then on. It is the only
-// code that turns per-CPU streams into records, so a run, its captured
-// trace and Record all see the same order.
+// code that turns per-CPU streams into records, so a run and the trace
+// Record writes of it see the same order.
 type RoundRobin struct {
 	src  Source
 	cpu  int // the CPU whose turn is next

@@ -39,61 +39,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	var n int
-	inner := &FuncSource{NumCPUs: 1, Fn: func(cpu int) (Ref, bool) {
-		n++
-		return Ref{Read, uint64(n)}, true
-	}}
-	l := NewLimit(inner, 3)
-	if l.CPUs() != 1 {
-		t.Fatalf("CPUs = %d", l.CPUs())
-	}
-	got := 0
-	for {
-		_, ok := l.Next(0)
-		if !ok {
-			break
-		}
-		got++
-	}
-	if got != 3 {
-		t.Errorf("limit delivered %d refs, want 3", got)
-	}
-	// Underlying source should not be pulled after the limit.
-	if n != 3 {
-		t.Errorf("inner source pulled %d times, want 3", n)
-	}
-}
-
-func TestLimitPerCPU(t *testing.T) {
-	inner := &FuncSource{NumCPUs: 2, Fn: func(cpu int) (Ref, bool) {
-		return Ref{Read, uint64(cpu)}, true
-	}}
-	l := NewLimit(inner, 2)
-	for cpu := 0; cpu < 2; cpu++ {
-		for i := 0; i < 2; i++ {
-			if _, ok := l.Next(cpu); !ok {
-				t.Fatalf("cpu%d ref %d: unexpectedly exhausted", cpu, i)
-			}
-		}
-		if _, ok := l.Next(cpu); ok {
-			t.Errorf("cpu%d: limit not enforced", cpu)
-		}
-	}
-}
-
-func TestLimitExhaustedInner(t *testing.T) {
-	s := NewSliceSource([]Ref{{Read, 1}})
-	l := NewLimit(s, 10)
-	if _, ok := l.Next(0); !ok {
-		t.Fatal("first ref should be available")
-	}
-	if _, ok := l.Next(0); ok {
-		t.Error("inner exhaustion should propagate")
-	}
-}
-
 func TestRoundRobinInterleavesAndStops(t *testing.T) {
 	rr := NewRoundRobin(NewSliceSource(
 		[]Ref{{Op: Read, Addr: 0}, {Op: Read, Addr: 32}},

@@ -196,28 +196,29 @@ func (t *Writer) Close() error {
 	return nil
 }
 
-// Record drains src through the round-robin interleaver (up to
-// maxPerCPU references per CPU; 0 = until every stream is exhausted)
-// into a new trace written to w. It returns the number of records
-// written.
-func Record(w io.Writer, src Source, maxPerCPU uint64, opts WriterOptions) (uint64, error) {
+// Record drains src through the round-robin interleaver into a new
+// trace written to w: the first n records RoundRobin yields (0 = until
+// every stream is exhausted), in the order a run steps them. It returns
+// the number of records written.
+func Record(w io.Writer, src Source, n uint64, opts WriterOptions) (uint64, error) {
 	tw, err := NewWriter(w, src.CPUs(), opts)
 	if err != nil {
 		return 0, err
 	}
-	if maxPerCPU > 0 {
-		src = NewLimit(src, maxPerCPU)
-	}
 	rr := NewRoundRobin(src)
 	var buf [1 << 10]Rec
 	for {
-		n := rr.Fill(buf[:])
-		for _, r := range buf[:n] {
+		b := buf[:]
+		if n > 0 {
+			b = b[:min(uint64(len(b)), n-tw.Records())]
+		}
+		got := rr.Fill(b)
+		for _, r := range b[:got] {
 			if err := tw.Write(int(r.CPU), Ref{Op: r.Op, Addr: r.Addr}); err != nil {
 				return tw.Records(), err
 			}
 		}
-		if n < len(buf) {
+		if got < len(buf) {
 			return tw.Records(), tw.Close()
 		}
 	}

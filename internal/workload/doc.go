@@ -34,8 +34,8 @@
 //
 // Every generator is seeded and the simulator's interleaving is fixed,
 // so all experiments are bit-reproducible; Spec.Source streams are
-// infinite and a run's length is bounded by the consumer (Spec.Accesses,
-// trace.NewLimit, or the recorder's per-CPU cap). Export any spec with
-// trace.Record (or `tracecat record`) to get a replayable trace file —
-// see TRACES.md.
+// infinite and a run's length is bounded by the consumer (a run steps
+// Spec.Accesses references, trace.Record writes the count it is given).
+// Export any spec with trace.Record (or `tracecat record`) to get a
+// replayable trace file — see TRACES.md.
 package workload

@@ -197,9 +197,9 @@ const migRecordBytes = 64
 const regionGap = 1 << 26 // 64 MB
 
 // Source builds the deterministic reference generator for an nCPU run.
-// Each CPU's stream is infinite; wrap it with trace.NewLimit or use the
-// simulator's maxRefs to bound a run. A phased spec returns the
-// phase-splicing source (see phased.go).
+// Each CPU's stream is infinite: a run bounds it at Spec.Accesses
+// references, and trace.Record at the count it is given. A phased spec
+// returns the phase-splicing source (see phased.go).
 func (sp Spec) Source(cpus int) trace.Source {
 	if err := sp.Validate(); err != nil {
 		panic(err)
